@@ -67,7 +67,7 @@ func run(args []string, out io.Writer) error {
 	batchWindow := fs.Int("batch-window", 4, "window size for the windowed re-encryption submissions (0 = unwindowed)")
 	shardisoJSON := fs.String("shardiso-json", "BENCH_shardiso.json", "output path for the shard-isolation report")
 	shards := fs.Int("shards", 4, "shard count for the shard-isolation experiment")
-	pairingJSON := fs.String("pairing-json", "BENCH_pairing.json", "output path for the three-kernel pairing report (montgomery/projective/reference)")
+	pairingJSON := fs.String("pairing-json", "BENCH_pairing.json", "output path for the two-kernel pairing report (montgomery/reference)")
 	walcommitJSON := fs.String("walcommit-json", "BENCH_walcommit.json", "output path for the WAL group-commit report")
 	walOps := fs.Int("wal-ops", 256, "durable puts per writer in the WAL group-commit experiment")
 	walSegment := fs.Int64("wal-segment-bytes", 256<<10, "WAL segment rotation threshold during the group-commit experiment")

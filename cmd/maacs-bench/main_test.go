@@ -20,6 +20,7 @@ func TestBenchToolSmoke(t *testing.T) {
 		"-pairing-json", filepath.Join(dir, "pairing.json"),
 		"-walcommit-json", filepath.Join(dir, "walcommit.json"),
 		"-load-json", filepath.Join(dir, "load.json"),
+		"-fetchpath-json", filepath.Join(dir, "fetchpath.json"),
 		"-load-duration", "100ms", "-load-rates", "80",
 		"-load-owners", "2", "-load-users", "2", "-load-records", "2",
 	}, &sb)
@@ -33,6 +34,7 @@ func TestBenchToolSmoke(t *testing.T) {
 		"Revocation", "pirretti", "Ablation", "pairing_pp",
 		"key-distribution cost vs population",
 		"open-loop load", "wrote " + filepath.Join(dir, "load.json"),
+		"wrote " + filepath.Join(dir, "fetchpath.json"),
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q", want)

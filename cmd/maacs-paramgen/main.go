@@ -19,7 +19,7 @@ import (
 
 func main() {
 	rBits := flag.Int("r", 160, "bit length of the prime group order")
-	qBits := flag.Int("q", 512, "approximate bit length of the base field prime")
+	qBits := flag.Int("q", 512, "approximate bit length of the base field prime (at most 576)")
 	flag.Parse()
 	if err := run(*rBits, *qBits, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "maacs-paramgen:", err)

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"maacs/internal/pairing"
 )
 
 func TestParamgenProducesValidConstants(t *testing.T) {
@@ -22,5 +25,9 @@ func TestParamgenRejectsBadSizes(t *testing.T) {
 	var sb strings.Builder
 	if err := run(8, 16, &sb); err == nil {
 		t.Fatal("tiny sizes accepted")
+	}
+	// The base field must fit the 576-bit Montgomery width.
+	if err := run(32, 640, &sb); !errors.Is(err, pairing.ErrInvalidParams) {
+		t.Fatalf("run(32, 640) err = %v, want ErrInvalidParams", err)
 	}
 }

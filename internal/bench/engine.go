@@ -52,10 +52,7 @@ func timeBest(workers, trials int, f func() error) (time.Duration, error) {
 		if err := f(); err != nil {
 			return 0, err
 		}
-		d := time.Since(start)
-		if best == 0 || d < best {
-			best = d
-		}
+		keepBest(&best, time.Since(start))
 	}
 	return best, nil
 }

@@ -6,10 +6,11 @@ import (
 	"strings"
 	"time"
 
+	"maacs/internal/engine"
 	"maacs/internal/pairing"
 )
 
-// Point is one x-position of a figure series: mean times over Trials runs.
+// Point is one x-position of a figure series: the fastest of Trials runs.
 type Point struct {
 	X           int
 	Ours, Lewko time.Duration
@@ -31,7 +32,7 @@ type SweepSpec struct {
 	Xs []int
 	// Fixed is the value of the non-swept axis (the paper uses 5).
 	Fixed int
-	// Trials per point.
+	// Trials per point; each scheme keeps its fastest trial.
 	Trials int
 }
 
@@ -86,11 +87,17 @@ func SweepAttrs(spec SweepSpec, op operation) (*Series, error) {
 	return s, nil
 }
 
-// measurePoint runs both schemes at one workload point and averages.
+// measurePoint runs both schemes at one workload point and keeps each
+// scheme's fastest trial. The engine pool is pinned to one worker, so the
+// point compares single-threaded operation cost, as the paper's PBC
+// measurements did, and neither goroutine hand-offs nor a preempted trial
+// reach the figure's verdict.
 func measurePoint(cfg Config, trials int, op operation) (Point, error) {
 	if trials < 1 {
 		trials = 1
 	}
+	restore := engine.SetWorkers(1)
+	defer restore()
 	ours, err := SetupOurs(cfg)
 	if err != nil {
 		return Point{}, err
@@ -99,7 +106,7 @@ func measurePoint(cfg Config, trials int, op operation) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	var oursTotal, lewkoTotal time.Duration
+	var pt Point
 	for t := 0; t < trials; t++ {
 		ct, encD, err := ours.Encrypt()
 		if err != nil {
@@ -111,8 +118,8 @@ func measurePoint(cfg Config, trials int, op operation) (Point, error) {
 		}
 		switch op {
 		case OpEncrypt:
-			oursTotal += encD
-			lewkoTotal += lEncD
+			keepBest(&pt.Ours, encD)
+			keepBest(&pt.Lewko, lEncD)
 		case OpDecrypt:
 			decD, err := ours.Decrypt(ct)
 			if err != nil {
@@ -122,14 +129,18 @@ func measurePoint(cfg Config, trials int, op operation) (Point, error) {
 			if err != nil {
 				return Point{}, err
 			}
-			oursTotal += decD
-			lewkoTotal += lDecD
+			keepBest(&pt.Ours, decD)
+			keepBest(&pt.Lewko, lDecD)
 		}
 	}
-	return Point{
-		Ours:  oursTotal / time.Duration(trials),
-		Lewko: lewkoTotal / time.Duration(trials),
-	}, nil
+	return pt, nil
+}
+
+// keepBest lowers *best to d when d is faster (or *best is still unset).
+func keepBest(best *time.Duration, d time.Duration) {
+	if *best == 0 || d < *best {
+		*best = d
+	}
 }
 
 // Render prints the series as an aligned text table mirroring the paper's

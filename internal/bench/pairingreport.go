@@ -14,9 +14,8 @@ import (
 )
 
 // PairingPoint is one measured operation of the pairing-kernel comparison:
-// the same work run on the fixed-width Montgomery kernel, the projective
-// big.Int kernel it replaced on the hot path, and the retained affine/naive
-// reference.
+// the same work run on the fixed-width Montgomery kernel and on the
+// retained affine/naive reference.
 type PairingPoint struct {
 	// Op names the operation: "pair", "prepared-pair", "prepare", "g-exp",
 	// "gt-exp", a per-scheme "encrypt"/"encrypt-lewko"/"encrypt-waters",
@@ -25,17 +24,12 @@ type PairingPoint struct {
 	// Reps is the number of back-to-back executions inside one timed trial;
 	// the recorded times are already divided down to per-operation cost.
 	Reps int `json:"reps"`
-	// MontgomeryNs, ProjectiveNs, and ReferenceNs are best-of-trials per-op
-	// wall times for the three kernels.
+	// MontgomeryNs and ReferenceNs are best-of-trials per-op wall times for
+	// the two kernels.
 	MontgomeryNs int64 `json:"montgomery_ns"`
-	ProjectiveNs int64 `json:"projective_ns"`
 	ReferenceNs  int64 `json:"reference_ns"`
-	// Speedup is ReferenceNs / MontgomeryNs (cumulative over all kernel
-	// work); SpeedupVsProjective is ProjectiveNs / MontgomeryNs, the gain of
-	// the Montgomery limb representation alone over the previous big.Int
-	// projective kernel.
-	Speedup             float64 `json:"speedup"`
-	SpeedupVsProjective float64 `json:"speedup_vs_projective"`
+	// Speedup is ReferenceNs / MontgomeryNs.
+	Speedup float64 `json:"speedup"`
 }
 
 // FieldPoint is one field-primitive row: the innermost arithmetic the
@@ -80,37 +74,28 @@ func timeBestPerOp(trials, reps int, f func() error) (time.Duration, error) {
 		if err := f(); err != nil {
 			return 0, err
 		}
-		d := time.Since(start)
-		if best == 0 || d < best {
-			best = d
-		}
+		keepBest(&best, time.Since(start))
 	}
 	return best / time.Duration(reps), nil
 }
 
-// measureKernels times the op on all three kernels and appends the point.
-// mont, proj, and ref are closures bound to per-kernel Params clones.
-func (r *PairingReport) measureKernels(op string, reps int, mont, proj, ref func() error) error {
+// measureKernels times the op on both kernels and appends the point. mont
+// and ref are closures bound to per-kernel Params clones.
+func (r *PairingReport) measureKernels(op string, reps int, mont, ref func() error) error {
 	m, err := timeBestPerOp(r.Trials, reps, mont)
 	if err != nil {
 		return fmt.Errorf("%s montgomery: %w", op, err)
-	}
-	pj, err := timeBestPerOp(r.Trials, reps, proj)
-	if err != nil {
-		return fmt.Errorf("%s projective: %w", op, err)
 	}
 	rf, err := timeBestPerOp(r.Trials, reps, ref)
 	if err != nil {
 		return fmt.Errorf("%s reference: %w", op, err)
 	}
 	r.Points = append(r.Points, PairingPoint{
-		Op:                  op,
-		Reps:                reps,
-		MontgomeryNs:        m.Nanoseconds(),
-		ProjectiveNs:        pj.Nanoseconds(),
-		ReferenceNs:         rf.Nanoseconds(),
-		Speedup:             float64(rf.Nanoseconds()) / float64(m.Nanoseconds()),
-		SpeedupVsProjective: float64(pj.Nanoseconds()) / float64(m.Nanoseconds()),
+		Op:           op,
+		Reps:         reps,
+		MontgomeryNs: m.Nanoseconds(),
+		ReferenceNs:  rf.Nanoseconds(),
+		Speedup:      float64(rf.Nanoseconds()) / float64(m.Nanoseconds()),
 	})
 	return nil
 }
@@ -145,13 +130,9 @@ func calibrateFieldReps(f func()) int {
 }
 
 // measureFields builds the field-primitive rows from the pairing package's
-// exported closures. The Montgomery closures are nil when the prime exceeds
-// the fixed limb width; the rows are skipped in that case.
+// exported closures.
 func (r *PairingReport) measureFields(p *pairing.Params) error {
 	for _, op := range p.FieldBench() {
-		if op.Montgomery == nil {
-			continue
-		}
 		// Both columns share one rep count (sized by the slower closure) so
 		// the per-op times divide identically.
 		reps := calibrateFieldReps(op.Montgomery)
@@ -199,10 +180,10 @@ func kernelClone(p *pairing.Params, k pairing.Kernel) (*pairing.Params, error) {
 	return c, nil
 }
 
-// MeasurePairing produces the three-kernel comparison behind
+// MeasurePairing produces the two-kernel comparison behind
 // BENCH_pairing.json: the field primitives (Montgomery limbs vs math/big),
-// the pairing primitives head-to-head across the Montgomery, projective,
-// and reference kernels, then a whole-scheme encrypt/decrypt at the given
+// the pairing primitives head-to-head on the Montgomery and reference
+// kernels, then a whole-scheme encrypt/decrypt at the given
 // attribute count with every group operation routed through each kernel.
 // attrs is split as one authority with attrs attributes.
 func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*PairingReport, error) {
@@ -213,10 +194,6 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*
 		Attrs:  attrs,
 	}
 	mont, err := kernelClone(params, pairing.KernelMontgomery)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := kernelClone(params, pairing.KernelProjective)
 	if err != nil {
 		return nil, err
 	}
@@ -311,15 +288,11 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*
 		if err != nil {
 			return nil, err
 		}
-		fProj, err := pr.mk(proj)
-		if err != nil {
-			return nil, err
-		}
 		fRef, err := pr.mk(ref)
 		if err != nil {
 			return nil, err
 		}
-		if err := report.measureKernels(pr.op, pr.reps, fMont, fProj, fRef); err != nil {
+		if err := report.measureKernels(pr.op, pr.reps, fMont, fRef); err != nil {
 			return nil, err
 		}
 	}
@@ -352,18 +325,14 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*
 	if err != nil {
 		return nil, fmt.Errorf("pairing bench setup montgomery: %w", err)
 	}
-	encProj, decProj, err := mkScheme(proj)
-	if err != nil {
-		return nil, fmt.Errorf("pairing bench setup projective: %w", err)
-	}
 	encRef, decRef, err := mkScheme(ref)
 	if err != nil {
 		return nil, fmt.Errorf("pairing bench setup reference: %w", err)
 	}
-	if err := report.measureKernels("encrypt", 1, encMont, encProj, encRef); err != nil {
+	if err := report.measureKernels("encrypt", 1, encMont, encRef); err != nil {
 		return nil, err
 	}
-	if err := report.measureKernels("decrypt", 1, decMont, decProj, decRef); err != nil {
+	if err := report.measureKernels("decrypt", 1, decMont, decRef); err != nil {
 		return nil, err
 	}
 
@@ -411,15 +380,11 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*
 		if err != nil {
 			return nil, fmt.Errorf("pairing bench setup %s montgomery: %w", sch.op, err)
 		}
-		fProj, err := sch.mk(proj)
-		if err != nil {
-			return nil, fmt.Errorf("pairing bench setup %s projective: %w", sch.op, err)
-		}
 		fRef, err := sch.mk(ref)
 		if err != nil {
 			return nil, fmt.Errorf("pairing bench setup %s reference: %w", sch.op, err)
 		}
-		if err := report.measureKernels(sch.op, 1, fMont, fProj, fRef); err != nil {
+		if err := report.measureKernels(sch.op, 1, fMont, fRef); err != nil {
 			return nil, err
 		}
 	}
@@ -435,7 +400,7 @@ func (r *PairingReport) WriteJSON(w io.Writer) error {
 
 // Render prints a human-readable table of the report.
 func (r *PairingReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "Pairing kernels montgomery vs projective vs reference — |r|=%d, |q|=%d bits, attrs=%d (%d trials, best-of, single-threaded)\n",
+	fmt.Fprintf(w, "Pairing kernels montgomery vs reference — |r|=%d, |q|=%d bits, attrs=%d (%d trials, best-of, single-threaded)\n",
 		r.RBits, r.QBits, r.Attrs, r.Trials)
 	if len(r.Fields) > 0 {
 		fmt.Fprintf(w, "%-14s %14s %14s %8s %12s %12s\n",
@@ -446,11 +411,9 @@ func (r *PairingReport) Render(w io.Writer) {
 				f.MontgomeryAllocs, f.BigIntAllocs)
 		}
 	}
-	fmt.Fprintf(w, "%-14s %14s %14s %14s %9s %8s\n",
-		"op", "montgomery", "projective", "reference", "vs proj", "speedup")
+	fmt.Fprintf(w, "%-14s %14s %14s %8s\n", "op", "montgomery", "reference", "speedup")
 	for _, pt := range r.Points {
-		fmt.Fprintf(w, "%-14s %14s %14s %14s %8.2fx %7.2fx\n",
-			pt.Op, time.Duration(pt.MontgomeryNs), time.Duration(pt.ProjectiveNs),
-			time.Duration(pt.ReferenceNs), pt.SpeedupVsProjective, pt.Speedup)
+		fmt.Fprintf(w, "%-14s %14s %14s %7.2fx\n",
+			pt.Op, time.Duration(pt.MontgomeryNs), time.Duration(pt.ReferenceNs), pt.Speedup)
 	}
 }

@@ -39,16 +39,16 @@ func TestMeasurePairingShapes(t *testing.T) {
 		if pt.Op != wantOps[i] {
 			t.Fatalf("point %d is %q, want %q", i, pt.Op, wantOps[i])
 		}
-		if pt.MontgomeryNs <= 0 || pt.ProjectiveNs <= 0 || pt.ReferenceNs <= 0 {
+		if pt.MontgomeryNs <= 0 || pt.ReferenceNs <= 0 {
 			t.Fatalf("point %q has unmeasured kernels: %+v", pt.Op, pt)
 		}
-		if pt.Speedup <= 0 || pt.SpeedupVsProjective <= 0 {
-			t.Fatalf("point %q has invalid speedups: %+v", pt.Op, pt)
+		if pt.Speedup <= 0 {
+			t.Fatalf("point %q has an invalid speedup: %+v", pt.Op, pt)
 		}
 	}
 	var sb strings.Builder
 	r.Render(&sb)
-	for _, want := range []string{"montgomery", "projective", "reference", "fp-mul", "vs proj"} {
+	for _, want := range []string{"montgomery", "reference", "fp-mul", "speedup"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("render missing %q", want)
 		}
@@ -56,9 +56,12 @@ func TestMeasurePairingShapes(t *testing.T) {
 	if err := r.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"montgomery_ns", "projective_ns", "speedup_vs_projective", "bigint_allocs"} {
+	for _, want := range []string{"montgomery_ns", "reference_ns", "speedup", "bigint_allocs"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("JSON missing %q", want)
 		}
+	}
+	if strings.Contains(sb.String(), "projective") {
+		t.Fatal("report still carries a projective column")
 	}
 }

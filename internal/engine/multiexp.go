@@ -36,11 +36,11 @@ func tableExp(p *pairing.Params, g *pairing.G, k *big.Int) *pairing.G {
 	return PreparedExp(g).Exp(k)
 }
 
-// DualExpGT computes t^x · u^y in the target group. On the Lucas-capable
-// kernels (Montgomery and projective) two independent ladders are cheaper
-// than a shared squaring chain of full F_q² multiplications — the Lucas
-// ladder tracks only traces; the reference kernel keeps the Shamir chain,
-// whose shared squarings beat two square-and-multiply passes.
+// DualExpGT computes t^x · u^y in the target group. On the Montgomery
+// kernel two independent Lucas ladders are cheaper than a shared squaring
+// chain of full F_q² multiplications — the Lucas ladder tracks only traces;
+// the reference kernel keeps the Shamir chain, whose shared squarings beat
+// two square-and-multiply passes.
 func DualExpGT(t *pairing.GT, x *big.Int, u *pairing.GT, y *big.Int) *pairing.GT {
 	p := t.Params()
 	if u.Params() != p {

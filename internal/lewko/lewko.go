@@ -45,6 +45,7 @@ var (
 // global identities into G.
 type System struct {
 	Params *pairing.Params
+	gids   sync.Map // GID → *pairing.G, memoized H(GID)
 }
 
 // NewSystem wraps pairing parameters for the Lewko–Waters scheme.
@@ -52,9 +53,21 @@ func NewSystem(params *pairing.Params) *System {
 	return &System{Params: params}
 }
 
-// HashGID maps a user's global identity to H(GID) ∈ G.
+// HashGID maps a user's global identity to H(GID) ∈ G. The hash is a
+// per-user constant, so it is computed once per System: KeyGen and every
+// later Decrypt for the same GID reuse it, and decryption costs the 2l
+// pairings the paper's comparison counts rather than a hash-to-curve on
+// top.
 func (s *System) HashGID(gid string) (*pairing.G, error) {
-	return s.Params.HashToG([]byte("lewko-gid:" + gid))
+	if h, ok := s.gids.Load(gid); ok {
+		return h.(*pairing.G), nil
+	}
+	h, err := s.Params.HashToG([]byte("lewko-gid:" + gid))
+	if err != nil {
+		return nil, err
+	}
+	s.gids.Store(gid, h)
+	return h, nil
 }
 
 // attrSecret holds one attribute's authority-side secrets (α_x, y_x).

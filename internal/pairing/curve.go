@@ -138,23 +138,19 @@ func (p *Params) hasOrderDividingR(pt point) bool {
 
 // mulScalarRaw computes k·pt for k ≥ 0 without reducing k; needed for
 // cofactor multiplication where k = H > R and for order checks. The
-// Montgomery kernel runs the NAF ladder on fixed-width field elements
-// (montgomery.go), the projective kernel on big.Int Jacobian points
-// (jacobian.go); mulScalarAffine is the reference implementation the tests
-// cross-check against and the one KernelReference runs.
+// Montgomery kernel runs the NAF ladder on fixed-width Jacobian points
+// (mulScalarMont in montgomery.go); mulScalarAffine is the reference
+// implementation the tests cross-check against and the one KernelReference
+// runs.
 func (p *Params) mulScalarRaw(pt point, k *big.Int) point {
-	switch p.activeKernel() {
-	case KernelReference:
+	if p.kernel == KernelReference {
 		return p.mulScalarAffine(pt, k)
-	case KernelMontgomery:
-		return p.mulScalarMont(pt, k)
-	default:
-		return p.mulScalarJac(pt, k)
 	}
+	return p.mulScalarMont(pt, k)
 }
 
-// mulScalarAffine is the textbook affine double-and-add, kept as the
-// reference for property tests.
+// mulScalarAffine is the textbook affine double-and-add: the reference
+// kernel's ladder and the oracle for property tests.
 func (p *Params) mulScalarAffine(pt point, k *big.Int) point {
 	acc := infinity()
 	if pt.inf || k.Sign() == 0 {

@@ -154,23 +154,18 @@ func (t *GT) Mul(u *GT) *GT {
 // Exp returns t^k. k is normalized mod R — the order of G_T inside the
 // unitary (norm-1) subgroup of F_q²* — before the ladder runs, so zero,
 // negative, and oversized scalars cost one bounded chain. The Montgomery
-// kernel runs the Lucas ladder on fixed-width field elements (fp2m.go),
-// the projective kernel on big.Int (lucas.go); the reference kernel keeps
-// square-and-multiply.
+// kernel runs the Lucas ladder on fixed-width field elements (fp2m.go);
+// the reference kernel keeps square-and-multiply.
 func (t *GT) Exp(k *big.Int) *GT {
 	kk := new(big.Int).Mod(k, t.p.R)
-	switch t.p.activeKernel() {
-	case KernelReference:
+	if t.p.kernel == KernelReference {
 		return &GT{p: t.p, v: t.p.fp2ExpUnitary(t.v, kk)}
-	case KernelMontgomery:
-		c := t.p.fpc
-		var x, z fp2m
-		c.fp2mFromFp2(&x, t.v)
-		c.fp2mExpUnitaryLucas(&z, &x, kk)
-		return &GT{p: t.p, v: c.fp2mToFp2(&z)}
-	default:
-		return &GT{p: t.p, v: t.p.fp2ExpUnitaryLucas(t.v, kk)}
 	}
+	c := t.p.fpc
+	var x, z fp2m
+	c.fp2mFromFp2(&x, t.v)
+	c.fp2mExpUnitaryLucas(&z, &x, kk)
+	return &GT{p: t.p, v: c.fp2mToFp2(&z)}
 }
 
 // Inv returns t⁻¹. Elements of G_T have norm 1, so inversion is conjugation.

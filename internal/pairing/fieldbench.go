@@ -7,14 +7,12 @@ import (
 // FieldOp is one base- or extension-field primitive exposed for external
 // benchmarking (internal/bench builds the field-level rows of
 // BENCH_pairing.json from these). Montgomery runs the fixed-width limb
-// kernel; BigInt runs the equivalent math/big computation the projective
-// kernel performs. Montgomery is nil when the field exceeds the fixed limb
-// width and only the big.Int chain is available.
+// kernel; BigInt runs the equivalent math/big computation the reference
+// kernel performs.
 type FieldOp struct {
 	// Name is the row label: "fp-mul", "fp-square", "fp-inv", "fp2-mul".
 	Name string
-	// Montgomery executes one fixed-width Montgomery operation (nil when the
-	// prime does not fit fpMaxLimbs limbs).
+	// Montgomery executes one fixed-width Montgomery operation.
 	Montgomery func()
 	// BigInt executes the same operation through math/big.
 	BigInt func()
@@ -34,25 +32,17 @@ func (p *Params) FieldBench() []FieldOp {
 	x2 := fp2{a: xb, b: yb}
 	y2 := fp2{a: yb, b: xb}
 
-	ops := []FieldOp{
-		{Name: "fp-mul", BigInt: func() { zb.Mul(xb, yb); zb.Mod(zb, p.Q) }},
-		{Name: "fp-square", BigInt: func() { zb.Mul(xb, xb); zb.Mod(zb, p.Q) }},
-		{Name: "fp-inv", BigInt: func() { new(big.Int).ModInverse(xb, p.Q) }},
-		{Name: "fp2-mul", BigInt: func() { p.fp2Mul(x2, y2) }},
-	}
 	c := p.fpc
-	if c == nil {
-		return ops
-	}
 	var xm, ym, zm fpElement
 	c.fromBig(&xm, xb)
 	c.fromBig(&ym, yb)
 	var x2m, y2m, z2m fp2m
 	c.fp2mFromFp2(&x2m, x2)
 	c.fp2mFromFp2(&y2m, y2)
-	ops[0].Montgomery = func() { c.mul(&zm, &xm, &ym) }
-	ops[1].Montgomery = func() { c.square(&zm, &xm) }
-	ops[2].Montgomery = func() { c.inv(&zm, &xm) }
-	ops[3].Montgomery = func() { c.fp2mMul(&z2m, &x2m, &y2m) }
-	return ops
+	return []FieldOp{
+		{"fp-mul", func() { c.mul(&zm, &xm, &ym) }, func() { zb.Mul(xb, yb); zb.Mod(zb, p.Q) }},
+		{"fp-square", func() { c.square(&zm, &xm) }, func() { zb.Mul(xb, xb); zb.Mod(zb, p.Q) }},
+		{"fp-inv", func() { c.inv(&zm, &xm) }, func() { new(big.Int).ModInverse(xb, p.Q) }},
+		{"fp2-mul", func() { c.fp2mMul(&z2m, &x2m, &y2m) }, func() { p.fp2Mul(x2, y2) }},
+	}
 }

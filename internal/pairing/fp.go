@@ -20,8 +20,7 @@ import (
 // The array is sized for the shipped Type-A parameters: the default base
 // field prime is 513 bits (q = 4m·r − 1 with a 160-bit r), which needs nine
 // 64-bit limbs, one more than the nominal "512-bit field" of the paper.
-// Larger generated fields fall back to the big.Int projective kernel (see
-// newFpContext and activeKernel).
+// newParams rejects wider fields, so every valid Params has a context.
 //
 // Invariant: limbs at index ≥ n are always zero, so whole-array comparison
 // and copying are valid. Every constructor below establishes the invariant

@@ -9,10 +9,6 @@ type fp2 struct {
 	a, b *big.Int
 }
 
-func newFp2() fp2 {
-	return fp2{a: new(big.Int), b: new(big.Int)}
-}
-
 func fp2One() fp2 {
 	return fp2{a: big.NewInt(1), b: new(big.Int)}
 }
@@ -82,32 +78,6 @@ func (p *Params) fp2Inv(x fp2) fp2 {
 	return fp2{a: re, b: im}
 }
 
-// fp2MulTo sets *z = x·y, reusing z's limbs and the scratch temporaries
-// (t[14..17]). z may alias x or y: all reads land in scratch before z is
-// written.
-func (p *Params) fp2MulTo(z *fp2, x, y fp2, s *scratch) {
-	ac := s.t[14].Mul(x.a, y.a)
-	bd := s.t[15].Mul(x.b, y.b)
-	ad := s.t[16].Mul(x.a, y.b)
-	bc := s.t[17].Mul(x.b, y.a)
-	z.a.Sub(ac, bd)
-	z.a.Mod(z.a, p.Q)
-	z.b.Add(ad, bc)
-	z.b.Mod(z.b, p.Q)
-}
-
-// fp2SquareTo sets *z = x², reusing z's limbs and scratch t[14..16]. z may
-// alias x.
-func (p *Params) fp2SquareTo(z *fp2, x fp2, s *scratch) {
-	sum := s.t[14].Add(x.a, x.b)
-	diff := s.t[15].Sub(x.a, x.b)
-	im := s.t[16].Mul(x.a, x.b)
-	z.a.Mul(sum, diff)
-	z.a.Mod(z.a, p.Q)
-	z.b.Lsh(im, 1)
-	z.b.Mod(z.b, p.Q)
-}
-
 // fp2Exp returns x^k by square-and-multiply. Negative exponents fold into
 // the single pass by inverting the base up front — no recursion, one
 // inversion, one ladder.
@@ -128,8 +98,8 @@ func (p *Params) fp2Exp(x fp2, k *big.Int) fp2 {
 
 // fp2ExpUnitary is fp2Exp specialised to norm-1 elements, where inversion is
 // conjugation (folded into the same single pass as fp2Exp). This is the
-// retained square-and-multiply reference; the optimized kernel uses
-// fp2ExpUnitaryLucas instead.
+// square-and-multiply reference; the Montgomery kernel uses the Lucas
+// ladder fp2mExpUnitaryLucas instead.
 func (p *Params) fp2ExpUnitary(x fp2, k *big.Int) fp2 {
 	if k.Sign() < 0 {
 		x = p.fp2Conj(x)

@@ -94,11 +94,20 @@ func (c *fpContext) fp2mExp(z, x *fp2m, k *big.Int) {
 }
 
 // fp2mExpUnitaryLucas sets z = x^k for unitary x (norm a² + b² = 1) with the
-// Lucas V-ladder — the fpElement port of fp2ExpUnitaryLucas (see lucas.go
-// for the derivation). One base-field squaring and one multiplication per
-// exponent bit, plus a single field inversion to recover the imaginary
-// part. Negative k folds into conjugation. Bit-identical to the big.Int
-// ladders on every unitary input; the differential tests pin this.
+// Lucas V-ladder. Such an x satisfies x² − t·x + 1 = 0 with trace t = 2a,
+// so x^k + x^(−k) = V_k(t) and Re(x^k) = V_k/2, where
+//
+//	V_{2m} = V_m² − 2,  V_{2m+1} = V_m·V_{m+1} − t
+//
+// advances the pair (V_m, V_{m+1}) with one base-field squaring and one
+// multiplication per exponent bit — about half the work of generic
+// square-and-multiply. The imaginary part comes back at the end from
+// Im(x^k) = (t·V_k − 2V_{k+1})/(4b), a single field inversion. This is the
+// compression XTR/LUC use and PBC applies to Type-A G_T exponentiation;
+// every G_T element and every f^(q−1) value out of the final
+// exponentiation is unitary. Negative k folds into conjugation. The result
+// is bit-identical to the square-and-multiply fp2ExpUnitary on every
+// unitary input; the differential tests pin this.
 func (c *fpContext) fp2mExpUnitaryLucas(z, x *fp2m, k *big.Int) {
 	if k.Sign() < 0 {
 		var xc fp2m

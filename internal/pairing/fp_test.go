@@ -246,9 +246,9 @@ func TestFpBatchInv(t *testing.T) {
 	}
 }
 
-// TestNewFpContextRejects pins the fallback contract: fields wider than the
-// fixed 9×64-bit width (and degenerate moduli) get no Montgomery context,
-// which activeKernel turns into the projective big.Int chain.
+// TestNewFpContextRejects pins the constructor contract: fields wider than
+// the fixed 9×64-bit width (which newParams rejects up front) and
+// degenerate moduli get no Montgomery context.
 func TestNewFpContextRejects(t *testing.T) {
 	wide := new(big.Int).Lsh(one, 64*fpMaxLimbs)
 	wide.Add(wide, big.NewInt(3))
@@ -339,10 +339,11 @@ func TestFp2mMatchesFp2(t *testing.T) {
 	}
 }
 
-// TestFp2mLucasMatchesBigLucas pins the fixed-width Lucas ladder against the
-// big.Int ladders on unitary elements, over the exponent gauntlet the final
-// exponentiation and GT.Exp feed it (zero, negative, cofactor-sized).
-func TestFp2mLucasMatchesBigLucas(t *testing.T) {
+// TestFp2mLucasMatchesUnitaryExp pins the fixed-width Lucas ladder against
+// the square-and-multiply unitary reference on unitary elements, over the
+// exponent gauntlet the final exponentiation and GT.Exp feed it (zero,
+// negative, cofactor-sized, around R).
+func TestFp2mLucasMatchesUnitaryExp(t *testing.T) {
 	p := Test()
 	c := p.fpc
 	gt := p.GTGenerator()
@@ -351,7 +352,8 @@ func TestFp2mLucasMatchesBigLucas(t *testing.T) {
 		k := big.NewInt(int64(i)*7919 + 3)
 		bases = append(bases, gt.Exp(k).v)
 	}
-	// A unitary element straight off the Frobenius map, like finalExp builds.
+	// A unitary element straight off the Frobenius map, like the final
+	// exponentiation builds (not necessarily in the order-R subgroup).
 	f := fp2{a: big.NewInt(123456789), b: big.NewInt(987654321)}
 	bases = append(bases, p.fp2Mul(p.fp2Conj(f), p.fp2Inv(f)))
 	// Real unitary bases: ±1 (the b = 0 special case).
@@ -360,18 +362,18 @@ func TestFp2mLucasMatchesBigLucas(t *testing.T) {
 		fp2{a: new(big.Int).Sub(p.Q, one), b: new(big.Int)},
 	)
 	exps := []*big.Int{
-		new(big.Int), one, big.NewInt(2), big.NewInt(-1), big.NewInt(-7919),
+		new(big.Int), one, big.NewInt(2), big.NewInt(3), big.NewInt(-1), big.NewInt(-7919),
 		new(big.Int).Set(p.H), new(big.Int).Neg(p.H),
-		new(big.Int).Sub(p.R, one), new(big.Int).Add(p.R, one),
+		new(big.Int).Sub(p.R, one), new(big.Int).Set(p.R), new(big.Int).Add(p.R, one),
 	}
 	for bi, x := range bases {
 		var xm, zm fp2m
 		c.fp2mFromFp2(&xm, x)
 		for ei, k := range exps {
 			c.fp2mExpUnitaryLucas(&zm, &xm, k)
-			want := p.fp2ExpUnitaryLucas(x, k)
+			want := p.fp2ExpUnitary(x, k)
 			if got := c.fp2mToFp2(&zm); !got.equal(want) {
-				t.Fatalf("base %d exp %d (%v): fixed-width Lucas ≠ big.Int Lucas", bi, ei, k)
+				t.Fatalf("base %d exp %d (%v): fixed-width Lucas ≠ square-and-multiply", bi, ei, k)
 			}
 		}
 	}
@@ -401,7 +403,8 @@ func FuzzFpMontgomery(f *testing.F) {
 }
 
 // FuzzFp2Montgomery is the F_q² variant: tower operations plus the unitary
-// Lucas ladder (on the unitarized input) against the big.Int tower.
+// Lucas ladder (on the unitarized input) against the big.Int tower and its
+// square-and-multiply unitary exponentiation.
 func FuzzFp2Montgomery(f *testing.F) {
 	p := Test()
 	c := p.fpc
@@ -422,8 +425,8 @@ func FuzzFp2Montgomery(f *testing.F) {
 		if x.isZero() {
 			return
 		}
-		// Unitarize x (x̄/x has norm 1) and pin the Lucas ladders against
-		// each other on it, with a signed exponent derived from e.
+		// Unitarize x (x̄/x has norm 1) and pin the Lucas ladder against
+		// square-and-multiply on it, with a signed exponent derived from e.
 		u := p.fp2Mul(p.fp2Conj(x), p.fp2Inv(x))
 		k := new(big.Int).SetUint64(e)
 		if e%2 == 1 {
@@ -432,8 +435,8 @@ func FuzzFp2Montgomery(f *testing.F) {
 		var um, zm fp2m
 		c.fp2mFromFp2(&um, u)
 		c.fp2mExpUnitaryLucas(&zm, &um, k)
-		if got, want := c.fp2mToFp2(&zm), p.fp2ExpUnitaryLucas(u, k); !got.equal(want) {
-			t.Fatal("fixed-width Lucas ladder disagrees with big.Int ladder")
+		if got, want := c.fp2mToFp2(&zm), p.fp2ExpUnitary(u, k); !got.equal(want) {
+			t.Fatal("fixed-width Lucas ladder disagrees with square-and-multiply")
 		}
 	})
 }

@@ -9,21 +9,21 @@ import (
 	"testing/quick"
 )
 
-// referenceClone builds an independent Params value with the same constants
-// as p but running the retained reference kernel, the way benchmarks and
-// whole-scheme before/after comparisons do.
-func referenceClone(t *testing.T, p *Params) *Params {
-	t.Helper()
+// kernelClone builds an independent Params value with the same constants
+// as p but running kernel k, the way benchmarks and whole-scheme
+// before/after comparisons do, so SetKernel never touches shared state.
+func kernelClone(tb testing.TB, p *Params, k Kernel) *Params {
+	tb.Helper()
 	q, r, h, gx, gy := p.Export()
-	ref, err := NewParams(q, r, h, gx, gy)
+	cl, err := NewParams(q, r, h, gx, gy)
 	if err != nil {
-		t.Fatalf("clone params: %v", err)
+		tb.Fatalf("clone params: %v", err)
 	}
-	ref.SetKernel(KernelReference)
-	return ref
+	cl.SetKernel(k)
+	return cl
 }
 
-// TestPairMatchesReference pins the optimized kernel (projective NAF Miller
+// TestPairMatchesReference pins the Montgomery kernel (projective NAF Miller
 // loop + Lucas final exponentiation) bit-identical to the retained affine
 // reference on random subgroup points.
 func TestPairMatchesReference(t *testing.T) {
@@ -50,8 +50,8 @@ func TestPairMatchesReference(t *testing.T) {
 // optimized shared parameters, byte for byte.
 func TestPairKernelDispatch(t *testing.T) {
 	p := Test()
-	ref := referenceClone(t, p)
-	if ref.Kernel() != KernelReference || p.Kernel() != KernelOptimized {
+	ref := kernelClone(t, p, KernelReference)
+	if ref.Kernel() != KernelReference || p.Kernel() != KernelMontgomery {
 		t.Fatal("kernel selection not reflected by Kernel()")
 	}
 	a, b := big.NewInt(98765), big.NewInt(43210)
@@ -87,7 +87,8 @@ func TestPairKernelDispatch(t *testing.T) {
 }
 
 // TestPreparedProjMatchesAffinePrepare pins the batch-inverted projective
-// preparation against the affine reference preparation on the same Params.
+// preparation (prepareMont) against the affine reference preparation on the
+// same Params.
 func TestPreparedProjMatchesAffinePrepare(t *testing.T) {
 	p := Test()
 	g := p.Generator()
@@ -95,7 +96,7 @@ func TestPreparedProjMatchesAffinePrepare(t *testing.T) {
 		a, _ := p.RandomScalar(rand.Reader)
 		b, _ := p.RandomScalar(rand.Reader)
 		ga, gb := g.Exp(a), g.Exp(b)
-		proj := p.prepareProj(ga)
+		proj := p.prepareMont(ga)
 		aff := p.prepareAffine(ga)
 		e1, err1 := proj.Pair(gb)
 		e2, err2 := aff.Pair(gb)
@@ -107,68 +108,6 @@ func TestPreparedProjMatchesAffinePrepare(t *testing.T) {
 		}
 		if !e1.Equal(p.MustPair(ga, gb)) {
 			t.Fatalf("iteration %d: prepared pair ≠ Pair", i)
-		}
-	}
-}
-
-// TestLucasMatchesUnitaryExp pins the Lucas ladder bit-identical to the
-// square-and-multiply unitary reference for random unitary elements and a
-// gauntlet of exponents, including the cofactor-sized and negative ones the
-// final exponentiation and GT.Exp feed it.
-func TestLucasMatchesUnitaryExp(t *testing.T) {
-	p := Test()
-	gt := p.GTGenerator()
-	exps := []*big.Int{
-		big.NewInt(0),
-		big.NewInt(1),
-		big.NewInt(2),
-		big.NewInt(3),
-		big.NewInt(-1),
-		big.NewInt(-7),
-		new(big.Int).Sub(p.R, one),
-		new(big.Int).Set(p.R),
-		new(big.Int).Add(p.R, one),
-		new(big.Int).Set(p.H),
-		new(big.Int).Neg(p.H),
-	}
-	for i := 0; i < 6; i++ {
-		k, _ := p.RandomScalar(rand.Reader)
-		exps = append(exps, k)
-	}
-	bases := []fp2{gt.v}
-	for i := 0; i < 4; i++ {
-		k, _ := p.RandomScalar(rand.Reader)
-		bases = append(bases, gt.Exp(k).v)
-	}
-	// A unitary element straight off the Frobenius map f̄·f⁻¹, like finalExp
-	// produces (not necessarily in the order-R subgroup).
-	f := fp2{a: big.NewInt(123456789), b: big.NewInt(987654321)}
-	bases = append(bases, p.fp2Mul(p.fp2Conj(f), p.fp2Inv(f)))
-	for bi, x := range bases {
-		for ei, k := range exps {
-			got := p.fp2ExpUnitaryLucas(x, k)
-			want := p.fp2ExpUnitary(x, k)
-			if !got.equal(want) {
-				t.Fatalf("base %d exp %d (%v): lucas ≠ square-and-multiply", bi, ei, k)
-			}
-		}
-	}
-}
-
-// TestLucasRealBases covers the b = 0 special case: the only unitary
-// elements with zero imaginary part are ±1.
-func TestLucasRealBases(t *testing.T) {
-	p := Test()
-	onePos := fp2{a: big.NewInt(1), b: new(big.Int)}
-	oneNeg := fp2{a: new(big.Int).Sub(p.Q, one), b: new(big.Int)}
-	for _, k := range []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(5), new(big.Int).Set(p.H)} {
-		if got := p.fp2ExpUnitaryLucas(onePos, k); !got.isOne() {
-			t.Fatalf("1^%v ≠ 1", k)
-		}
-		got := p.fp2ExpUnitaryLucas(oneNeg, k)
-		want := p.fp2ExpUnitary(oneNeg, k)
-		if !got.equal(want) {
-			t.Fatalf("(−1)^%v: lucas ≠ reference", k)
 		}
 	}
 }
@@ -189,8 +128,11 @@ func TestFp2ExpNegativeExponents(t *testing.T) {
 		if got := p.fp2ExpUnitary(x, k); !got.equal(wantUnitary) {
 			t.Fatalf("fp2ExpUnitary(x, %v) ≠ conj(fp2ExpUnitary(x, %v))", k, pos)
 		}
-		if got := p.fp2ExpUnitaryLucas(x, k); !got.equal(wantUnitary) {
-			t.Fatalf("fp2ExpUnitaryLucas(x, %v) ≠ conj(...)", k)
+		var xm, zm fp2m
+		p.fpc.fp2mFromFp2(&xm, x)
+		p.fpc.fp2mExpUnitaryLucas(&zm, &xm, k)
+		if got := p.fpc.fp2mToFp2(&zm); !got.equal(wantUnitary) {
+			t.Fatalf("fp2mExpUnitaryLucas(x, %v) ≠ conj(...)", k)
 		}
 	}
 }
@@ -274,28 +216,11 @@ func TestNAFDigits(t *testing.T) {
 	}
 }
 
-// TestBatchInvert checks Montgomery batch inversion against ModInverse.
-func TestBatchInvert(t *testing.T) {
-	p := Test()
-	var xs, want []*big.Int
-	for i := 1; i <= 37; i++ {
-		x := new(big.Int).Mod(big.NewInt(int64(i*i*7919+3)), p.Q)
-		xs = append(xs, x)
-		want = append(want, new(big.Int).ModInverse(new(big.Int).Set(x), p.Q))
-	}
-	p.batchInvert(xs)
-	for i := range xs {
-		if xs[i].Cmp(want[i]) != 0 {
-			t.Fatalf("element %d: batch inverse ≠ ModInverse", i)
-		}
-	}
-	p.batchInvert(nil) // must not panic
-}
-
 // TestKernelSharedStateConcurrency hammers one shared *Params and one
-// shared *PreparedG from many goroutines. The per-call scratch buffers must
-// keep all shared state read-only; the -race runs in scripts/check.sh turn
-// any aliasing bug into a hard failure, and the determinism check catches
+// shared *PreparedG from many goroutines. All temporaries live on the
+// callers' stacks and the lazily built combs sit behind sync.Once, so shared
+// state stays read-only; the -race runs in scripts/check.sh turn any
+// aliasing bug into a hard failure, and the determinism check catches
 // silent corruption even without the race detector.
 func TestKernelSharedStateConcurrency(t *testing.T) {
 	p := Test()

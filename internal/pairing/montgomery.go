@@ -2,14 +2,13 @@ package pairing
 
 import "math/big"
 
-// The Montgomery kernel: the PR 3 projective (Jacobian) chains rebuilt on
-// fixed-width fpElement arithmetic. Formulas, NAF recoding, line scalings,
-// and the Lucas final exponentiation are exactly the big.Int projective
-// kernel's — only the field representation changes — so raw Miller values
-// and reduced pairings are bit-identical across the two, which is what the
-// differential tests pin. Points and accumulators convert into Montgomery
-// form once on entry and back once on exit; in between there is no math/big
-// arithmetic and no heap allocation.
+// The Montgomery kernel: Jacobian point formulas, the NAF Miller loop with
+// fused line evaluation, batch-inverted preparation, and the Lucas final
+// exponentiation, all on fixed-width fpElement arithmetic. Points and
+// accumulators convert into Montgomery form once on entry and back once on
+// exit; in between there is no math/big arithmetic and no heap allocation.
+// Reduced pairings and scalar multiples are bit-identical to the affine
+// reference kernel, which is what the differential tests pin.
 
 // montAffine is an affine curve point with Montgomery-form coordinates.
 // Infinity is never represented here — callers special-case it before
@@ -50,7 +49,7 @@ func (c *fpContext) montJacToPoint(j *montJac) point {
 }
 
 // montJacDouble doubles j in place: the dbl-2009-alnr chain specialized to
-// curve coefficient a = 1, mirroring jacDoubleTo.
+// curve coefficient a = 1.
 //
 //	M = 3X² + Z⁴, S = 2((X+Y²)² − X² − Y⁴)
 //	X3 = M² − 2S, Y3 = M(S − X3) − 8Y⁴, Z3 = 2YZ
@@ -90,8 +89,7 @@ func (c *fpContext) montJacDouble(j *montJac) {
 	c.sub(&j.y, &j.y, &yyyy)
 }
 
-// montJacAddAffine adds the affine point a to j in place (mixed addition,
-// mirroring jacAddAffineTo):
+// montJacAddAffine adds the affine point a to j in place (mixed addition):
 //
 //	U2 = x_a·Z², S2 = y_a·Z³, H = U2 − X, R = S2 − Y
 //	X3 = R² − H³ − 2XH², Y3 = R(XH² − X3) − YH³, Z3 = ZH
@@ -134,7 +132,9 @@ func (c *fpContext) montJacAddAffine(j *montJac, a *montAffine) {
 
 // mulScalarMont computes k·pt for k ≥ 0 with the NAF double-and-add ladder
 // over Montgomery-form Jacobian points — the Montgomery-kernel body of
-// mulScalarRaw. One field inversion at the final normalization.
+// mulScalarRaw. One field inversion at the final normalization; the result
+// is the same group element as mulScalarAffine for every k, only the
+// addition chain differs.
 func (p *Params) mulScalarMont(pt point, k *big.Int) point {
 	if pt.inf || k.Sign() == 0 {
 		return infinity()
@@ -158,9 +158,17 @@ func (p *Params) mulScalarMont(pt point, k *big.Int) point {
 
 // tangentStepMont doubles the running point in place and, for a
 // non-vertical tangent, writes the tangent line at φ(Q) scaled by
-// 2YZ³ ∈ F_q* into line and reports true — tangentStepProj on fpElements:
+// 2YZ³ ∈ F_q* into line and reports true.
+//
+// With R = (X, Y, Z), x_R = X/Z², y_R = Y/Z³ and λ = M/(2YZ) for
+// M = 3X² + Z⁴ (curve coefficient a = 1), scaling the affine line
+// λ(x_R + x_Q) − y_R + y_Q·i by 2YZ³ gives
 //
 //	l' = (M·(X + Z²·x_Q) − 2Y²) + 2YZ·Z²·y_Q·i
+//
+// in which every factor is already a doubling intermediate. The scale
+// factor lies in F_q*, so the final exponentiation removes it exactly like
+// an eliminated vertical line.
 func (c *fpContext) tangentStepMont(r *montJac, q *montAffine, line *fp2m) bool {
 	if c.montJacIsInf(r) {
 		return false
@@ -211,9 +219,13 @@ func (c *fpContext) tangentStepMont(r *montJac, q *montAffine, line *fp2m) bool 
 	return true
 }
 
-// chordStepMont adds the affine base a to the running point in place and,
-// for a non-vertical chord, writes the chord line at φ(Q) scaled by
-// Z3 = Z·H ∈ F_q* into line and reports true — chordStepProj on fpElements:
+// chordStepMont adds the affine base a (the Miller base P or −P) to the
+// running point in place and, for a non-vertical chord, writes the chord
+// line at φ(Q) scaled by Z3 = Z·H ∈ F_q* into line and reports true.
+// Anchoring the line at the affine a avoids projecting R: with the
+// mixed-addition intermediates H = x_a·Z² − X and Rc = y_a·Z³ − Y the
+// affine slope is λ = Rc/Z3, and scaling λ(x_a + x_Q) − y_a + y_Q·i by Z3
+// gives
 //
 //	l' = (Rc·(x_a + x_Q) − Z3·y_a) + Z3·y_Q·i
 func (c *fpContext) chordStepMont(r *montJac, a, q *montAffine, line *fp2m) bool {
@@ -233,7 +245,7 @@ func (c *fpContext) chordStepMont(r *montJac, a, q *montAffine, line *fp2m) bool
 	if c.isZero(&h) {
 		if c.isZero(&rc) {
 			// R = a: the chord degenerates to the tangent, and the addition
-			// to a doubling — same fallback as chordStepProj.
+			// to a doubling — same fallback as the affine lineChord.
 			return c.tangentStepMont(r, q, line)
 		}
 		r.z = fpElement{} // R = −a: vertical chord, R + a = ∞
@@ -265,8 +277,11 @@ func (c *fpContext) chordStepMont(r *montJac, a, q *montAffine, line *fp2m) bool
 }
 
 // millerMont runs the NAF Miller loop entirely on fpElements and returns the
-// raw (unreduced) loop value in Montgomery form. Same chain as millerProj,
-// so the raw values agree limb-for-limb after conversion.
+// raw (unreduced) loop value in Montgomery form. Compared with the affine
+// reference loop it pays no inversion at all and about a third fewer chord
+// steps. NAF digit −1 multiplies by the chord through R and −P and steps
+// R ← R−P; the Miller correction f_{−1} = 1/v_P is a vertical line and
+// vanishes under denominator elimination, so −1 costs the same as +1.
 func (p *Params) millerMont(P, Q point) fp2m {
 	c := p.fpc
 	base := c.montFromPoint(P)
@@ -297,12 +312,13 @@ func (p *Params) millerMont(P, Q point) fp2m {
 
 // finalExpMont raises the raw Miller value to (q²−1)/r = (q−1)·h: the q−1
 // part via Frobenius (conjugate times inverse, one field inversion), then
-// the Lucas ladder by the cofactor — finalExp on fpElements.
+// the Lucas ladder by the cofactor — finalExpReference with the Lucas
+// ladder in place of square-and-multiply.
 func (p *Params) finalExpMont(f *fp2m) fp2m {
 	c := p.fpc
 	if c.fp2mIsZero(f) {
 		// Degenerate tiny-field case (a line passed exactly through φ(Q));
-		// defined as 1, matching finalExp.
+		// defined as 1, matching finalExpReference.
 		return c.fp2mOne()
 	}
 	var fi, u fp2m
@@ -329,8 +345,11 @@ type mLineCoeff struct {
 	ok             bool
 }
 
-// mPrepStep mirrors prepStep on fpElements: one Miller step with the slope
-// still divided by its projective denominator, deferred for batch inversion.
+// mPrepStep records one Miller step of the Jacobian walk with everything
+// still divided by a projective denominator, deferred for batch inversion:
+//
+//	tangent: λ = m/den, x0 = x·z⁻², y0 = y·z⁻³   (den = 2YZ, z = Z)
+//	chord:   λ = m/den, (x0, y0) = affine anchor  (den = Z·H, m = Rc)
 type mPrepStep struct {
 	ok      bool
 	tangent bool
@@ -340,10 +359,11 @@ type mPrepStep struct {
 	den     fpElement // slope denominator, inverted in place by the batch pass
 }
 
-// prepareMont walks the NAF Miller chain on fpElements and recovers all the
-// cached affine line coefficients with one batch inversion — the
-// Montgomery-kernel body of Prepare. The cached coefficients stay in
-// Montgomery form so the per-pairing walk needs no conversions beyond Q.
+// prepareMont walks the NAF Miller chain on fpElements (zero inversions)
+// and recovers all the cached affine line coefficients with one batch
+// inversion over the accumulated denominators — the Montgomery-kernel body
+// of Prepare. The cached coefficients stay in Montgomery form so the
+// per-pairing walk needs no conversions beyond Q.
 func (p *Params) prepareMont(g *G) *PreparedG {
 	if g.pt.inf {
 		return &PreparedG{p: p, inf: true}
@@ -432,7 +452,7 @@ func (c *fpContext) tangentStepRecordMont(r *montJac) mPrepStep {
 // chordStepRecordMont is chordStepMont without the line evaluation: it
 // snapshots the chord numerator Rc and the affine anchor, adds a to R in
 // place, and leaves the denominator Z·H for the batch pass. The degenerate
-// R = a case falls back to a tangent record, mirroring chordStepRecord.
+// R = a case falls back to a tangent record, mirroring chordCoeff.
 func (c *fpContext) chordStepRecordMont(r *montJac, a *montAffine) mPrepStep {
 	if c.montJacIsInf(r) {
 		r.x = a.x

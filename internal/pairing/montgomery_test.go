@@ -6,159 +6,70 @@ import (
 	"testing"
 )
 
-// kernelCloneT builds an independent Params clone running kernel k, the way
-// the benchmarks and BENCH_pairing.json comparisons do.
-func kernelCloneT(t *testing.T, p *Params, k Kernel) *Params {
-	t.Helper()
-	q, r, h, gx, gy := p.Export()
-	cl, err := NewParams(q, r, h, gx, gy)
-	if err != nil {
-		t.Fatalf("clone params: %v", err)
-	}
-	cl.SetKernel(k)
-	return cl
-}
-
-// allKernels are the three selectable kernels in dispatch order.
+// allKernels are the two selectable kernels in dispatch order.
 var allKernels = []struct {
 	name   string
 	kernel Kernel
 }{
 	{"montgomery", KernelMontgomery},
-	{"projective", KernelProjective},
 	{"reference", KernelReference},
 }
 
-// TestPairMatchesAllKernels pins reduced pairings, prepared-pairing walks,
-// PairProd, and G/GT exponentiation byte-identical across the Montgomery,
-// big.Int-projective, and affine-reference kernels on independent clones.
-func TestPairMatchesAllKernels(t *testing.T) {
-	base := Test()
-	scalars := [][2]int64{{98765, 43210}, {1, 1}, {2, 3}, {7919, 7919}}
-	for _, sc := range scalars {
-		a, b := big.NewInt(sc[0]), big.NewInt(sc[1])
-		k := new(big.Int).Mul(a, b)
-		var pairB, prepB, prodB, gExpB, gtExpB []byte
-		for i, kc := range allKernels {
-			p := kernelCloneT(t, base, kc.kernel)
-			if p.Kernel() != kc.kernel || p.activeKernel() != kc.kernel {
-				t.Fatalf("%s: kernel selection not reflected", kc.name)
-			}
-			ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
-			e := p.MustPair(ga, gb)
-			pp, err := p.Prepare(ga).Pair(gb)
-			if err != nil {
-				t.Fatalf("%s prepared pair: %v", kc.name, err)
-			}
-			prod, err := p.PairProd([]*G{ga, gb}, []*G{gb, ga})
-			if err != nil {
-				t.Fatalf("%s PairProd: %v", kc.name, err)
-			}
-			gExp := ga.Exp(k)
-			gtExp := e.Exp(k)
-			if i == 0 {
-				pairB, prepB, prodB = e.Marshal(), pp.Marshal(), prod.Marshal()
-				gExpB, gtExpB = gExp.Marshal(), gtExp.Marshal()
-				continue
-			}
-			if !bytes.Equal(e.Marshal(), pairB) {
-				t.Fatalf("%s: Pair differs from montgomery (a=%v b=%v)", kc.name, a, b)
-			}
-			if !bytes.Equal(pp.Marshal(), prepB) {
-				t.Fatalf("%s: prepared Pair differs from montgomery", kc.name)
-			}
-			if !bytes.Equal(prod.Marshal(), prodB) {
-				t.Fatalf("%s: PairProd differs from montgomery", kc.name)
-			}
-			if !bytes.Equal(gExp.Marshal(), gExpB) {
-				t.Fatalf("%s: G.Exp differs from montgomery", kc.name)
-			}
-			if !bytes.Equal(gtExp.Marshal(), gtExpB) {
-				t.Fatalf("%s: GT.Exp differs from montgomery", kc.name)
-			}
-		}
-	}
-}
-
-// TestPairMatchesAllKernelsPaperScale repeats the cross-kernel pin once at
-// the 513-bit default field, where the Montgomery context runs nine limbs.
-func TestPairMatchesAllKernelsPaperScale(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paper-scale kernels in -short mode")
-	}
-	base := Default()
-	a, b := big.NewInt(31337), big.NewInt(271828)
-	var want []byte
-	for i, kc := range allKernels {
-		p := kernelCloneT(t, base, kc.kernel)
-		ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
-		e := p.MustPair(ga, gb)
-		pp, err := p.Prepare(ga).Pair(gb)
-		if err != nil {
-			t.Fatalf("%s prepared pair: %v", kc.name, err)
-		}
-		if !pp.Equal(e) {
-			t.Fatalf("%s: prepared pair ≠ Pair at paper scale", kc.name)
-		}
-		if i == 0 {
-			want = e.Marshal()
-		} else if !bytes.Equal(e.Marshal(), want) {
-			t.Fatalf("%s: pairing differs from montgomery at paper scale", kc.name)
-		}
-	}
-}
-
-// TestMillerMontMatchesProjective pins the raw (unreduced) Miller values of
-// the Montgomery and projective kernels limb-for-limb: the two walks use
-// the same NAF chain and the same line scalings, so even the non-invariant
-// pre-final-exponentiation values must agree exactly.
-func TestMillerMontMatchesProjective(t *testing.T) {
-	p := Test()
-	g := p.Generator()
-	for i := int64(1); i < 12; i++ {
-		ga := g.Exp(big.NewInt(i * 104729))
-		gb := g.Exp(big.NewInt(i*31 + 5))
-		raw := p.millerMont(ga.pt, gb.pt)
-		got := p.fpc.fp2mToFp2(&raw)
-		want := p.millerProj(ga.pt, gb.pt)
-		if !got.equal(want) {
-			t.Fatalf("iteration %d: raw Miller values diverge", i)
-		}
-	}
-}
-
-// TestMontFallbackOversizedField simulates a parameter set whose prime
-// exceeds the fixed limb width (fpc == nil): the Montgomery kernel must
-// demote to the projective big.Int chain transparently and still agree with
-// the true Montgomery results.
-func TestMontFallbackOversizedField(t *testing.T) {
-	base := Test()
-	p := kernelCloneT(t, base, KernelMontgomery)
-	p.fpc = nil // what newFpContext returns for >576-bit primes
-	if p.Kernel() != KernelMontgomery {
-		t.Fatal("requested kernel should still read back as Montgomery")
-	}
-	if p.activeKernel() != KernelProjective {
-		t.Fatal("fallback did not demote to the projective kernel")
-	}
-	a, b := big.NewInt(12345), big.NewInt(67890)
+// kernelOutputs runs every kernel-dispatched operation on p for scalars a
+// and b and returns the marshalled results keyed by operation name.
+func kernelOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
+	t.Helper()
+	k := new(big.Int).Mul(a, b)
 	ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
 	e := p.MustPair(ga, gb)
 	pp, err := p.Prepare(ga).Pair(gb)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("prepared pair: %v", err)
 	}
-	wantP := base.Generator().Exp(a)
-	want := base.MustPair(wantP, base.Generator().Exp(b))
-	if !bytes.Equal(e.Marshal(), want.Marshal()) || !bytes.Equal(pp.Marshal(), want.Marshal()) {
-		t.Fatal("fallback pairing differs from the Montgomery kernel")
+	prod, err := p.PairProd([]*G{ga, gb}, []*G{gb, ga})
+	if err != nil {
+		t.Fatalf("PairProd: %v", err)
 	}
-	if !bytes.Equal(e.Exp(a).Marshal(), want.Exp(a).Marshal()) {
-		t.Fatal("fallback GT.Exp differs")
+	return map[string][]byte{
+		"Pair":           e.Marshal(),
+		"PreparedG.Pair": pp.Marshal(),
+		"PairProd":       prod.Marshal(),
+		"G.Exp":          ga.Exp(k).Marshal(),
+		"GT.Exp":         e.Exp(k).Marshal(),
+		"FixedBaseExp":   p.FixedBaseExp(k).Marshal(),
+		"ExpTable.Exp":   p.PrepareExp(ga).Exp(k).Marshal(),
 	}
-	if _, err := p.UnmarshalGT(e.Marshal()); err != nil {
-		t.Fatalf("fallback UnmarshalGT: %v", err)
+}
+
+// assertKernelsAgree pins every kernel-dispatched operation byte-identical
+// across the Montgomery and reference kernels on independent clones of base.
+func assertKernelsAgree(t *testing.T, base *Params, a, b *big.Int) {
+	t.Helper()
+	mont := kernelOutputs(t, kernelClone(t, base, KernelMontgomery), a, b)
+	ref := kernelOutputs(t, kernelClone(t, base, KernelReference), a, b)
+	for op, want := range ref {
+		if !bytes.Equal(mont[op], want) {
+			t.Fatalf("%s: montgomery differs from reference (a=%v b=%v)", op, a, b)
+		}
 	}
+}
+
+// TestPairMatchesAllKernels pins reduced pairings, prepared-pairing walks,
+// PairProd, G/GT exponentiation, and both table exponentiations
+// byte-identical across the Montgomery and affine-reference kernels.
+func TestPairMatchesAllKernels(t *testing.T) {
+	for _, sc := range [][2]int64{{98765, 43210}, {1, 1}, {2, 3}, {7919, 7919}} {
+		assertKernelsAgree(t, Test(), big.NewInt(sc[0]), big.NewInt(sc[1]))
+	}
+}
+
+// TestPairMatchesAllKernelsPaperScale repeats the cross-kernel pin at the
+// 513-bit default field, where the Montgomery context runs nine limbs.
+func TestPairMatchesAllKernelsPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale kernels in -short mode")
+	}
+	assertKernelsAgree(t, Default(), big.NewInt(31337), big.NewInt(271828))
 }
 
 // TestSerializationByteIdenticalAcrossKernels is the wire-format guard: the
@@ -169,7 +80,7 @@ func TestSerializationByteIdenticalAcrossKernels(t *testing.T) {
 	base := Test()
 	clones := make(map[string]*Params, len(allKernels))
 	for _, kc := range allKernels {
-		clones[kc.name] = kernelCloneT(t, base, kc.kernel)
+		clones[kc.name] = kernelClone(t, base, kc.kernel)
 	}
 	for i := int64(0); i < 16; i++ {
 		k := new(big.Int).Mul(big.NewInt(i), big.NewInt(999983))

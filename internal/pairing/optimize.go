@@ -13,13 +13,12 @@ import (
 // profiles match the paper; these variants are exercised by the ablation
 // benchmarks and are available to API users who want the speed.
 //
-// Both table kinds keep two representations: limb-native Montgomery combs
-// (affine entries, mixed-addition evaluation, zero heap allocations per
-// exponentiation) used when the Montgomery kernel is active, and the
-// original big.Int Jacobian tables as the fallback for the projective and
-// reference kernels and for moduli wider than fpMaxLimbs. Each side is
-// built lazily under its own sync.Once, so kernel flips mid-lifetime stay
-// correct and concurrent use stays safe.
+// Both table kinds are limb-native Montgomery combs (affine entries,
+// mixed-addition evaluation, zero heap allocations per exponentiation),
+// built lazily under a sync.Once so concurrent use stays safe. The
+// reference kernel builds no table: it answers FixedBaseExp and
+// ExpTable.Exp with the textbook affine ladder, so a kernel flip under a
+// live table stays correct.
 
 // PairProd computes Π_i e(a_i, b_i) with a single final exponentiation:
 // the Miller-loop values multiply in F_q² before the (q²−1)/r power, which
@@ -38,18 +37,14 @@ func (p *Params) PairProd(as, bs []*G) (*GT, error) {
 		}
 		acc = p.fp2Mul(acc, p.millerLoop(as[i].pt, bs[i].pt))
 	}
-	switch p.activeKernel() {
-	case KernelReference:
+	if p.kernel == KernelReference {
 		return &GT{p: p, v: p.finalExpReference(acc)}, nil
-	case KernelMontgomery:
-		c := p.fpc
-		var m fp2m
-		c.fp2mFromFp2(&m, acc)
-		u := p.finalExpMont(&m)
-		return &GT{p: p, v: c.fp2mToFp2(&u)}, nil
-	default:
-		return &GT{p: p, v: p.finalExp(acc)}, nil
 	}
+	c := p.fpc
+	var m fp2m
+	c.fp2mFromFp2(&m, acc)
+	u := p.finalExpMont(&m)
+	return &GT{p: p, v: c.fp2mToFp2(&u)}, nil
 }
 
 // fixedBaseWindow is the window width in bits for precomputed tables.
@@ -166,14 +161,10 @@ func (p *Params) combPointMont(out *montAffine) *G {
 	return &G{p: p, pt: point{x: c.toBig(&out.x), y: c.toBig(&out.y)}}
 }
 
-// fixedBaseTable holds the generator's precomputed window tables, one
-// representation per kernel family, each built lazily on first use.
+// fixedBaseTable holds the generator's comb, built lazily on first use.
 type fixedBaseTable struct {
 	once sync.Once
-	rows [][]point // rows[windowIdx][w] = w·2^(4j)·gen, big.Int affine
-
-	montOnce sync.Once
-	mont     *montComb
+	mont *montComb
 }
 
 var fixedTables sync.Map // *Params → *fixedBaseTable
@@ -183,63 +174,28 @@ func (p *Params) fixedTable() *fixedBaseTable {
 	return v.(*fixedBaseTable)
 }
 
-func (t *fixedBaseTable) bigRows(p *Params) [][]point {
-	t.once.Do(func() {
-		windows := p.combWindows()
-		t.rows = make([][]point, windows)
-		base := p.gen.clone()
-		for j := 0; j < windows; j++ {
-			row := make([]point, 1<<fixedBaseWindow)
-			row[0] = infinity()
-			for w := 1; w < 1<<fixedBaseWindow; w++ {
-				row[w] = p.add(row[w-1], base)
-			}
-			t.rows[j] = row
-			// Advance base by 2^window doublings.
-			for d := 0; d < fixedBaseWindow; d++ {
-				base = p.double(base)
-			}
-		}
-	})
-	return t.rows
-}
-
 func (t *fixedBaseTable) montRows(p *Params) *montComb {
-	t.montOnce.Do(func() {
+	t.once.Do(func() {
 		t.mont = p.buildMontComb(p.gen)
 	})
 	return t.mont
 }
 
 // FixedBaseExp computes g^k for the generator g using the precomputed
-// window table: one point addition per window instead of a double-and-add
-// pass, with a single modular inversion at the final normalization. On the
-// Montgomery kernel the additions run limb-native over affine table
-// entries; otherwise they accumulate big.Int Jacobian coordinates through
-// a per-call scratch. k is reduced mod R. All kernels return bit-identical
-// points.
+// comb: one limb-native mixed addition per nonzero window instead of a
+// double-and-add pass, with a single inversion at the final normalization.
+// The reference kernel runs the affine ladder instead. k is reduced mod R.
+// Both kernels return bit-identical points.
 func (p *Params) FixedBaseExp(k *big.Int) *G {
 	kk := new(big.Int).Mod(k, p.R)
-	t := p.fixedTable()
-	if p.activeKernel() == KernelMontgomery {
-		var out montAffine
-		if !p.combExpMont(&out, t.montRows(p), kk) {
-			return p.OneG()
-		}
-		return p.combPointMont(&out)
+	if p.kernel == KernelReference {
+		return &G{p: p, pt: p.mulScalarAffine(p.gen, kk)}
 	}
-	rows := t.bigRows(p)
-	s := newScratch()
-	acc := jacInfinity()
-	words := kk.Bits()
-	bitLen := kk.BitLen()
-	for j := 0; j*fixedBaseWindow < bitLen || j == 0; j++ {
-		w := extractWindow(words, j*fixedBaseWindow)
-		if w != 0 {
-			p.jacAddAffineTo(&acc, rows[j][w], s)
-		}
+	var out montAffine
+	if !p.combExpMont(&out, p.fixedTable().montRows(p), kk) {
+		return p.OneG()
 	}
-	return &G{p: p, pt: p.toAffine(acc)}
+	return p.combPointMont(&out)
 }
 
 // extractWindow reads fixedBaseWindow bits starting at bit offset from the
@@ -259,59 +215,33 @@ func extractWindow(words []big.Word, offset int) int {
 }
 
 // ExpTable is the arbitrary-base analogue of the generator's fixed-base
-// table. On the Montgomery kernel it is the same windowed comb layout as
-// the generator table, so each exponentiation costs one mixed addition per
-// nonzero window (≤ ⌈|R|/4⌉ of them) plus one inversion; on the big.Int
-// kernels it is the doubling chain 2^i·P, costing one mixed addition per
-// set bit (~|R|/2). Building either side costs about one plain
-// exponentiation, so a table pays for itself from the second use; the
-// engine layer caches tables for hot bases (e.g. attribute public keys,
-// which owners exponentiate once per stored ciphertext during a
-// revocation).
+// comb, with the same layout, so each exponentiation costs one mixed
+// addition per nonzero window (≤ ⌈|R|/4⌉ of them) plus one inversion.
+// Building the comb costs about one plain exponentiation, so a table pays
+// for itself from the second use; the engine layer caches tables for hot
+// bases (e.g. attribute public keys, which owners exponentiate once per
+// stored ciphertext during a revocation).
 type ExpTable struct {
 	p    *Params
 	inf  bool
 	base point
 
-	bigOnce sync.Once
-	pows    []point // pows[i] = 2^i · base, affine
-
-	montOnce sync.Once
-	mont     *montComb
+	once sync.Once
+	mont *montComb
 }
 
-// PrepareExp builds the exponentiation table for g in the representation
-// matching the active kernel; the other representation is built lazily if
-// the kernel changes under the table.
+// PrepareExp builds the exponentiation table for g. Under the reference
+// kernel the comb is left unbuilt until a Montgomery-kernel Exp needs it.
 func (p *Params) PrepareExp(g *G) *ExpTable {
 	t := &ExpTable{p: p, inf: g.pt.inf, base: g.pt}
-	if t.inf {
-		return t
-	}
-	if p.activeKernel() == KernelMontgomery {
+	if !t.inf && p.kernel == KernelMontgomery {
 		t.montTable()
-	} else {
-		t.bigPows()
 	}
 	return t
 }
 
-func (t *ExpTable) bigPows() []point {
-	t.bigOnce.Do(func() {
-		p := t.p
-		n := p.R.BitLen()
-		t.pows = make([]point, n)
-		cur := t.base.clone()
-		for i := 0; i < n; i++ {
-			t.pows[i] = cur
-			cur = p.double(cur)
-		}
-	})
-	return t.pows
-}
-
 func (t *ExpTable) montTable() *montComb {
-	t.montOnce.Do(func() {
+	t.once.Do(func() {
 		t.mont = t.p.buildMontComb(t.base)
 	})
 	return t.mont
@@ -319,28 +249,20 @@ func (t *ExpTable) montTable() *montComb {
 
 // Exp computes base^k using the table. k is normalized mod R before any
 // table walk, so zero, negative, and oversized scalars touch at most
-// ⌈|R|/4⌉ comb rows (or |R| doubling-chain rows on the big.Int path); the
-// result is bit-identical to base.Exp(k) on every kernel.
+// ⌈|R|/4⌉ comb rows; the result is bit-identical to base.Exp(k) on both
+// kernels.
 func (t *ExpTable) Exp(k *big.Int) *G {
 	p := t.p
 	if t.inf {
 		return p.OneG()
 	}
 	kk := new(big.Int).Mod(k, p.R)
-	if p.activeKernel() == KernelMontgomery {
-		var out montAffine
-		if !p.combExpMont(&out, t.montTable(), kk) {
-			return p.OneG()
-		}
-		return p.combPointMont(&out)
+	if p.kernel == KernelReference {
+		return &G{p: p, pt: p.mulScalarAffine(t.base, kk)}
 	}
-	pows := t.bigPows()
-	s := newScratch()
-	acc := jacInfinity()
-	for i := 0; i < kk.BitLen(); i++ {
-		if kk.Bit(i) == 1 {
-			p.jacAddAffineTo(&acc, pows[i], s)
-		}
+	var out montAffine
+	if !p.combExpMont(&out, t.montTable(), kk) {
+		return p.OneG()
 	}
-	return &G{p: p, pt: p.toAffine(acc)}
+	return p.combPointMont(&out)
 }

@@ -96,33 +96,19 @@ func TestFixedBaseExpFullRangeDefault(t *testing.T) {
 	if !p.FixedBaseExp(k).Equal(want) {
 		t.Fatal("fixed-base mismatch at paper scale")
 	}
-	// All three kernels must produce byte-identical points through the
-	// table paths at paper scale, exercising both comb representations.
-	for _, kern := range []Kernel{KernelMontgomery, KernelProjective, KernelReference} {
-		cl := tableKernelClone(t, p, kern)
+	// Both kernels must produce byte-identical points through the table
+	// entry point at paper scale.
+	for _, kc := range allKernels {
+		cl := kernelClone(t, p, kc.kernel)
 		if !bytes.Equal(cl.FixedBaseExp(k).Marshal(), want.Marshal()) {
-			t.Fatalf("kernel %d: FixedBaseExp disagrees at paper scale", kern)
+			t.Fatalf("%s: FixedBaseExp disagrees at paper scale", kc.name)
 		}
 	}
 }
 
-// tableKernelClone builds an independent Params value with the same
-// constants as p but running kernel k, the way benchmarks compare kernels.
-func tableKernelClone(t *testing.T, p *Params, k Kernel) *Params {
-	t.Helper()
-	q, r, h, gx, gy := p.Export()
-	cl, err := NewParams(q, r, h, gx, gy)
-	if err != nil {
-		t.Fatalf("clone params: %v", err)
-	}
-	cl.SetKernel(k)
-	return cl
-}
-
 // TestTableExpAllKernels pins FixedBaseExp and ExpTable.Exp bit-identical
-// across all three kernels: the Montgomery comb, the big.Int Jacobian
-// tables, and the plain reference exponentiation must agree byte for byte
-// on random and edge-case scalars.
+// across both kernels: the Montgomery comb and the affine reference ladder
+// must agree byte for byte on random and edge-case scalars.
 func TestTableExpAllKernels(t *testing.T) {
 	p := Test()
 	a, _ := p.RandomScalar(rand.Reader)
@@ -139,11 +125,10 @@ func TestTableExpAllKernels(t *testing.T) {
 		k, _ := p.RandomScalar(rand.Reader)
 		scalars = append(scalars, k)
 	}
-	kernels := []Kernel{KernelMontgomery, KernelProjective, KernelReference}
-	clones := make([]*Params, len(kernels))
-	tables := make([]*ExpTable, len(kernels))
-	for i, kern := range kernels {
-		clones[i] = tableKernelClone(t, p, kern)
+	clones := make([]*Params, len(allKernels))
+	tables := make([]*ExpTable, len(allKernels))
+	for i, kc := range allKernels {
+		clones[i] = kernelClone(t, p, kc.kernel)
 		b, err := clones[i].UnmarshalG(base.Marshal())
 		if err != nil {
 			t.Fatal(err)
@@ -153,30 +138,29 @@ func TestTableExpAllKernels(t *testing.T) {
 	for _, k := range scalars {
 		wantFixed := p.Generator().Exp(k).Marshal()
 		wantTable := base.Exp(k).Marshal()
-		for i, kern := range kernels {
+		for i, kc := range allKernels {
 			if got := clones[i].FixedBaseExp(k).Marshal(); !bytes.Equal(got, wantFixed) {
-				t.Fatalf("kernel %d: FixedBaseExp(%v) disagrees", kern, k)
+				t.Fatalf("%s: FixedBaseExp(%v) disagrees", kc.name, k)
 			}
 			if got := tables[i].Exp(k).Marshal(); !bytes.Equal(got, wantTable) {
-				t.Fatalf("kernel %d: ExpTable.Exp(%v) disagrees", kern, k)
+				t.Fatalf("%s: ExpTable.Exp(%v) disagrees", kc.name, k)
 			}
 		}
 	}
 }
 
 // TestTableExpKernelFlip flips the kernel under live tables: a table built
-// while the Montgomery kernel was active must keep answering correctly
-// after SetKernel switches the Params to a big.Int kernel, and vice versa —
-// each representation is built lazily under its own sync.Once.
+// while the Montgomery kernel was selected must keep answering correctly
+// after SetKernel switches the Params to the reference kernel, and back.
 func TestTableExpKernelFlip(t *testing.T) {
-	p := tableKernelClone(t, Test(), KernelMontgomery)
+	p := kernelClone(t, Test(), KernelMontgomery)
 	a, _ := p.RandomScalar(rand.Reader)
 	base := p.Generator().Exp(a)
 	tbl := p.PrepareExp(base)
 	k, _ := p.RandomScalar(rand.Reader)
 	want := base.Exp(k).Marshal()
 	wantFixed := p.Generator().Exp(k).Marshal()
-	for _, kern := range []Kernel{KernelMontgomery, KernelProjective, KernelReference, KernelMontgomery} {
+	for _, kern := range []Kernel{KernelMontgomery, KernelReference, KernelMontgomery} {
 		p.SetKernel(kern)
 		if got := tbl.Exp(k).Marshal(); !bytes.Equal(got, want) {
 			t.Fatalf("kernel %d after flip: ExpTable.Exp disagrees", kern)
@@ -184,41 +168,6 @@ func TestTableExpKernelFlip(t *testing.T) {
 		if got := p.FixedBaseExp(k).Marshal(); !bytes.Equal(got, wantFixed) {
 			t.Fatalf("kernel %d after flip: FixedBaseExp disagrees", kern)
 		}
-	}
-}
-
-// TestTableExpOversizedModulus covers the q > fpMaxLimbs·64 fallback: the
-// Montgomery kernel demotes to the projective big.Int path because no
-// fpContext fits, and the table entry points must still answer correctly.
-func TestTableExpOversizedModulus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("oversized-prime generation in -short mode")
-	}
-	p, err := GenerateParams(32, fpMaxLimbs*64+32, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetKernel(KernelMontgomery)
-	if p.fpc != nil {
-		t.Fatal("oversized modulus unexpectedly fit the fixed-width kernel")
-	}
-	if p.activeKernel() != KernelProjective {
-		t.Fatal("oversized Montgomery selection did not demote to projective")
-	}
-	a, _ := p.RandomScalar(rand.Reader)
-	base := p.Generator().Exp(a)
-	tbl := p.PrepareExp(base)
-	for _, k := range []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(p.R, big.NewInt(1))} {
-		if !p.FixedBaseExp(k).Equal(p.Generator().Exp(k)) {
-			t.Fatalf("oversized modulus: FixedBaseExp(%v) disagrees", k)
-		}
-		if !tbl.Exp(k).Equal(base.Exp(k)) {
-			t.Fatalf("oversized modulus: ExpTable.Exp(%v) disagrees", k)
-		}
-	}
-	k, _ := p.RandomScalar(rand.Reader)
-	if !p.FixedBaseExp(k).Equal(p.Generator().Exp(k)) || !tbl.Exp(k).Equal(base.Exp(k)) {
-		t.Fatal("oversized modulus: random-scalar table exponentiation disagrees")
 	}
 }
 

@@ -6,24 +6,20 @@ import "math/big"
 // on raw points, returning an element of the order-R subgroup of F_q²*.
 // The default kernel runs the inversion-free projective Miller loop with
 // NAF recoding and a Lucas-sequence final exponentiation on fixed-width
-// Montgomery-form field elements; KernelProjective is the same chain on
-// big.Int arithmetic, and KernelReference keeps the retained affine/naive
-// chain that the differential tests pin the optimized outputs against. All
-// chains compute the same reduced pairing: the value of
-// f_{r,P}(φ(Q))^((q²−1)/r) does not depend on the addition chain, because
-// chains differ only by eliminated vertical lines and F_q* scale factors,
-// both killed by the q−1 factor of the final exponent.
+// Montgomery-form field elements (montgomery.go); KernelReference keeps the
+// affine/naive chain below, which the differential tests pin the fast
+// kernel against. Both chains compute the same reduced pairing: the value
+// of f_{r,P}(φ(Q))^((q²−1)/r) does not depend on the addition chain,
+// because chains differ only by eliminated vertical lines and F_q* scale
+// factors, both killed by the q−1 factor of the final exponent.
 func (p *Params) pair(P, Q point) fp2 {
-	if p.activeKernel() == KernelReference {
+	if p.kernel == KernelReference {
 		return p.pairReference(P, Q)
 	}
 	if P.inf || Q.inf {
 		return fp2One()
 	}
-	if p.activeKernel() == KernelMontgomery {
-		return p.pairMont(P, Q)
-	}
-	return p.finalExp(p.millerProj(P, Q))
+	return p.pairMont(P, Q)
 }
 
 // pairReference is the retained affine pairing: per-step ModInverse Miller
@@ -35,22 +31,16 @@ func (p *Params) pairReference(P, Q point) fp2 {
 	return p.finalExpReference(p.miller(P, Q))
 }
 
-// millerLoop dispatches the raw Miller-loop evaluation on the active kernel;
-// PairProd uses it so multi-pairings follow the same implementation as Pair.
-// The Montgomery and projective kernels walk the identical NAF chain with
-// the identical line scalings, so their raw (unreduced) values agree
-// exactly — the boundary conversion here is what the differential tests
-// compare limb-for-limb.
+// millerLoop dispatches the raw Miller-loop evaluation on the selected
+// kernel; PairProd uses it so multi-pairings follow the same implementation
+// as Pair. The raw values of the two kernels differ by F_q* factors, which
+// the final exponentiation removes.
 func (p *Params) millerLoop(P, Q point) fp2 {
-	switch p.activeKernel() {
-	case KernelReference:
+	if p.kernel == KernelReference {
 		return p.miller(P, Q)
-	case KernelMontgomery:
-		f := p.millerMont(P, Q)
-		return p.fpc.fp2mToFp2(&f)
-	default:
-		return p.millerProj(P, Q)
 	}
+	f := p.millerMont(P, Q)
+	return p.fpc.fp2mToFp2(&f)
 }
 
 // miller runs the BKLS Miller loop in affine coordinates, evaluating the
@@ -72,186 +62,6 @@ func (p *Params) miller(P, Q point) fp2 {
 		}
 	}
 	return f
-}
-
-// millerProj runs the Miller loop with the running point in Jacobian
-// coordinates and the loop scalar in non-adjacent form: no ModInverse at
-// all, and about a third fewer chord steps. Each step emits the line
-// scaled by a factor in F_q* (the projective denominators), which the
-// final exponentiation eliminates exactly like the vertical lines.
-//
-// NAF digit −1 multiplies by the chord through R and −P and steps R ← R−P;
-// the Miller correction f_{−1} = 1/v_P is a vertical line and vanishes
-// under denominator elimination, so the −1 digit costs the same as +1.
-func (p *Params) millerProj(P, Q point) fp2 {
-	s := newScratch()
-	f := newFp2()
-	f.a.SetInt64(1)
-	line := newFp2()
-	nP := p.neg(P)
-	r := jacPoint{
-		x: new(big.Int).Set(P.x),
-		y: new(big.Int).Set(P.y),
-		z: big.NewInt(1),
-	}
-	for _, d := range p.millerNAF[1:] {
-		p.fp2SquareTo(&f, f, s)
-		if p.tangentStepProj(&r, Q, &line, s) {
-			p.fp2MulTo(&f, f, line, s)
-		}
-		if d == 0 {
-			continue
-		}
-		base := P
-		if d < 0 {
-			base = nP
-		}
-		if p.chordStepProj(&r, base, Q, &line, s) {
-			p.fp2MulTo(&f, f, line, s)
-		}
-	}
-	return f
-}
-
-// tangentStepProj doubles the Jacobian running point in place and, when the
-// tangent at R is not vertical, writes the tangent line evaluated at φ(Q)
-// into line (scaled by 2YZ³ ∈ F_q*) and reports true.
-//
-// With R = (X, Y, Z), x_R = X/Z², y_R = Y/Z³ and λ = M/(2YZ) for
-// M = 3X² + Z⁴ (curve coefficient a = 1), scaling the affine line
-// λ(x_R + x_Q) − y_R + y_Q·i by 2YZ³ gives
-//
-//	l' = (M·(X + Z²·x_Q) − 2Y²) + 2YZ·Z²·y_Q·i
-//
-// in which every factor is already a doubling intermediate.
-func (p *Params) tangentStepProj(r *jacPoint, q point, line *fp2, s *scratch) bool {
-	if r.isInf() {
-		return false
-	}
-	if r.y.Sign() == 0 {
-		r.z.SetInt64(0) // vertical tangent at a two-torsion point: 2R = ∞
-		return false
-	}
-	mod := p.Q
-	xx := s.t[0].Mul(r.x, r.x)
-	xx.Mod(xx, mod)
-	yy := s.t[1].Mul(r.y, r.y)
-	yy.Mod(yy, mod)
-	yyyy := s.t[2].Mul(yy, yy)
-	yyyy.Mod(yyyy, mod)
-	zz := s.t[3].Mul(r.z, r.z)
-	zz.Mod(zz, mod)
-	// S = 2((X+Y²)² − X² − Y⁴)
-	sv := s.t[4].Add(r.x, yy)
-	sv.Mul(sv, sv)
-	sv.Sub(sv, xx)
-	sv.Sub(sv, yyyy)
-	sv.Lsh(sv, 1)
-	sv.Mod(sv, mod)
-	// M = 3X² + Z⁴
-	m := s.t[5].Mul(zz, zz)
-	m.Add(m, xx)
-	m.Add(m, s.t[6].Lsh(xx, 1))
-	m.Mod(m, mod)
-	// Z3 = 2YZ, computed before Y is clobbered.
-	z3 := s.t[6].Mul(r.y, r.z)
-	z3.Lsh(z3, 1)
-	z3.Mod(z3, mod)
-	// Scaled tangent line, using the pre-doubling X, Y², Z².
-	la := s.t[7].Mul(zz, q.x)
-	la.Add(la, r.x)
-	la.Mul(la, m)
-	lb := s.t[8].Lsh(yy, 1)
-	line.a.Sub(la, lb)
-	line.a.Mod(line.a, mod)
-	lc := s.t[7].Mul(z3, zz)
-	lc.Mod(lc, mod)
-	line.b.Mul(lc, q.y)
-	line.b.Mod(line.b, mod)
-	// R ← 2R: X3 = M² − 2S, Y3 = M(S − X3) − 8Y⁴, Z3 as above.
-	r.x.Mul(m, m)
-	r.x.Sub(r.x, s.t[7].Lsh(sv, 1))
-	r.x.Mod(r.x, mod)
-	r.y.Sub(sv, r.x)
-	r.y.Mul(r.y, m)
-	r.y.Sub(r.y, s.t[7].Lsh(yyyy, 3))
-	r.y.Mod(r.y, mod)
-	r.z.Set(z3)
-	return true
-}
-
-// chordStepProj adds the affine point a (the Miller base P or −P) to the
-// Jacobian running point in place and, for a non-vertical chord, writes the
-// chord line through R and a evaluated at φ(Q) into line (scaled by
-// Z3 = Z·H ∈ F_q*) and reports true.
-//
-// Anchoring the line at the affine point a avoids projecting R: with the
-// mixed-addition intermediates H = x_a·Z² − X and Rc = y_a·Z³ − Y the
-// affine slope is λ = Rc/Z3, and scaling λ(x_a + x_Q) − y_a + y_Q·i by Z3
-// gives
-//
-//	l' = (Rc·(x_a + x_Q) − Z3·y_a) + Z3·y_Q·i
-func (p *Params) chordStepProj(r *jacPoint, a, q point, line *fp2, s *scratch) bool {
-	if a.inf {
-		return false
-	}
-	if r.isInf() {
-		r.x.Set(a.x)
-		r.y.Set(a.y)
-		r.z.SetInt64(1)
-		return false
-	}
-	mod := p.Q
-	zz := s.t[0].Mul(r.z, r.z)
-	zz.Mod(zz, mod)
-	u2 := s.t[1].Mul(a.x, zz)
-	u2.Mod(u2, mod)
-	zzz := s.t[2].Mul(zz, r.z)
-	zzz.Mod(zzz, mod)
-	s2 := s.t[3].Mul(a.y, zzz)
-	s2.Mod(s2, mod)
-	h := s.t[4].Sub(u2, r.x)
-	h.Mod(h, mod)
-	rc := s.t[5].Sub(s2, r.y)
-	rc.Mod(rc, mod)
-	if h.Sign() == 0 {
-		if rc.Sign() == 0 {
-			// R = a: the chord degenerates to the tangent, and the addition
-			// to a doubling — same fallback as the affine lineChord.
-			return p.tangentStepProj(r, q, line, s)
-		}
-		r.z.SetInt64(0) // R = −a: vertical chord, R + a = ∞
-		return false
-	}
-	hh := s.t[6].Mul(h, h)
-	hh.Mod(hh, mod)
-	hhh := s.t[7].Mul(hh, h)
-	hhh.Mod(hhh, mod)
-	v := s.t[8].Mul(r.x, hh)
-	v.Mod(v, mod)
-	z3 := s.t[9].Mul(r.z, h)
-	z3.Mod(z3, mod)
-	// Scaled chord line anchored at a.
-	la := s.t[10].Add(a.x, q.x)
-	la.Mul(la, rc)
-	lb := s.t[11].Mul(z3, a.y)
-	line.a.Sub(la, lb)
-	line.a.Mod(line.a, mod)
-	line.b.Mul(z3, q.y)
-	line.b.Mod(line.b, mod)
-	// R ← R + a: X3 = Rc² − H³ − 2V, Y3 = Rc(V − X3) − Y·H³, Z3 = Z·H.
-	r.x.Mul(rc, rc)
-	r.x.Sub(r.x, hhh)
-	r.x.Sub(r.x, s.t[10].Lsh(v, 1))
-	r.x.Mod(r.x, mod)
-	yh := s.t[11].Mul(r.y, hhh)
-	yh.Mod(yh, mod)
-	r.y.Sub(v, r.x)
-	r.y.Mul(r.y, rc)
-	r.y.Sub(r.y, yh)
-	r.y.Mod(r.y, mod)
-	r.z.Set(z3)
-	return true
 }
 
 // lineTangent evaluates the tangent line to E at R, at the distorted point
@@ -302,24 +112,15 @@ func (p *Params) lineEval(r point, lambda *big.Int, q point) fp2 {
 	return fp2{a: re, b: new(big.Int).Set(q.y)}
 }
 
-// finalExp raises f to (q²−1)/r = (q−1)·h, using the Frobenius (conjugation)
-// for the q−1 part: f^(q−1) = f̄·f⁻¹, a unitary element, then a Lucas-ladder
-// unitary exponentiation by the cofactor h. This is the only ModInverse of
-// an optimized-kernel pairing besides the Lucas recovery step.
-func (p *Params) finalExp(f fp2) fp2 {
+// finalExpReference raises f to (q²−1)/r = (q−1)·h, using the Frobenius
+// (conjugation) for the q−1 part: f^(q−1) = f̄·f⁻¹, a unitary element, then
+// a square-and-multiply unitary exponentiation by the cofactor h. It is the
+// reference kernel's final exponentiation; finalExpMont is the same map on
+// limbs with a Lucas ladder for the cofactor.
+func (p *Params) finalExpReference(f fp2) fp2 {
 	if f.isZero() {
 		// Can only happen if a line passed exactly through φ(Q), i.e. Q was a
 		// multiple of P in a degenerate tiny-field case. Define as 1.
-		return fp2One()
-	}
-	u := p.fp2Mul(p.fp2Conj(f), p.fp2Inv(f))
-	return p.fp2ExpUnitaryLucas(u, p.H)
-}
-
-// finalExpReference is finalExp with the square-and-multiply cofactor chain,
-// retained for the reference kernel and differential tests.
-func (p *Params) finalExpReference(f fp2) fp2 {
-	if f.isZero() {
 		return fp2One()
 	}
 	u := p.fp2Mul(p.fp2Conj(f), p.fp2Inv(f))

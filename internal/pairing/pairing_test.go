@@ -2,6 +2,7 @@ package pairing
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 )
@@ -199,15 +200,29 @@ func TestNewParamsRejectsBadInput(t *testing.T) {
 		{"wrong cofactor", q, r, "8", gx, gy},
 		{"off-curve generator", q, r, h, gx, "1"},
 		{"composite order", q, new(big.Int).Add(mustInt(r), big.NewInt(1)).String(), h, gx, gy},
+		// A consistent 640-bit parameter set (prime q = h·r − 1 ≡ 3 mod 4,
+		// generator of order r) that only the field-width limit rejects.
+		{"q over 576 bits", wideQ, wideR, wideH, wideGX, wideGY},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := NewParams(tc.q, tc.r, tc.h, tc.gx, tc.gy); err == nil {
-				t.Fatal("NewParams accepted invalid input")
+			if _, err := NewParams(tc.q, tc.r, tc.h, tc.gx, tc.gy); !errors.Is(err, ErrInvalidParams) {
+				t.Fatalf("NewParams accepted invalid input (err = %v)", err)
 			}
 		})
 	}
+	if _, err := GenerateParams(32, 640, rand.Reader); !errors.Is(err, ErrInvalidParams) {
+		t.Fatalf("GenerateParams(32, 640) err = %v, want ErrInvalidParams", err)
+	}
 }
+
+const (
+	wideQ  = "3539026015087673408714408673538994244719750986078153474225469100702440837920274114315782170659486633422780189994132498043038358946649281792413894602774647923559056546361893331553058913878925183"
+	wideR  = "3849413213"
+	wideH  = "919367659241126371827208843099846824555426335332775165549749751093411866958298954203694154218482606279447035813489971008482211220240148791844938939989721473312523943467300955500995968"
+	wideGX = "3152268788813784545666365716496897422449894616169476164160448551003602580246424531969925950389109698096846813526902242432721227935611480315842523972846019946745052001610765310679791306871001621"
+	wideGY = "215351224027579626807782887765674868872609429344057681840690955727179604908661189796157510657152532479640658531827718869384318608170042571838094276612392639853854848213222471293487339056033671"
+)
 
 func mustInt(s string) *big.Int {
 	v, ok := new(big.Int).SetString(s, 10)

@@ -24,23 +24,10 @@ type Params struct {
 
 	gen       point      // generator of G
 	sqrtExp   *big.Int   // (Q+1)/4, for square roots in F_Q
-	qMinus2   *big.Int   // Q-2, for Fermat inversion
-	inv2      *big.Int   // (Q+1)/2 = 2⁻¹ mod Q, for Lucas sequence recovery
 	millerWnd []int      // bits of R, most-significant first, for the affine reference Miller loop
-	millerNAF []int8     // NAF digits of R, most-significant first, for the projective Miller loop
+	millerNAF []int8     // NAF digits of R, most-significant first, for the Montgomery Miller loop
 	kernel    Kernel     // which pairing-kernel implementation this Params uses
-	fpc       *fpContext // Montgomery constants for Q; nil when Q exceeds the fixed width
-}
-
-// activeKernel resolves the kernel that actually runs: KernelMontgomery
-// demotes to KernelProjective when the base field does not fit the
-// fixed-width fpElement (fpc == nil), so oversized generated parameters
-// keep working through the big.Int chain.
-func (p *Params) activeKernel() Kernel {
-	if p.kernel == KernelMontgomery && p.fpc == nil {
-		return KernelProjective
-	}
-	return p.kernel
+	fpc       *fpContext // Montgomery constants for Q
 }
 
 var (
@@ -56,10 +43,11 @@ var (
 // group order and a base field prime of approximately qBits bits. It searches
 // for a cofactor H = 4m such that Q = H·R − 1 is prime; since H ≡ 0 (mod 4),
 // Q ≡ 3 (mod 4) automatically, which makes −1 a quadratic non-residue and
-// F_Q² = F_Q[i] a field.
+// F_Q² = F_Q[i] a field. qBits may not exceed the 576-bit fixed width of the
+// Montgomery field arithmetic.
 func GenerateParams(rBits, qBits int, rnd io.Reader) (*Params, error) {
-	if rBits < 16 || qBits < rBits+8 {
-		return nil, fmt.Errorf("%w: need rBits ≥ 16 and qBits ≥ rBits+8 (got %d, %d)", ErrInvalidParams, rBits, qBits)
+	if rBits < 16 || qBits < rBits+8 || qBits > 64*fpMaxLimbs {
+		return nil, fmt.Errorf("%w: need rBits ≥ 16 and rBits+8 ≤ qBits ≤ %d (got %d, %d)", ErrInvalidParams, 64*fpMaxLimbs, rBits, qBits)
 	}
 	r, err := rand.Prime(rnd, rBits)
 	if err != nil {
@@ -102,11 +90,15 @@ func generateWithOrder(r *big.Int, qBits int, rnd io.Reader) (*Params, error) {
 }
 
 // newParams validates (q, r, h) and builds the derived values. The generator
-// must still be installed (pickGenerator or setGenerator).
+// must still be installed (pickGenerator or setGenerator). q must fit the
+// fpMaxLimbs-limb fixed width, so every valid Params has a Montgomery
+// context.
 func newParams(q, r, h *big.Int) (*Params, error) {
 	check := new(big.Int).Mul(h, r)
 	check.Sub(check, one)
 	switch {
+	case q.BitLen() > 64*fpMaxLimbs:
+		return nil, fmt.Errorf("%w: q has %d bits, more than the %d-bit field width", ErrInvalidParams, q.BitLen(), 64*fpMaxLimbs)
 	case check.Cmp(q) != 0:
 		return nil, fmt.Errorf("%w: q+1 ≠ h·r", ErrInvalidParams)
 	case q.Bit(0) != 1 || q.Bit(1) != 1:
@@ -121,8 +113,6 @@ func newParams(q, r, h *big.Int) (*Params, error) {
 		R:       new(big.Int).Set(r),
 		H:       new(big.Int).Set(h),
 		sqrtExp: new(big.Int).Rsh(new(big.Int).Add(q, one), 2),
-		qMinus2: new(big.Int).Sub(q, two),
-		inv2:    new(big.Int).Rsh(new(big.Int).Add(q, one), 1),
 	}
 	p.millerWnd = make([]int, 0, r.BitLen())
 	for i := r.BitLen() - 2; i >= 0; i-- {

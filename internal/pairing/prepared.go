@@ -9,22 +9,22 @@ import "math/big"
 // many key components, which is exactly this access pattern.
 //
 // Each cached step holds the line through the running point (λ, x_R, y_R);
-// evaluation at φ(Q) needs one multiplication per step. The optimized
+// evaluation at φ(Q) needs one multiplication per step. The Montgomery
 // kernel walks the NAF chain of the Miller loop in Jacobian coordinates
-// and recovers all the affine coefficients with a single Montgomery batch
-// inversion; the reference kernel keeps the affine walk with one
+// and recovers all the affine coefficients with a single batch inversion
+// (prepareMont); the reference kernel keeps the affine walk with one
 // ModInverse per step. Either way the cached lines evaluate the same
 // reduced pairing.
 type PreparedG struct {
 	p *Params
-	// steps mirrors the Miller loop: for every iteration a tangent line,
-	// optionally followed by a chord line on nonzero digits. vertical steps
-	// are omitted (denominator elimination).
+	// steps is the reference kernel's cache. It mirrors the Miller loop: for
+	// every iteration a tangent line, optionally followed by a chord line on
+	// nonzero digits. Vertical steps are omitted (denominator elimination).
 	steps []lineCoeff
 	// msteps is the Montgomery kernel's cache: the same lines with the
 	// coordinates kept in fixed-width Montgomery form, so the per-pairing
 	// walk never converts or allocates. Exactly one of steps/msteps is
-	// populated, fixed by the kernel active at Prepare time.
+	// populated, fixed by the kernel selected at Prepare time.
 	msteps []mLineCoeff
 	// plan[i] is the number of lines consumed at loop iteration i (1 or 2).
 	plan []byte
@@ -42,14 +42,10 @@ type lineCoeff struct {
 // Prepare precomputes the Miller-loop lines of g as a first pairing
 // argument.
 func (p *Params) Prepare(g *G) *PreparedG {
-	switch p.activeKernel() {
-	case KernelReference:
+	if p.kernel == KernelReference {
 		return p.prepareAffine(g)
-	case KernelMontgomery:
-		return p.prepareMont(g)
-	default:
-		return p.prepareProj(g)
 	}
+	return p.prepareMont(g)
 }
 
 // prepareAffine is the retained reference preparation: the binary Miller
@@ -75,169 +71,7 @@ func (p *Params) prepareAffine(g *G) *PreparedG {
 	return pre
 }
 
-// prepStep records one Miller step of the projective walk with everything
-// still divided by a projective denominator, deferred for batch inversion:
-//
-//	tangent: λ = m/den, x0 = x·z⁻², y0 = y·z⁻³   (den = 2YZ, z = Z)
-//	chord:   λ = m/den, (x0, y0) = affine anchor  (den = Z·H, m = Rc)
-type prepStep struct {
-	ok      bool
-	tangent bool
-	m       *big.Int // slope numerator: M (tangent) or Rc (chord)
-	x, y, z *big.Int // tangent: Jacobian coordinates of the running point
-	ax, ay  *big.Int // chord anchor (already affine)
-	den     *big.Int // slope denominator, inverted in place by the batch pass
-}
-
-// prepareProj walks the NAF Miller chain in Jacobian coordinates (zero
-// inversions), then recovers every cached affine line coefficient with one
-// Montgomery batch inversion over all the accumulated denominators.
-func (p *Params) prepareProj(g *G) *PreparedG {
-	if g.pt.inf {
-		return &PreparedG{p: p, inf: true}
-	}
-	pre := &PreparedG{p: p}
-	s := newScratch()
-	base := g.pt
-	nBase := p.neg(base)
-	r := jacPoint{
-		x: new(big.Int).Set(base.x),
-		y: new(big.Int).Set(base.y),
-		z: big.NewInt(1),
-	}
-	var steps []prepStep
-	for _, d := range p.millerNAF[1:] {
-		steps = append(steps, p.tangentStepRecord(&r, s))
-		n := byte(1)
-		if d != 0 {
-			a := base
-			if d < 0 {
-				a = nBase
-			}
-			steps = append(steps, p.chordStepRecord(&r, a, s))
-			n = 2
-		}
-		pre.plan = append(pre.plan, n)
-	}
-	// One inversion for the whole preparation.
-	var dens []*big.Int
-	for _, st := range steps {
-		if !st.ok {
-			continue
-		}
-		dens = append(dens, st.den)
-		if st.tangent {
-			dens = append(dens, st.z)
-		}
-	}
-	p.batchInvert(dens)
-	pre.steps = make([]lineCoeff, len(steps))
-	for i, st := range steps {
-		if !st.ok {
-			continue
-		}
-		c := lineCoeff{ok: true}
-		c.lambda = st.m.Mul(st.m, st.den) // den already inverted
-		c.lambda.Mod(c.lambda, p.Q)
-		if st.tangent {
-			zi2 := new(big.Int).Mul(st.z, st.z) // z holds Z⁻¹ now
-			zi2.Mod(zi2, p.Q)
-			c.x0 = st.x.Mul(st.x, zi2)
-			c.x0.Mod(c.x0, p.Q)
-			zi3 := zi2.Mul(zi2, st.z)
-			zi3.Mod(zi3, p.Q)
-			c.y0 = st.y.Mul(st.y, zi3)
-			c.y0.Mod(c.y0, p.Q)
-		} else {
-			c.x0 = st.ax
-			c.y0 = st.ay
-		}
-		pre.steps[i] = c
-	}
-	return pre
-}
-
-// tangentStepRecord is tangentStepProj without the line evaluation: it
-// snapshots the tangent numerator M and the pre-doubling point, doubles R
-// in place, and leaves the denominators 2YZ and Z for the batch pass.
-func (p *Params) tangentStepRecord(r *jacPoint, s *scratch) prepStep {
-	if r.isInf() {
-		return prepStep{}
-	}
-	if r.y.Sign() == 0 {
-		r.z.SetInt64(0)
-		return prepStep{}
-	}
-	mod := p.Q
-	st := prepStep{
-		ok:      true,
-		tangent: true,
-		x:       new(big.Int).Set(r.x),
-		y:       new(big.Int).Set(r.y),
-		z:       new(big.Int).Set(r.z),
-	}
-	// M = 3X² + Z⁴.
-	xx := s.t[0].Mul(r.x, r.x)
-	xx.Mod(xx, mod)
-	zz := s.t[1].Mul(r.z, r.z)
-	zz.Mod(zz, mod)
-	m := new(big.Int).Mul(zz, zz)
-	m.Add(m, xx)
-	m.Add(m, s.t[2].Lsh(xx, 1))
-	m.Mod(m, mod)
-	st.m = m
-	p.jacDoubleTo(r, s)
-	st.den = new(big.Int).Set(r.z) // 2YZ of the pre-doubling point
-	return st
-}
-
-// chordStepRecord is chordStepProj without the line evaluation: it
-// snapshots the chord numerator Rc and the affine anchor, adds a to R in
-// place, and leaves the denominator Z·H for the batch pass. The degenerate
-// R = a case falls back to a tangent record, mirroring chordCoeff.
-func (p *Params) chordStepRecord(r *jacPoint, a point, s *scratch) prepStep {
-	if a.inf {
-		return prepStep{}
-	}
-	if r.isInf() {
-		r.x.Set(a.x)
-		r.y.Set(a.y)
-		r.z.SetInt64(1)
-		return prepStep{}
-	}
-	mod := p.Q
-	zz := s.t[0].Mul(r.z, r.z)
-	zz.Mod(zz, mod)
-	u2 := s.t[1].Mul(a.x, zz)
-	u2.Mod(u2, mod)
-	zzz := s.t[2].Mul(zz, r.z)
-	zzz.Mod(zzz, mod)
-	s2 := s.t[3].Mul(a.y, zzz)
-	s2.Mod(s2, mod)
-	h := s.t[4].Sub(u2, r.x)
-	h.Mod(h, mod)
-	rc := s.t[5].Sub(s2, r.y)
-	rc.Mod(rc, mod)
-	if h.Sign() == 0 {
-		if rc.Sign() == 0 {
-			return p.tangentStepRecord(r, s)
-		}
-		r.z.SetInt64(0)
-		return prepStep{}
-	}
-	st := prepStep{
-		ok: true,
-		m:  new(big.Int).Set(rc), // chord numerator doubles as λ numerator
-		ax: new(big.Int).Set(a.x),
-		ay: new(big.Int).Set(a.y),
-	}
-	p.jacAddAffineTo(r, a, s)
-	st.den = new(big.Int).Set(r.z) // Z·H of the pre-addition point
-	return st
-}
-
-// Pair computes e(P, q) using the cached lines, allocation-lean: the
-// accumulator and line value are updated in place through one scratch.
+// Pair computes e(P, q) using the cached lines.
 func (pre *PreparedG) Pair(q *G) (*GT, error) {
 	p := pre.p
 	if q == nil {
@@ -253,39 +87,18 @@ func (pre *PreparedG) Pair(q *G) (*GT, error) {
 		// Prepared under the Montgomery kernel: walk the fixed-width cache.
 		return &GT{p: p, v: pre.pairPreparedMont(q.pt)}, nil
 	}
-	s := newScratch()
 	f := fp2One()
-	lv := fp2{a: new(big.Int), b: new(big.Int).Set(q.pt.y)}
 	idx := 0
 	for _, n := range pre.plan {
-		p.fp2SquareTo(&f, f, s)
-		if c := pre.steps[idx]; c.ok {
-			evalCoeffTo(p, &lv, c, q.pt, s)
-			p.fp2MulTo(&f, f, lv, s)
-		}
-		idx++
-		if n == 2 {
+		f = p.fp2Square(f)
+		for k := byte(0); k < n; k++ {
 			if c := pre.steps[idx]; c.ok {
-				evalCoeffTo(p, &lv, c, q.pt, s)
-				p.fp2MulTo(&f, f, lv, s)
+				f = p.fp2Mul(f, p.lineEval(point{x: c.x0, y: c.y0}, c.lambda, q.pt))
 			}
 			idx++
 		}
 	}
-	if p.activeKernel() == KernelReference {
-		return &GT{p: p, v: p.finalExpReference(f)}, nil
-	}
-	return &GT{p: p, v: p.finalExp(f)}, nil
-}
-
-// evalCoeffTo evaluates a cached line at φ(Q) = (−x_Q, i·y_Q) into lv,
-// whose imaginary part is pre-seeded with y_Q and never changes.
-func evalCoeffTo(p *Params, lv *fp2, c lineCoeff, q point, s *scratch) {
-	re := s.t[10].Add(c.x0, q.x)
-	re.Mul(re, c.lambda)
-	re.Sub(re, c.y0)
-	lv.a.Mod(re, p.Q)
-	lv.b.Set(q.y)
+	return &GT{p: p, v: p.finalExpReference(f)}, nil
 }
 
 func (p *Params) tangentCoeff(r point) lineCoeff {

@@ -3,34 +3,24 @@ package pairing
 import "math/big"
 
 // Kernel selects which implementation of the pairing hot path a Params
-// value drives. All kernels are pinned bit-identical on every valid input
-// by differential and fuzz tests; the slower ones stay compiled, testable,
-// and benchmarkable as the baselines the fast kernel is measured against
-// (BENCH_pairing.json).
+// value drives. The two kernels are pinned bit-identical on every valid
+// input by differential and fuzz tests; the reference stays compiled,
+// testable, and benchmarkable as the oracle and the baseline the fast
+// kernel is measured against (BENCH_pairing.json).
 type Kernel int
 
 const (
-	// KernelMontgomery is the default: the projective NAF Miller loop,
-	// Lucas final exponentiation, and batch-inverted Prepare running on
-	// fixed-width fpElement arithmetic in Montgomery form (CIOS
-	// multiplication, carry-chain add/sub) — zero math/big on the hot
-	// path. Parameter sets whose prime exceeds the fixed width fall back
-	// to KernelProjective transparently (see activeKernel).
+	// KernelMontgomery is the default: the projective (Jacobian) NAF Miller
+	// loop, Lucas final exponentiation, batch-inverted Prepare, and limb
+	// combs for table exponentiation, all on fixed-width fpElement
+	// arithmetic in Montgomery form (CIOS multiplication, carry-chain
+	// add/sub) — zero math/big on the hot path.
 	KernelMontgomery Kernel = iota
-	// KernelProjective is the PR 3 big.Int kernel: projective (Jacobian)
-	// NAF Miller loop with fused line evaluation, Montgomery batch
-	// inversion in Prepare, Lucas-sequence unitary exponentiation in the
-	// final exponentiation and GT.Exp, and scratch-buffer field
-	// arithmetic.
-	KernelProjective
-	// KernelReference is the retained affine/naive implementation: one
-	// ModInverse per Miller step, square-and-multiply everywhere.
+	// KernelReference is the retained affine/naive implementation on
+	// math/big: one ModInverse per Miller step and per point operation,
+	// square-and-multiply everywhere.
 	KernelReference
 )
-
-// KernelOptimized is the historical name of the default kernel, kept so
-// callers that selected "the fast one" keep compiling and keep getting it.
-const KernelOptimized = KernelMontgomery
 
 // SetKernel selects the kernel for this Params value. It mutates shared
 // state, so call it only during setup, never while other goroutines use
@@ -38,11 +28,11 @@ const KernelOptimized = KernelMontgomery
 // clone (NewParams over Export), not on the shared Default()/Test() values.
 func (p *Params) SetKernel(k Kernel) { p.kernel = k }
 
-// Kernel reports the active kernel.
+// Kernel reports the selected kernel.
 func (p *Params) Kernel() Kernel { return p.kernel }
 
 // PairReference computes e(a, b) with the retained reference kernel
-// regardless of the active one: affine Miller loop, square-and-multiply
+// regardless of the selected one: affine Miller loop, square-and-multiply
 // final exponentiation. It is the "before" timing of BENCH_pairing.json and
 // the oracle the differential tests compare Pair against.
 func (p *Params) PairReference(a, b *G) (*GT, error) {
@@ -53,7 +43,7 @@ func (p *Params) PairReference(a, b *G) (*GT, error) {
 }
 
 // ExpReference computes g^k with the textbook affine double-and-add ladder
-// (one ModInverse per point operation), regardless of the active kernel.
+// (one ModInverse per point operation), regardless of the selected kernel.
 // k is reduced mod R like Exp.
 func (g *G) ExpReference(k *big.Int) *G {
 	kk := new(big.Int).Mod(k, g.p.R)
@@ -61,7 +51,7 @@ func (g *G) ExpReference(k *big.Int) *G {
 }
 
 // ExpReference computes t^k with the square-and-multiply unitary ladder,
-// regardless of the active kernel. k is reduced mod R like Exp.
+// regardless of the selected kernel. k is reduced mod R like Exp.
 func (t *GT) ExpReference(k *big.Int) *GT {
 	kk := new(big.Int).Mod(k, t.p.R)
 	return &GT{p: t.p, v: t.p.fp2ExpUnitary(t.v, kk)}

@@ -36,8 +36,7 @@ echo "== histogram-exposition lint: /metrics le-buckets well formed"
 go test -count=1 -run 'TestPrometheusHistogram' ./internal/cloud/
 echo "== go test -race ./internal/pairing"
 go test -race -count=1 ./internal/pairing
-echo "== table/comb differential race gate: all kernels through FixedBaseExp/ExpTable"
-go test -race -count=2 -run 'TestTableExp|TestFixedBaseExp|TestPrepareExpMatchesExp|TestScalarNormalization' ./internal/pairing
+echo "== exp-cache race gate: engine table caches under concurrent use"
 go test -race -count=2 -run 'TestExpCache' ./internal/engine
 echo "== alloc pins: comb evaluation + field primitives (race off: AllocsPerRun)"
 go test -count=1 -run 'TestCombExpMontAllocs|TestHotPathZeroBigIntAllocs' ./internal/pairing
