@@ -64,7 +64,7 @@ func run(args []string, out io.Writer) error {
 	csvDir := fs.String("csv", "", "directory to write CSV series into (optional)")
 	engineJSON := fs.String("engine-json", "BENCH_engine.json", "output path for the engine serial-vs-parallel report")
 	reencryptJSON := fs.String("reencrypt-json", "BENCH_reencrypt.json", "output path for the batched re-encryption report")
-	batchWindow := fs.Int("batch-window", 4, "window size for the windowed re-encryption submissions (0 = unwindowed)")
+	batchWindow := fs.Int("batch-window", 4, "server re-encryption window for the windowed reencrypt-batch submissions and the load run (0 = unwindowed)")
 	shardisoJSON := fs.String("shardiso-json", "BENCH_shardiso.json", "output path for the shard-isolation report")
 	shards := fs.Int("shards", 4, "shard count for the shard-isolation experiment")
 	pairingJSON := fs.String("pairing-json", "BENCH_pairing.json", "output path for the two-kernel pairing report (montgomery/reference)")

@@ -37,14 +37,19 @@
 // GET /healthz reports the backend, shard count, WAL size and records
 // loaded; RPC clients get the same via CloudServer.Health.
 //
-// The HTTP gateway additionally serves POST /owners/{id}/reencrypt/batch
-// (many update-info sets streamed through bounded engine runs — the window
-// caps how many fuse into one run, so huge batches never pin a shard
-// lock), GET /metrics (Prometheus text exposition of the cumulative and
-// per-owner counters; ?format=json for the JSON body), and sets explicit
+// Re-encryption has one entry point per transport: HTTP
+// POST /owners/{id}/reencrypt/batch and RPC CloudServer.ReEncrypt, both
+// streaming the request's update-info sets through bounded engine runs.
+// -batch-window caps how many fuse into one run, so huge batches never pin
+// a shard lock, and -batch-window-target resizes later windows toward a
+// wall time; requests cannot override either. A batch that fails mid-way
+// reports its committed prefix and the index of the first uncommitted
+// item, and the client resumes by resubmitting the items from there. The
+// gateway also serves GET /metrics (Prometheus text exposition of the
+// cumulative and per-owner counters; ?format=json for the JSON body, RPC
+// CloudServer.Metrics for the same struct) and sets explicit
 // read/write/idle timeouts so one slow client cannot pin a connection
-// forever. The matching RPC methods are CloudServer.ReEncryptBatch and
-// CloudServer.Metrics.
+// forever.
 //
 // Clients must be configured with the same pairing parameters (the built-in
 // defaults on both sides match).

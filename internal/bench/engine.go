@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"maacs/internal/cloud"
 	"maacs/internal/engine"
 	"maacs/internal/pairing"
 )
@@ -93,7 +94,7 @@ func reencryptWorkload(cfg Config, numCTs int) (func() error, error) {
 		if err != nil {
 			return err
 		}
-		report, err := srv.ReEncrypt(sc.w.Owner.ID(), sc.uis, sc.uk)
+		report, err := srv.ReEncrypt(sc.w.Owner.ID(), []cloud.ReEncryptItem{{UK: sc.uk, UIs: sc.uis}})
 		if err != nil {
 			return err
 		}

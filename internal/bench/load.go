@@ -31,9 +31,9 @@ import (
 // coordinated omission), and recorded into the same log-bucketed histograms
 // the server's /metrics endpoint exposes.
 
-// Operation names of the load mix. "reencrypt" submits a revocation through
-// the batched endpoint under the spec's window; "revoke" uses the
-// single-shot re-encryption endpoint.
+// Operation names of the load mix. "reencrypt" submits a revocation as one
+// item per ciphertext, streamed through the server's window; "revoke"
+// submits it as a single item.
 const (
 	loadOpFetch          = "fetch"
 	loadOpFetchComponent = "fetch_component"
@@ -79,8 +79,8 @@ type LoadSpec struct {
 	Procs []int
 	// Mix weights the operations (nil = DefaultLoadMix).
 	Mix LoadMix
-	// Window caps items per engine run for the batched re-encrypt op
-	// (0 = the server's configured default).
+	// Window sets the server's re-encryption window for the run
+	// (SetBatchWindow; 0 = unwindowed).
 	Window int
 	// InFlight bounds concurrently executing requests; arrivals past the
 	// bound are shed (counted, not queued) to keep the generator open-loop.
@@ -144,12 +144,12 @@ type LoadOpStats struct {
 // sweep. Achieved counts completed operations (success or error) per second
 // of wall time; Shed counts arrivals dropped at the in-flight bound.
 type LoadRatePoint struct {
-	Transport     string                 `json:"transport"`
-	OfferedPerSec float64                `json:"offered_per_sec"`
-	AchievedPerSec float64               `json:"achieved_per_sec"`
-	WallNs        int64                  `json:"wall_ns"`
-	Shed          uint64                 `json:"shed,omitempty"`
-	Ops           map[string]LoadOpStats `json:"ops"`
+	Transport      string                 `json:"transport"`
+	OfferedPerSec  float64                `json:"offered_per_sec"`
+	AchievedPerSec float64                `json:"achieved_per_sec"`
+	WallNs         int64                  `json:"wall_ns"`
+	Shed           uint64                 `json:"shed,omitempty"`
+	Ops            map[string]LoadOpStats `json:"ops"`
 }
 
 // LoadProcPoint is one GOMAXPROCS cell: the highest offered rate re-driven
@@ -185,13 +185,13 @@ type LoadReport struct {
 // and a dedicated revocation authority so concurrent revocations of
 // different owners never contend on authority version state.
 type loadOwner struct {
-	id      string
-	client  *cloud.OwnerClient
-	aa      *core.AA
-	durable []string
-	tmpl    *cloud.Record
+	id       string
+	client   *cloud.OwnerClient
+	aa       *core.AA
+	durable  []string
+	tmpl     *cloud.Record
 	httpTmpl []cloud.HTTPComponent
-	seq     atomic.Uint64
+	seq      atomic.Uint64
 	// deletable queues churn record IDs between store and delete ops;
 	// an empty pop marks the delete skipped rather than blocking.
 	deletable chan string
@@ -290,8 +290,7 @@ type loadClient interface {
 	store(o *loadOwner, recordID string) error
 	remove(recordID, ownerID string) error
 	ownerCiphertexts(ownerID string) ([]*core.Ciphertext, error)
-	reencryptBatch(ownerID string, items []cloud.ReEncryptItem, window int) error
-	reencrypt(ownerID string, uis map[string]*core.UpdateInfo, uk *core.UpdateKey) error
+	reencrypt(ownerID string, items []cloud.ReEncryptItem) error
 	close() error
 }
 
@@ -342,13 +341,8 @@ func (c *rpcLoadClient) ownerCiphertexts(ownerID string) ([]*core.Ciphertext, er
 	return c.conn().CiphertextsOf(ownerID)
 }
 
-func (c *rpcLoadClient) reencryptBatch(ownerID string, items []cloud.ReEncryptItem, window int) error {
-	_, err := c.conn().ReEncryptBatchWindowed(ownerID, items, window)
-	return err
-}
-
-func (c *rpcLoadClient) reencrypt(ownerID string, uis map[string]*core.UpdateInfo, uk *core.UpdateKey) error {
-	_, err := c.conn().ReEncrypt(ownerID, uis, uk)
+func (c *rpcLoadClient) reencrypt(ownerID string, items []cloud.ReEncryptItem) error {
+	_, err := c.conn().ReEncrypt(ownerID, items)
 	return err
 }
 
@@ -458,26 +452,17 @@ func (c *httpLoadClient) ownerCiphertexts(ownerID string) ([]*core.Ciphertext, e
 	return out, nil
 }
 
-func encodeHTTPReEncrypt(uis map[string]*core.UpdateInfo, uk *core.UpdateKey) cloud.HTTPReEncryptRequest {
-	req := cloud.HTTPReEncryptRequest{UpdateKey: base64.StdEncoding.EncodeToString(uk.Marshal())}
-	for _, ui := range uis {
-		req.UpdateInfos = append(req.UpdateInfos, base64.StdEncoding.EncodeToString(ui.Marshal()))
-	}
-	return req
-}
-
-func (c *httpLoadClient) reencryptBatch(ownerID string, items []cloud.ReEncryptItem, window int) error {
-	req := cloud.HTTPBatchReEncryptRequest{Window: window}
+func (c *httpLoadClient) reencrypt(ownerID string, items []cloud.ReEncryptItem) error {
+	var req cloud.HTTPBatchReEncryptRequest
 	for _, it := range items {
-		req.Items = append(req.Items, encodeHTTPReEncrypt(it.UIs, it.UK))
+		item := cloud.HTTPReEncryptRequest{UpdateKey: base64.StdEncoding.EncodeToString(it.UK.Marshal())}
+		for _, ui := range it.UIs {
+			item.UpdateInfos = append(item.UpdateInfos, base64.StdEncoding.EncodeToString(ui.Marshal()))
+		}
+		req.Items = append(req.Items, item)
 	}
 	var resp cloud.HTTPBatchReEncryptResponse
 	return c.do(http.MethodPost, "/owners/"+url.PathEscape(ownerID)+"/reencrypt/batch", req, &resp)
-}
-
-func (c *httpLoadClient) reencrypt(ownerID string, uis map[string]*core.UpdateInfo, uk *core.UpdateKey) error {
-	var resp cloud.HTTPReEncryptResponse
-	return c.do(http.MethodPost, "/owners/"+url.PathEscape(ownerID)+"/reencrypt", encodeHTTPReEncrypt(uis, uk), &resp)
 }
 
 func (c *httpLoadClient) close() error {
@@ -638,7 +623,7 @@ func runLoadPoint(pop *loadPopulation, t *loadTransport, spec LoadSpec, rate flo
 		go func(op string, arrival time.Time, draw uint64) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			skipped, err := executeLoadOp(pop, t, spec, op, draw, setupRnd)
+			skipped, err := executeLoadOp(pop, t, op, draw, setupRnd)
 			switch {
 			case skipped:
 				counters.skipped[op].Add(1)
@@ -685,7 +670,7 @@ func runLoadPoint(pop *loadPopulation, t *loadTransport, spec LoadSpec, rate flo
 // parameter carries the dispatcher's randomness (workers must not share the
 // dispatcher's rng). Returns skipped=true when the op had nothing to do
 // (delete with an empty churn queue).
-func executeLoadOp(pop *loadPopulation, t *loadTransport, spec LoadSpec, op string, draw uint64, rnd io.Reader) (skipped bool, err error) {
+func executeLoadOp(pop *loadPopulation, t *loadTransport, op string, draw uint64, rnd io.Reader) (skipped bool, err error) {
 	o := pop.owners[int(draw%uint64(len(pop.owners)))]
 	user := pop.users[int(draw>>16)%len(pop.users)]
 	switch op {
@@ -720,7 +705,7 @@ func executeLoadOp(pop *loadPopulation, t *loadTransport, spec LoadSpec, op stri
 			return false, err
 		}
 		if op == loadOpRevoke {
-			return false, t.client.reencrypt(o.id, uis, uk)
+			return false, t.client.reencrypt(o.id, []cloud.ReEncryptItem{{UK: uk, UIs: uis}})
 		}
 		items := make([]cloud.ReEncryptItem, 0, len(uis))
 		ids := make([]string, 0, len(uis))
@@ -731,7 +716,7 @@ func executeLoadOp(pop *loadPopulation, t *loadTransport, spec LoadSpec, op stri
 		for _, id := range ids {
 			items = append(items, cloud.ReEncryptItem{UK: uk, UIs: map[string]*core.UpdateInfo{id: uis[id]}})
 		}
-		return false, t.client.reencryptBatch(o.id, items, spec.Window)
+		return false, t.client.reencrypt(o.id, items)
 	default:
 		return false, fmt.Errorf("bench: unknown load op %q", op)
 	}
@@ -751,6 +736,7 @@ func MeasureLoad(spec LoadSpec) (*LoadReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("load setup: %w", err)
 	}
+	pop.env.Server.SetBatchWindow(spec.Window)
 
 	rpcLn, rpcAddr, err := cloud.ServeRPC(pop.env.Sys, pop.env.Server, "127.0.0.1:0")
 	if err != nil {

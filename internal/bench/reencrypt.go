@@ -119,12 +119,13 @@ type ReEncryptBatchReport struct {
 
 // MeasureReEncryptBatch compares per-ciphertext, unwindowed-batched, and
 // windowed-batched re-encryption submission at each corpus size: the
-// per-request pattern issues one Server.ReEncrypt call per ciphertext, the
-// batched pattern a single Server.ReEncryptBatch fusing everything into one
-// engine run, and the windowed pattern the same batch streamed through
-// bounded slices of `window` items (0 = unwindowed). All run on the default
-// engine pool; the differences isolate the submission pattern. The windowed
-// run also records the per-owner counter row the server accumulated.
+// per-request pattern issues one single-item Server.ReEncrypt call per
+// ciphertext, the batched pattern one call with an item per ciphertext on an
+// unwindowed server (everything fused into one engine run), and the windowed
+// pattern the same call on a server whose SetBatchWindow is `window`
+// (0 = unwindowed). All run on the default engine pool; the differences
+// isolate the submission pattern. The windowed run also records the
+// per-owner counter row the server accumulated.
 func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int, attrs, trials, window int) (*ReEncryptBatchReport, error) {
 	report := &ReEncryptBatchReport{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -148,8 +149,8 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 				return err
 			}
 			for _, ct := range sc.cts {
-				one := map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]}
-				if _, err := srv.ReEncrypt(sc.w.Owner.ID(), one, sc.uk); err != nil {
+				one := []cloud.ReEncryptItem{{UK: sc.uk, UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]}}}
+				if _, err := srv.ReEncrypt(sc.w.Owner.ID(), one); err != nil {
 					return err
 				}
 			}
@@ -159,20 +160,23 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 			return nil, fmt.Errorf("per-request n=%d: %w", numCTs, err)
 		}
 
+		// The batched and windowed patterns submit one item per ciphertext in
+		// a single request; only the server's window differs.
+		items := make([]cloud.ReEncryptItem, len(sc.cts))
+		for i, ct := range sc.cts {
+			items[i] = cloud.ReEncryptItem{
+				UK:  sc.uk,
+				UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]},
+			}
+		}
+
 		var batchStats engine.Stats
 		batched, err := timeBest(0, trials, func() error {
 			srv, err := sc.freshServer()
 			if err != nil {
 				return err
 			}
-			items := make([]cloud.ReEncryptItem, len(sc.cts))
-			for i, ct := range sc.cts {
-				items[i] = cloud.ReEncryptItem{
-					UK:  sc.uk,
-					UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]},
-				}
-			}
-			rep, err := srv.ReEncryptBatch(sc.w.Owner.ID(), items)
+			rep, err := srv.ReEncrypt(sc.w.Owner.ID(), items)
 			if err != nil {
 				return err
 			}
@@ -193,14 +197,8 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 			if err != nil {
 				return err
 			}
-			items := make([]cloud.ReEncryptItem, len(sc.cts))
-			for i, ct := range sc.cts {
-				items[i] = cloud.ReEncryptItem{
-					UK:  sc.uk,
-					UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]},
-				}
-			}
-			rep, err := srv.ReEncryptBatchWindowed(sc.w.Owner.ID(), items, window)
+			srv.SetBatchWindow(window)
+			rep, err := srv.ReEncrypt(sc.w.Owner.ID(), items)
 			if err != nil {
 				return err
 			}

@@ -159,7 +159,7 @@ func (se *shardIsoEnv) run(rnd io.Reader, backend string, rounds int) (ShardIsoP
 				uis[ui.CiphertextID] = ui
 			}
 		}
-		rep, err := srv.ReEncrypt(se.agg.Owner.ID(), uis, uk)
+		rep, err := srv.ReEncrypt(se.agg.Owner.ID(), []cloud.ReEncryptItem{{UK: uk, UIs: uis}})
 		if err != nil {
 			reencErr = err
 			break

@@ -2,33 +2,25 @@ package cloud
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"net/rpc"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
 
-// TestRPCBatchResumeFromCursor kills a windowed batch mid-way and completes
-// it through the server-held cursor: net/rpc drops the reply on a non-nil
-// error, so a mid-batch failure arrives as a *BatchFailedError carrying the
-// partial report plus a cursor, and ResumeReEncryptBatch commits exactly the
-// uncommitted suffix. The failure is injected through the server's commit
-// hook: just before the second window commits, the owner's records are
+// midBatchConflict prepares the resume scenario on env: five per-ciphertext
+// items over two records, a reference server that ran them uninterrupted,
+// and env.Server set to one-item windows with its commit hook armed to fail
+// the second window once. Just before that commit the owner's records are
 // deleted and re-stored with equal values but fresh pointers, so the
 // window's ReplaceIfUnchanged sees a conflict — the transient kind of
 // failure a resume exists for.
-func TestRPCBatchResumeFromCursor(t *testing.T) {
-	env, remote := rpcFixture(t)
-	if _, err := env.AddAuthority("med", []string{"doctor", "nurse"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.AddAuthority("trial", []string{"researcher", "admin"}); err != nil {
-		t.Fatal(err)
-	}
-	owner, err := env.AddOwner("hospital")
-	if err != nil {
-		t.Fatal(err)
-	}
+func midBatchConflict(t *testing.T, env *Env, owner *OwnerClient) ([]ReEncryptItem, *Server) {
+	t.Helper()
 	uploadPatientRecord(t, owner)
 	uploadSecondRecord(t, owner)
 	ownerID := owner.Owner.ID()
@@ -40,19 +32,13 @@ func TestRPCBatchResumeFromCursor(t *testing.T) {
 	}
 
 	// Reference: the same batch run to completion on a pristine copy.
-	var seed bytes.Buffer
-	if err := env.Server.Snapshot(&seed); err != nil {
-		t.Fatal(err)
-	}
-	ref := NewServer(env.Sys, nil)
-	if err := ref.Restore(bytes.NewReader(seed.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ref.ReEncryptBatchWindowed(ownerID, items, 0); err != nil {
+	_, fresh := restorer(t, env)
+	ref := fresh()
+	if _, err := ref.ReEncrypt(ownerID, items); err != nil {
 		t.Fatal(err)
 	}
 
-	// Sabotage exactly the second window's commit.
+	env.Server.SetBatchWindow(1)
 	var commits atomic.Int32
 	env.Server.commitHook = func() {
 		if commits.Add(1) != 2 {
@@ -74,50 +60,85 @@ func TestRPCBatchResumeFromCursor(t *testing.T) {
 			}
 		}
 	}
+	return items, ref
+}
 
-	report, err := remote.ReEncryptBatchWindowed(ownerID, items, 1)
-	var failed *BatchFailedError
-	if !errors.As(err, &failed) {
-		t.Fatalf("got %v (%T), want *BatchFailedError", err, err)
+// TestRPCBatchResumeByResubmission kills a windowed batch mid-way over
+// net/rpc and completes it by resubmitting items[NextItem:]. net/rpc drops
+// the reply on a non-nil error, so the partial report must still arrive
+// alongside the failure, and the resubmission must land on exactly the state
+// of an uninterrupted run.
+func TestRPCBatchResumeByResubmission(t *testing.T) {
+	env, owner := hospitalEnv(t)
+	items, ref := midBatchConflict(t, env, owner)
+	remote := remoteFor(t, env.Sys, env.Server)
+	ownerID := owner.Owner.ID()
+
+	report, err := remote.ReEncrypt(ownerID, items)
+	var serverErr rpc.ServerError
+	if !errors.As(err, &serverErr) || !strings.Contains(err.Error(), ErrReEncryptConflict.Error()) {
+		t.Fatalf("got %v (%T), want a conflict rpc.ServerError", err, err)
 	}
 	if report == nil {
 		t.Fatal("no partial report alongside the failure")
 	}
-	if report.NextItem != 1 {
-		t.Fatalf("NextItem %d, want 1 (first window committed, second conflicted)", report.NextItem)
+	if report.NextItem != 1 || report.Windows != 1 || report.Ciphertexts != 1 {
+		t.Fatalf("partial report %+v, want the first window committed and the second conflicted", report)
 	}
-	if len(report.Committed) == 0 {
-		t.Fatalf("committed prefix empty: %+v", report)
-	}
-	if failed.Cursor == "" || failed.Cursor != report.Cursor {
-		t.Fatalf("cursor mismatch: error %q, report %q", failed.Cursor, report.Cursor)
+	if len(report.Committed) != 1 {
+		t.Fatalf("committed %v, want the one record of the first window", report.Committed)
 	}
 
-	// Resume commits items[1:] and reports NextItem in the original frame.
-	rep2, err := remote.ResumeReEncryptBatch(failed.Cursor, 0)
+	rep2, err := remote.ReEncrypt(ownerID, items[report.NextItem:])
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if rep2.NextItem != len(items) {
-		t.Fatalf("resumed NextItem %d, want %d", rep2.NextItem, len(items))
+	if rep2.NextItem != len(items)-1 || rep2.Ciphertexts != 4 {
+		t.Fatalf("resume report %+v, want the 4 uncommitted items", rep2)
 	}
-	if rep2.Ciphertexts != 4 {
-		t.Fatalf("resume re-encrypted %d ciphertexts, want the 4 uncommitted", rep2.Ciphertexts)
+	if !bytes.Equal(snapshotBytes(t, env.Server), snapshotBytes(t, ref)) {
+		t.Fatal("batch + resubmission diverged from the uninterrupted reference run")
 	}
-	if got := report.Ciphertexts + rep2.Ciphertexts; got != 5 {
-		t.Fatalf("batch + resume cover %d ciphertexts, want 5", got)
+}
+
+// TestHTTPBatchResumeByResubmission runs the same interrupted batch through
+// the HTTP gateway: the failure is a 409 whose error envelope carries
+// committed, windows and next_item, and resubmitting items[next_item:]
+// lands on exactly the state of an uninterrupted run.
+func TestHTTPBatchResumeByResubmission(t *testing.T) {
+	env, owner := hospitalEnv(t)
+	items, ref := midBatchConflict(t, env, owner)
+	ts := httptest.NewServer(NewHTTPHandler(env.Sys, env.Server))
+	t.Cleanup(ts.Close)
+	ownerID := owner.Owner.ID()
+
+	status, body := httpReEncrypt(t, ts.URL, ownerID, items)
+	if status != http.StatusConflict {
+		t.Fatalf("status %d, want 409: %s", status, body)
+	}
+	var envelope httpError
+	if err := json.Unmarshal(body, &envelope); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(envelope.Error, ErrReEncryptConflict.Error()) {
+		t.Fatalf("error %q does not report the conflict", envelope.Error)
+	}
+	if envelope.NextItem != 1 || envelope.Windows != 1 || len(envelope.Committed) != 1 {
+		t.Fatalf("envelope %s, want next_item 1, windows 1 and one committed record", body)
 	}
 
-	// The combined runs produce exactly the reference state.
-	for _, id := range []string{"patient-7", "patient-8"} {
-		if !bytes.Equal(marshalRecord(t, env.Server, id), marshalRecord(t, ref, id)) {
-			t.Fatalf("record %s diverged from the uninterrupted reference run", id)
-		}
+	status, body = httpReEncrypt(t, ts.URL, ownerID, items[envelope.NextItem:])
+	if status != http.StatusOK {
+		t.Fatalf("resume status %d: %s", status, body)
 	}
-
-	// Cursors are one-shot.
-	if _, err := remote.ResumeReEncryptBatch(failed.Cursor, 0); err == nil ||
-		!strings.Contains(err.Error(), "unknown batch cursor") {
-		t.Fatalf("spent cursor resumed: %v", err)
+	var rep2 HTTPBatchReEncryptResponse
+	if err := json.Unmarshal(body, &rep2); err != nil {
+		t.Fatal(err)
+	}
+	if rep2.NextItem != len(items)-1 || rep2.Ciphertexts != 4 {
+		t.Fatalf("resume report %+v, want the 4 uncommitted items", rep2)
+	}
+	if !bytes.Equal(snapshotBytes(t, env.Server), snapshotBytes(t, ref)) {
+		t.Fatal("batch + resubmission diverged from the uninterrupted reference run")
 	}
 }

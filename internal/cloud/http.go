@@ -8,7 +8,6 @@ import (
 	"net/http"
 
 	"maacs/internal/core"
-	"maacs/internal/engine"
 )
 
 // HTTP gateway: a second transport for the cloud server, exposing the same
@@ -20,8 +19,7 @@ import (
 //	GET  /records/{id}[?user=uid]       — fetch a record (optionally attributed)
 //	GET  /records/{id}/{label}[?user=uid] — fetch one component
 //	GET  /owners/{id}/ciphertexts       — list an owner's ciphertexts
-//	POST /owners/{id}/reencrypt         — submit a revocation re-encryption
-//	POST /owners/{id}/reencrypt/batch   — submit many update-info sets at once
+//	POST /owners/{id}/reencrypt/batch   — re-encrypt under update-info sets
 //	GET  /metrics                       — Prometheus text exposition
 //	GET  /metrics?format=json           — cumulative counters as JSON
 //	GET  /healthz                       — liveness
@@ -40,45 +38,22 @@ type HTTPRecord struct {
 	Components []HTTPComponent `json:"components"`
 }
 
-// HTTPReEncryptRequest is the JSON body of a re-encryption submission, and
-// one item of a batched submission.
+// HTTPReEncryptRequest is one update-info set of a re-encryption request.
 type HTTPReEncryptRequest struct {
 	UpdateKey   string   `json:"updateKey"`   // base64 core.UpdateKey
 	UpdateInfos []string `json:"updateInfos"` // base64 core.UpdateInfo each
 }
 
-// HTTPReEncryptResponse reports the proxy re-encryption work done, including
-// the engine activity this request caused.
-type HTTPReEncryptResponse struct {
-	Ciphertexts int          `json:"ciphertexts"`
-	Rows        int          `json:"rows"`
-	Engine      engine.Stats `json:"engine"`
-}
-
-// HTTPBatchReEncryptRequest is the JSON body of a batched submission: many
-// update-info sets streamed through bounded engine runs. Window caps how
-// many items fuse into one run; 0 uses the server's configured default.
+// HTTPBatchReEncryptRequest is the JSON body of a re-encryption request: the
+// update-info sets Server.ReEncrypt streams through the server's configured
+// window.
 type HTTPBatchReEncryptRequest struct {
-	Items  []HTTPReEncryptRequest `json:"items"`
-	Window int                    `json:"window,omitempty"`
+	Items []HTTPReEncryptRequest `json:"items"`
 }
 
-// HTTPBatchReEncryptResponse reports per-item and total work, the windowing
-// actually used (WindowSizes lists every window's item count, which vary
-// under adaptive sizing), the committed record IDs, and the summed engine
-// activity. NextItem is the index of the first unprocessed item — always
-// len(items) on success.
-type HTTPBatchReEncryptResponse struct {
-	Items       []ReEncryptResult `json:"items"`
-	Ciphertexts int               `json:"ciphertexts"`
-	Rows        int               `json:"rows"`
-	Window      int               `json:"window"`
-	WindowSizes []int             `json:"window_sizes,omitempty"`
-	Windows     int               `json:"windows"`
-	Committed   []string          `json:"committed"`
-	NextItem    int               `json:"next_item"`
-	Engine      engine.Stats      `json:"engine"`
-}
+// HTTPBatchReEncryptResponse is the JSON body of a committed re-encryption
+// request: the BatchReport itself.
+type HTTPBatchReEncryptResponse = BatchReport
 
 // HTTPHealth is the GET /healthz body: liveness plus a description of the
 // storage backend (engine, shard count, WAL state, records loaded). Status
@@ -127,8 +102,7 @@ func NewHTTPHandler(sys *core.System, server *Server) http.Handler {
 	mux.HandleFunc("DELETE /records/{id}", h.deleteRecord)
 	mux.HandleFunc("GET /records/{id}/{label}", h.fetchComponent)
 	mux.HandleFunc("GET /owners/{id}/ciphertexts", h.listCiphertexts)
-	mux.HandleFunc("POST /owners/{id}/reencrypt", h.reencrypt)
-	mux.HandleFunc("POST /owners/{id}/reencrypt/batch", h.reencryptBatch)
+	mux.HandleFunc("POST /owners/{id}/reencrypt/batch", h.reencrypt)
 	return mux
 }
 
@@ -273,38 +247,8 @@ func decodeReEncryptItem(sys *core.System, in HTTPReEncryptRequest) (ReEncryptIt
 }
 
 func (h *httpGateway) reencrypt(w http.ResponseWriter, r *http.Request) {
-	var in HTTPReEncryptRequest
-	if !decodeBody(w, r, &in) {
-		return
-	}
-	item, err := decodeReEncryptItem(h.sys, in)
-	if err != nil {
-		writeJSON(w, statusFor(err), httpError{Error: err.Error()})
-		return
-	}
-	report, err := h.server.ReEncrypt(r.PathValue("id"), item.UIs, item.UK)
-	if err != nil {
-		writeJSON(w, statusFor(err), httpError{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, HTTPReEncryptResponse{
-		Ciphertexts: report.Ciphertexts,
-		Rows:        report.Rows,
-		Engine:      report.Engine,
-	})
-}
-
-func (h *httpGateway) reencryptBatch(w http.ResponseWriter, r *http.Request) {
 	var in HTTPBatchReEncryptRequest
 	if !decodeBody(w, r, &in) {
-		return
-	}
-	if len(in.Items) == 0 {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "batch has no items"})
-		return
-	}
-	if in.Window < 0 {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "window must be non-negative"})
 		return
 	}
 	items := make([]ReEncryptItem, len(in.Items))
@@ -316,13 +260,7 @@ func (h *httpGateway) reencryptBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		items[i] = item
 	}
-	var report *BatchReport
-	var err error
-	if in.Window == 0 {
-		report, err = h.server.ReEncryptBatch(r.PathValue("id"), items)
-	} else {
-		report, err = h.server.ReEncryptBatchWindowed(r.PathValue("id"), items, in.Window)
-	}
+	report, err := h.server.ReEncrypt(r.PathValue("id"), items)
 	if err != nil {
 		e := httpError{Error: err.Error()}
 		if report != nil {
@@ -333,17 +271,7 @@ func (h *httpGateway) reencryptBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusFor(err), e)
 		return
 	}
-	writeJSON(w, http.StatusOK, HTTPBatchReEncryptResponse{
-		Items:       report.Items,
-		Ciphertexts: report.Ciphertexts,
-		Rows:        report.Rows,
-		Window:      report.Window,
-		WindowSizes: report.WindowSizes,
-		Windows:     report.Windows,
-		Committed:   report.Committed,
-		NextItem:    report.NextItem,
-		Engine:      report.Engine,
-	})
+	writeJSON(w, http.StatusOK, report)
 }
 
 func toHTTPRecord(rec *Record) HTTPRecord {

@@ -267,18 +267,15 @@ func TestHTTPRevocationFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := HTTPReEncryptRequest{
-		UpdateKey:   base64.StdEncoding.EncodeToString(uk.Marshal()),
-		UpdateInfos: []string{base64.StdEncoding.EncodeToString(uis[0].Marshal())},
-	}
-	reResp := postJSON(t, ts.URL+"/owners/hospital/reencrypt", req)
-	out := decodeJSON[HTTPReEncryptResponse](t, reResp)
+	req := HTTPBatchReEncryptRequest{Items: []HTTPReEncryptRequest{encodeReEncryptRequest(uk, uis)}}
+	reResp := postJSON(t, ts.URL+"/owners/hospital/reencrypt/batch", req)
+	out := decodeJSON[HTTPBatchReEncryptResponse](t, reResp)
 	if out.Ciphertexts != 1 || out.Rows != 1 {
 		t.Fatalf("re-encrypted %+v", out)
 	}
 
 	// Replaying the same re-encryption → version conflict.
-	reResp = postJSON(t, ts.URL+"/owners/hospital/reencrypt", req)
+	reResp = postJSON(t, ts.URL+"/owners/hospital/reencrypt/batch", req)
 	if reResp.StatusCode != http.StatusConflict {
 		t.Fatalf("replay status %d, want 409", reResp.StatusCode)
 	}

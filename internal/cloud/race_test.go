@@ -116,7 +116,7 @@ func TestFetchDuringReEncryptNoRace(t *testing.T) {
 		// Only re-encrypt once every reader holds its downloaded view, so the
 		// readers' lock-free reads genuinely overlap the component swaps.
 		ready.Wait()
-		report, err := env.Server.ReEncrypt(owner.Owner.ID(), uis, uk)
+		report, err := env.Server.ReEncrypt(owner.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: uis}})
 		if err != nil {
 			close(stop)
 			wg.Wait()
@@ -202,9 +202,10 @@ func TestMixedTrafficMetricsNoRace(t *testing.T) {
 
 	// Foreground: streamed re-encryptions with small windows, racing the
 	// readers above for the same slots and counters.
+	env.Server.SetBatchWindow(2)
 	for round := 0; round < 3; round++ {
 		uk, uis := revocationInputs(t, env, owner)
-		if _, err := env.Server.ReEncryptBatchWindowed(ownerID, perCiphertextItems(uk, uis), 2); err != nil {
+		if _, err := env.Server.ReEncrypt(ownerID, perCiphertextItems(uk, uis)); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 	}
@@ -261,7 +262,8 @@ func TestReEncryptFailureNotMetered(t *testing.T) {
 	uk, uis := revocationInputs(t, env, owner)
 
 	before := env.Acct.Bytes(ChanServerOwner)
-	if _, err := env.Server.ReEncrypt("ghost", uis, uk); !errors.Is(err, ErrUnknownOwner) {
+	items := []ReEncryptItem{{UK: uk, UIs: uis}}
+	if _, err := env.Server.ReEncrypt("ghost", items); !errors.Is(err, ErrUnknownOwner) {
 		t.Fatalf("got %v, want ErrUnknownOwner", err)
 	}
 	if got := env.Acct.Bytes(ChanServerOwner); got != before {
@@ -269,7 +271,7 @@ func TestReEncryptFailureNotMetered(t *testing.T) {
 	}
 
 	// The same inputs succeed against the real owner and are metered.
-	if _, err := env.Server.ReEncrypt(owner.Owner.ID(), uis, uk); err != nil {
+	if _, err := env.Server.ReEncrypt(owner.Owner.ID(), items); err != nil {
 		t.Fatal(err)
 	}
 	if got := env.Acct.Bytes(ChanServerOwner); got <= before {
@@ -285,7 +287,7 @@ func TestReEncryptBatchRejectsOverlap(t *testing.T) {
 	uk, uis := revocationInputs(t, env, owner)
 
 	items := []ReEncryptItem{{UK: uk, UIs: uis}, {UK: uk, UIs: uis}}
-	if _, err := env.Server.ReEncryptBatch(owner.Owner.ID(), items); !errors.Is(err, ErrDuplicateUpdateInfo) {
+	if _, err := env.Server.ReEncrypt(owner.Owner.ID(), items); !errors.Is(err, ErrDuplicateUpdateInfo) {
 		t.Fatalf("got %v, want ErrDuplicateUpdateInfo", err)
 	}
 
@@ -302,7 +304,7 @@ func TestReEncryptBatchRejectsOverlap(t *testing.T) {
 		}
 		i++
 	}
-	report, err := env.Server.ReEncryptBatch(owner.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: a}, {UK: uk, UIs: b}})
+	report, err := env.Server.ReEncrypt(owner.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: a}, {UK: uk, UIs: b}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestResponseCacheInvalidation(t *testing.T) {
 
 	// Re-encrypt: same record ID, updated ciphertext versions.
 	uk, uis := revocationInputs(t, env, owner)
-	if _, err := env.Server.ReEncrypt(owner.Owner.ID(), uis, uk); err != nil {
+	if _, err := env.Server.ReEncrypt(owner.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: uis}}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := env.Server.FetchRecordJSON("patient-7", "alice")
@@ -237,7 +237,7 @@ func TestResponseCacheStaleGenerationHammer(t *testing.T) {
 
 		// Re-encrypt the whole corpus (hits both records).
 		uk, uis := revocationInputs(t, env, owner)
-		if _, err := env.Server.ReEncrypt(owner.Owner.ID(), uis, uk); err != nil {
+		if _, err := env.Server.ReEncrypt(owner.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: uis}}); err != nil {
 			t.Fatal(err)
 		}
 		checkFresh("patient-7")

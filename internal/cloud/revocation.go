@@ -193,7 +193,7 @@ func (a *Authority) RevokeAttribute(revokedUID, attrName string) (*RevocationRep
 			if len(uiByCT) == 0 {
 				continue
 			}
-			reencReport, err := env.Server.ReEncrypt(oc.Owner.ID(), uiByCT, uk)
+			reencReport, err := env.Server.ReEncrypt(oc.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: uiByCT}})
 			if err != nil {
 				return nil, err
 			}

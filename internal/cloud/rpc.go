@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"maacs/internal/core"
-	"maacs/internal/engine"
 )
 
 // This file provides the networked deployment of the cloud server: a
@@ -54,119 +53,38 @@ type RPCCiphertextsReply struct {
 	Ciphertexts [][]byte
 }
 
-// RPCReEncryptArgs carries one revocation's re-encryption inputs.
+// RPCReEncryptArgs carries one owner's update-info sets for Server.ReEncrypt.
 type RPCReEncryptArgs struct {
-	OwnerID     string
-	UpdateKey   []byte   // core.UpdateKey wire encoding
-	UpdateInfos [][]byte // core.UpdateInfo wire encodings
-}
-
-// RPCReEncryptReply reports the proxy re-encryption work done, including the
-// engine activity the request caused.
-type RPCReEncryptReply struct {
-	Ciphertexts int
-	Rows        int
-	Engine      engine.Stats
-}
-
-// RPCReEncryptBatchArgs carries many update-info sets to stream through
-// bounded engine fan-outs. Window caps items per run (0 = the server's
-// configured default).
-type RPCReEncryptBatchArgs struct {
 	OwnerID string
 	Items   []RPCReEncryptItem
-	Window  int
 }
 
-// RPCReEncryptItem is one update-info set of a batched submission.
+// RPCReEncryptItem is one update-info set of a re-encryption request.
 type RPCReEncryptItem struct {
 	UpdateKey   []byte   // core.UpdateKey wire encoding
 	UpdateInfos [][]byte // core.UpdateInfo wire encodings
 }
 
-// RPCReEncryptBatchReply reports per-item and total work, the windowing
-// used, the committed record IDs and the summed engine activity. net/rpc
-// drops the reply on error, so a mid-batch partial commit is reported
-// through the reply instead: the RPC returns nil error, Failed carries the
-// failure message, Committed/NextItem describe the committed prefix, and
-// Cursor names a server-held continuation that ReEncryptBatchResume can
-// complete without resubmitting committed items. Only pre-validation
-// failures (malformed items, unknown owner, overlapping ciphertexts) are
-// plain RPC errors.
-type RPCReEncryptBatchReply struct {
-	Items       []ReEncryptResult
-	Ciphertexts int
-	Rows        int
-	Window      int
-	WindowSizes []int
-	Windows     int
-	Committed   []string
-	NextItem    int
-	Failed      string
-	Cursor      string
-	Engine      engine.Stats
+// RPCReEncryptReply carries the request's BatchReport. net/rpc drops the
+// reply on error, so a mid-batch failure is reported through the reply
+// instead: the call returns a nil error, Failed carries the failure message,
+// and Committed/NextItem describe the committed prefix — the client resumes
+// by resubmitting items[NextItem:]. Up-front rejections (malformed or
+// overlapping items, an empty batch, an unknown owner) are plain RPC errors.
+type RPCReEncryptReply struct {
+	BatchReport
+	Failed string
 }
-
-// batchCursor is the server-held continuation of a mid-failed batch: the
-// not-yet-committed suffix of the submission, the window it ran under, and
-// the absolute index of the suffix's first item in the original submission.
-type batchCursor struct {
-	ownerID string
-	items   []ReEncryptItem
-	window  int
-	base    int
-	seq     uint64
-}
-
-// maxBatchCursors bounds the continuations held for crashed or abandoned
-// clients; beyond it the oldest cursor is dropped.
-const maxBatchCursors = 64
 
 // ServerRPC exposes a *Server over net/rpc.
 type ServerRPC struct {
 	sys    *core.System
 	server *Server
-
-	mu        sync.Mutex
-	cursors   map[string]*batchCursor
-	cursorSeq uint64
 }
 
 // NewServerRPC wraps a server for RPC export.
 func NewServerRPC(sys *core.System, server *Server) *ServerRPC {
-	return &ServerRPC{sys: sys, server: server, cursors: make(map[string]*batchCursor)}
-}
-
-// saveCursor stores a continuation and returns its handle, evicting the
-// oldest cursor past the cap.
-func (s *ServerRPC) saveCursor(c *batchCursor) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cursorSeq++
-	c.seq = s.cursorSeq
-	id := fmt.Sprintf("batch-%06d", c.seq)
-	s.cursors[id] = c
-	for len(s.cursors) > maxBatchCursors {
-		oldID, oldSeq := "", uint64(0)
-		for cid, cur := range s.cursors {
-			if oldID == "" || cur.seq < oldSeq {
-				oldID, oldSeq = cid, cur.seq
-			}
-		}
-		delete(s.cursors, oldID)
-	}
-	return id
-}
-
-// takeCursor pops a continuation; cursors are one-shot.
-func (s *ServerRPC) takeCursor(id string) (*batchCursor, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.cursors[id]
-	if ok {
-		delete(s.cursors, id)
-	}
-	return c, ok
+	return &ServerRPC{sys: sys, server: server}
 }
 
 // Store handles record uploads.
@@ -241,27 +159,8 @@ func (s *ServerRPC) decodeRPCItem(updateKey []byte, updateInfos [][]byte) (ReEnc
 	return ReEncryptItem{UK: uk, UIs: uis}, nil
 }
 
-// ReEncrypt runs the proxy re-encryption for one revocation.
+// ReEncrypt runs Server.ReEncrypt under the server's configured window.
 func (s *ServerRPC) ReEncrypt(args *RPCReEncryptArgs, reply *RPCReEncryptReply) error {
-	item, err := s.decodeRPCItem(args.UpdateKey, args.UpdateInfos)
-	if err != nil {
-		return err
-	}
-	report, err := s.server.ReEncrypt(args.OwnerID, item.UIs, item.UK)
-	if err != nil {
-		return err
-	}
-	reply.Ciphertexts = report.Ciphertexts
-	reply.Rows = report.Rows
-	reply.Engine = report.Engine
-	return nil
-}
-
-// ReEncryptBatch streams many update-info sets through bounded engine runs.
-func (s *ServerRPC) ReEncryptBatch(args *RPCReEncryptBatchArgs, reply *RPCReEncryptBatchReply) error {
-	if args.Window < 0 {
-		return fmt.Errorf("cloud: window must be non-negative, got %d", args.Window)
-	}
 	items := make([]ReEncryptItem, len(args.Items))
 	for i, it := range args.Items {
 		item, err := s.decodeRPCItem(it.UpdateKey, it.UpdateInfos)
@@ -270,72 +169,15 @@ func (s *ServerRPC) ReEncryptBatch(args *RPCReEncryptBatchArgs, reply *RPCReEncr
 		}
 		items[i] = item
 	}
-	return s.runBatch(args.OwnerID, items, args.Window, 0, reply)
-}
-
-// runBatch executes a (possibly resumed) batch and fills the reply. base is
-// the absolute index of items[0] in the client's original submission, so
-// NextItem and any new cursor stay in the client's frame across resumes.
-func (s *ServerRPC) runBatch(ownerID string, items []ReEncryptItem, window, base int, reply *RPCReEncryptBatchReply) error {
-	var report *BatchReport
-	var err error
-	if window == 0 {
-		report, err = s.server.ReEncryptBatch(ownerID, items)
-	} else {
-		report, err = s.server.ReEncryptBatchWindowed(ownerID, items, window)
+	report, err := s.server.ReEncrypt(args.OwnerID, items)
+	if report == nil {
+		return err // rejected up front: nothing ran
 	}
-	if err != nil && report == nil {
-		return err // failed validation: nothing ran, nothing to resume
-	}
-	reply.Items = report.Items
-	reply.Ciphertexts = report.Ciphertexts
-	reply.Rows = report.Rows
-	reply.Window = report.Window
-	reply.WindowSizes = report.WindowSizes
-	reply.Windows = report.Windows
-	reply.Committed = report.Committed
-	reply.NextItem = base + report.NextItem
-	reply.Engine = report.Engine
+	reply.BatchReport = *report
 	if err != nil {
-		// Mid-batch failure: the committed prefix stays committed. Hold the
-		// uncommitted suffix server-side and hand the client a cursor, so the
-		// reply (which net/rpc would drop on a non-nil error) can carry both
-		// the partial report and the continuation.
 		reply.Failed = err.Error()
-		reply.Cursor = s.saveCursor(&batchCursor{
-			ownerID: ownerID,
-			items:   items[report.NextItem:],
-			window:  window,
-			base:    base + report.NextItem,
-		})
 	}
 	return nil
-}
-
-// RPCResumeBatchArgs continues a mid-failed batch from its cursor. Window
-// overrides the original submission's window when positive.
-type RPCResumeBatchArgs struct {
-	Cursor string
-	Window int
-}
-
-// ReEncryptBatchResume re-runs the uncommitted suffix of a mid-failed batch.
-// Cursors are one-shot: a resume that fails again returns a fresh cursor.
-// Item results are indexed relative to the resumed suffix; NextItem stays in
-// the original submission's frame.
-func (s *ServerRPC) ReEncryptBatchResume(args *RPCResumeBatchArgs, reply *RPCReEncryptBatchReply) error {
-	if args.Window < 0 {
-		return fmt.Errorf("cloud: window must be non-negative, got %d", args.Window)
-	}
-	c, ok := s.takeCursor(args.Cursor)
-	if !ok {
-		return fmt.Errorf("cloud: unknown batch cursor %q", args.Cursor)
-	}
-	window := c.window
-	if args.Window > 0 {
-		window = args.Window
-	}
-	return s.runBatch(c.ownerID, c.items, window, c.base, reply)
 }
 
 // Metrics returns the server's cumulative counters.
@@ -482,94 +324,25 @@ func (r *RemoteServer) CiphertextsOf(ownerID string) ([]*core.Ciphertext, error)
 	return out, nil
 }
 
-// ReEncrypt submits one revocation's proxy re-encryption.
-func (r *RemoteServer) ReEncrypt(ownerID string, uis map[string]*core.UpdateInfo, uk *core.UpdateKey) (*ReEncryptReport, error) {
-	args := &RPCReEncryptArgs{OwnerID: ownerID, UpdateKey: uk.Marshal()}
-	for _, ui := range uis {
-		args.UpdateInfos = append(args.UpdateInfos, ui.Marshal())
-	}
-	var reply RPCReEncryptReply
-	if err := r.client.Call("CloudServer.ReEncrypt", args, &reply); err != nil {
-		return nil, err
-	}
-	return &ReEncryptReport{
-		Items:       []ReEncryptResult{{Ciphertexts: reply.Ciphertexts, Rows: reply.Rows}},
-		Ciphertexts: reply.Ciphertexts,
-		Rows:        reply.Rows,
-		Engine:      reply.Engine,
-	}, nil
-}
-
-// ReEncryptBatch submits many update-info sets for streaming re-encryption
-// under the server's configured window.
-func (r *RemoteServer) ReEncryptBatch(ownerID string, items []ReEncryptItem) (*BatchReport, error) {
-	return r.ReEncryptBatchWindowed(ownerID, items, 0)
-}
-
-// ReEncryptBatchWindowed submits a batch with an explicit window cap
-// (0 = the server's configured default).
-func (r *RemoteServer) ReEncryptBatchWindowed(ownerID string, items []ReEncryptItem, window int) (*BatchReport, error) {
-	args := &RPCReEncryptBatchArgs{
-		OwnerID: ownerID,
-		Items:   make([]RPCReEncryptItem, len(items)),
-		Window:  window,
-	}
+// ReEncrypt mirrors Server.ReEncrypt over the wire. On a mid-batch failure
+// it returns the partial report alongside an rpc.ServerError carrying the
+// server's message; the caller resumes by resubmitting items[NextItem:].
+func (r *RemoteServer) ReEncrypt(ownerID string, items []ReEncryptItem) (*BatchReport, error) {
+	args := &RPCReEncryptArgs{OwnerID: ownerID, Items: make([]RPCReEncryptItem, len(items))}
 	for i, it := range items {
 		args.Items[i].UpdateKey = it.UK.Marshal()
 		for _, ui := range it.UIs {
 			args.Items[i].UpdateInfos = append(args.Items[i].UpdateInfos, ui.Marshal())
 		}
 	}
-	var reply RPCReEncryptBatchReply
-	if err := r.client.Call("CloudServer.ReEncryptBatch", args, &reply); err != nil {
+	var reply RPCReEncryptReply
+	if err := r.client.Call("CloudServer.ReEncrypt", args, &reply); err != nil {
 		return nil, err
-	}
-	return batchReplyToReport(&reply)
-}
-
-// ResumeReEncryptBatch continues a mid-failed batch from the cursor a prior
-// *BatchFailedError carried, committing only the remaining items. window
-// overrides the original window when positive. The returned report covers
-// only the resumed suffix, except NextItem which stays in the original
-// submission's frame.
-func (r *RemoteServer) ResumeReEncryptBatch(cursor string, window int) (*BatchReport, error) {
-	var reply RPCReEncryptBatchReply
-	if err := r.client.Call("CloudServer.ReEncryptBatchResume", &RPCResumeBatchArgs{Cursor: cursor, Window: window}, &reply); err != nil {
-		return nil, err
-	}
-	return batchReplyToReport(&reply)
-}
-
-// BatchFailedError reports a batch that failed after committing a prefix.
-// The accompanying BatchReport names the committed records, and Cursor
-// resumes the remainder via ResumeReEncryptBatch.
-type BatchFailedError struct {
-	Msg    string
-	Cursor string
-}
-
-func (e *BatchFailedError) Error() string { return e.Msg }
-
-// batchReplyToReport folds an RPC batch reply into the in-process report
-// shape. A reply carrying Failed becomes a *BatchFailedError alongside the
-// partial report, mirroring the in-process (report, error) contract.
-func batchReplyToReport(reply *RPCReEncryptBatchReply) (*BatchReport, error) {
-	report := &BatchReport{
-		Items:       reply.Items,
-		Ciphertexts: reply.Ciphertexts,
-		Rows:        reply.Rows,
-		Window:      reply.Window,
-		WindowSizes: reply.WindowSizes,
-		Windows:     reply.Windows,
-		Committed:   reply.Committed,
-		NextItem:    reply.NextItem,
-		Cursor:      reply.Cursor,
-		Engine:      reply.Engine,
 	}
 	if reply.Failed != "" {
-		return report, &BatchFailedError{Msg: reply.Failed, Cursor: reply.Cursor}
+		return &reply.BatchReport, rpc.ServerError(reply.Failed)
 	}
-	return report, nil
+	return &reply.BatchReport, nil
 }
 
 // Health fetches the server's storage backend description.

@@ -16,21 +16,7 @@ import (
 func rpcFixture(t *testing.T) (*Env, *RemoteServer) {
 	t.Helper()
 	env := NewEnv(core.NewSystem(pairing.Test()), rand.Reader)
-	listener, addr, err := ServeRPC(env.Sys, env.Server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := listener.Close(); err != nil {
-			t.Errorf("close listener: %v", err)
-		}
-	})
-	remote, err := DialServer(env.Sys, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
-	return env, remote
+	return env, remoteFor(t, env.Sys, env.Server)
 }
 
 // buildRecord produces an uploadable record without going through the
@@ -154,7 +140,7 @@ func TestRPCRevocationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	uiMap := map[string]*core.UpdateInfo{uis[0].CiphertextID: uis[0]}
-	reencReport, err := remote.ReEncrypt("hospital", uiMap, uk)
+	reencReport, err := remote.ReEncrypt("hospital", []ReEncryptItem{{UK: uk, UIs: uiMap}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,8 @@ var (
 	// re-encryption committed, or the record was deleted) between a window's
 	// snapshot and its commit; the window was not applied.
 	ErrReEncryptConflict = errors.New("cloud: concurrent modification during re-encryption")
+	// ErrEmptyBatch rejects a re-encryption request that carries no items.
+	ErrEmptyBatch = errors.New("cloud: re-encryption batch has no items")
 )
 
 // StoredComponent is one cell of the Fig. 2 record format: the CP-ABE
@@ -91,21 +93,10 @@ type ReEncryptResult struct {
 	Rows        int `json:"rows"`
 }
 
-// ReEncryptReport is the full outcome of a re-encryption request: per-item
-// counts, their totals, and the engine activity the request caused (jobs,
-// PairProd chunks, cache hits/misses, wall time).
-type ReEncryptReport struct {
-	Items       []ReEncryptResult `json:"items"`
-	Ciphertexts int               `json:"ciphertexts"`
-	Rows        int               `json:"rows"`
-	Engine      engine.Stats      `json:"engine"`
-}
-
-// BatchReport is the outcome of a (possibly windowed) batched re-encryption.
-// Unlike the all-or-nothing single-item path, a windowed batch commits window
-// by window: on a mid-batch failure the error names the offending record and
-// Committed lists exactly the record IDs whose slots were already replaced —
-// the caller resubmits only the remainder.
+// BatchReport is the outcome of a re-encryption request. The request commits
+// window by window: on a mid-batch failure the error names the offending
+// record and Committed lists exactly the record IDs whose slots were already
+// replaced — the caller resubmits only items[NextItem:].
 type BatchReport struct {
 	// Items holds per-item counts (zero for items whose window never
 	// committed).
@@ -113,9 +104,9 @@ type BatchReport struct {
 	// Ciphertexts and Rows total the committed work.
 	Ciphertexts int `json:"ciphertexts"`
 	Rows        int `json:"rows"`
-	// Window is the item cap per engine run this batch started with (0 = the
-	// whole batch fused into one run). Under adaptive sizing later windows
-	// may differ; WindowSizes holds what actually ran.
+	// Window is the item cap per engine run this batch started with (the
+	// whole batch when the server is unwindowed). Under adaptive sizing later
+	// windows may differ; WindowSizes holds what actually ran.
 	Window int `json:"window"`
 	// Windows counts the engine runs performed (committed windows plus, on
 	// failure, none for the failing window).
@@ -126,16 +117,11 @@ type BatchReport struct {
 	WindowSizes []int `json:"window_sizes,omitempty"`
 	// NextItem is the index of the first item whose window did not commit:
 	// len(Items) after a fully committed batch, the failing window's first
-	// item after a mid-batch failure. A client resumes by resubmitting
-	// items[NextItem:] (the RPC transport holds them server-side under
-	// BatchReport.Cursor).
+	// item after a mid-batch failure. A client on any transport resumes by
+	// resubmitting items[NextItem:].
 	NextItem int `json:"next_item"`
 	// Committed lists the record IDs whose components were replaced, sorted.
 	Committed []string `json:"committed"`
-	// Cursor, set only by the RPC transport on a mid-batch failure, names the
-	// server-held remainder of this batch; CloudServer.ReEncryptBatchResume
-	// continues from it without resubmitting committed items.
-	Cursor string `json:"cursor,omitempty"`
 	// Engine sums the engine activity of every committed window's run.
 	Engine engine.Stats `json:"engine"`
 }
@@ -296,10 +282,9 @@ func (s *Server) Close() error { return s.store.Close() }
 // GET /healthz.
 func (s *Server) StoreInfo() StoreInfo { return s.store.Info() }
 
-// SetBatchWindow configures the default window for ReEncryptBatch: at most n
-// update-info sets are fused into one engine run, with the commit applied per
-// window. n <= 0 restores the unwindowed default (the whole batch in one
-// run).
+// SetBatchWindow configures the window of ReEncrypt: at most n update-info
+// sets are fused into one engine run, with the commit applied per window.
+// n <= 0 restores the unwindowed default (the whole batch in one run).
 func (s *Server) SetBatchWindow(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -309,19 +294,12 @@ func (s *Server) SetBatchWindow(n int) {
 	s.window = n
 }
 
-// BatchWindow reports the configured default window (0 = unwindowed).
-func (s *Server) BatchWindow() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.window
-}
-
-// SetBatchWindowTarget enables adaptive window sizing for windowed batches:
-// after each committed window the server rescales the next window so one
-// engine run takes roughly d of wall time, using the previous window's
-// measured per-item cost. d <= 0 disables adaptation (windows stay at the
-// requested fixed size). The target only applies to windowed submissions —
-// an unwindowed batch (window <= 0) still fuses everything into one run.
+// SetBatchWindowTarget enables adaptive window sizing: after each committed
+// window the server rescales the next window so one engine run takes roughly
+// d of wall time, using the previous window's measured per-item cost. d <= 0
+// disables adaptation (windows stay at the SetBatchWindow size). The target
+// only applies to a windowed server — an unwindowed one still fuses every
+// batch into one run.
 func (s *Server) SetBatchWindowTarget(d time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,14 +307,6 @@ func (s *Server) SetBatchWindowTarget(d time.Duration) {
 		d = 0
 	}
 	s.windowTarget = d
-}
-
-// BatchWindowTarget reports the adaptive window wall-time target
-// (0 = adaptation disabled).
-func (s *Server) BatchWindowTarget() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.windowTarget
 }
 
 // ownerStatsLocked returns the mutable per-owner counter row, creating it on
@@ -555,47 +525,33 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
-// ReEncrypt runs the proxy re-encryption for one revocation: it applies the
-// owner-supplied update information to every affected stored ciphertext. It
-// is the single-item, single-window form of ReEncryptBatch: on error no
-// stored ciphertext is replaced and nothing is metered.
-func (s *Server) ReEncrypt(ownerID string, uis map[string]*core.UpdateInfo, uk *core.UpdateKey) (*ReEncryptReport, error) {
-	rep, err := s.ReEncryptBatchWindowed(ownerID, []ReEncryptItem{{UK: uk, UIs: uis}}, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &ReEncryptReport{
-		Items:       rep.Items,
-		Ciphertexts: rep.Ciphertexts,
-		Rows:        rep.Rows,
-		Engine:      rep.Engine,
-	}, nil
-}
-
-// ReEncryptBatch streams many update-info sets through the server's
-// configured window (SetBatchWindow; unwindowed by default). See
-// ReEncryptBatchWindowed for the streaming semantics.
-func (s *Server) ReEncryptBatch(ownerID string, items []ReEncryptItem) (*BatchReport, error) {
-	return s.ReEncryptBatchWindowed(ownerID, items, s.BatchWindow())
-}
-
-// ReEncryptBatchWindowed streams a batch of update-info sets through bounded
-// engine runs of at most window items each (window <= 0 fuses the whole batch
-// into one run). Windows are pipelined: each window snapshots its slots from
-// the store, fans out with no lock held — so downloads and uploads proceed
-// while the expensive group arithmetic runs — and commits its swaps
-// atomically through Store.ReplaceIfUnchanged, which re-validates that every
-// slot still holds the snapshot it was computed from (ErrReEncryptConflict
-// otherwise). Under a sharded store the commit takes only the owner's shard
-// lock, so it cannot delay another owner's traffic.
+// ReEncrypt runs the server's half of a revocation (Section V-C, data
+// re-encryption): it applies each item's owner-supplied update information to
+// the affected stored ciphertexts. It is the one re-encryption entry point;
+// RPC CloudServer.ReEncrypt, RemoteServer.ReEncrypt and HTTP
+// POST /owners/{id}/reencrypt/batch all call it.
+//
+// The items stream through bounded engine runs of at most SetBatchWindow
+// items each (unwindowed by default: the whole batch in one run), resized
+// after every window when SetBatchWindowTarget is set. Each window snapshots
+// its slots from the store, fans out with no lock held — so downloads and
+// uploads proceed while the expensive group arithmetic runs — and commits its
+// swaps atomically through Store.ReplaceIfUnchanged, which re-validates that
+// every slot still holds the snapshot it was computed from
+// (ErrReEncryptConflict otherwise). Under a sharded store the commit takes
+// only the owner's shard lock, so it cannot delay another owner's traffic.
 //
 // Items must target disjoint ciphertexts — chained version updates of the
-// same ciphertext need sequential requests. Each window is all-or-nothing
-// and metered only on commit; on a mid-batch failure earlier windows stay
-// committed and the returned BatchReport names exactly the committed record
-// IDs alongside the error.
-func (s *Server) ReEncryptBatchWindowed(ownerID string, items []ReEncryptItem, window int) (*BatchReport, error) {
+// same ciphertext need sequential requests. An empty batch, overlapping items
+// and an unknown owner are rejected up front with a nil report and nothing
+// metered. Each window is all-or-nothing and metered only on commit; on a
+// mid-batch failure earlier windows stay committed and the returned
+// BatchReport names exactly the committed record IDs alongside the error.
+func (s *Server) ReEncrypt(ownerID string, items []ReEncryptItem) (*BatchReport, error) {
 	defer s.observe(opReEncrypt, time.Now())
+	if len(items) == 0 {
+		return nil, ErrEmptyBatch
+	}
 	// An update-info set applies to exactly one stored slot; overlapping
 	// items would make two jobs race for the same slot (and the fused run
 	// cannot order chained version bumps), so reject them up front.
@@ -618,10 +574,11 @@ func (s *Server) ReEncryptBatchWindowed(ownerID string, items []ReEncryptItem, w
 		return nil, fmt.Errorf("%w: %q has no stored records", ErrUnknownOwner, ownerID)
 	}
 
-	// Adaptive sizing only applies to windowed submissions: an unwindowed
-	// batch explicitly asks for one fused run, so the target never splits it.
-	target := s.BatchWindowTarget()
-	adaptive := target > 0 && window > 0
+	s.mu.Lock()
+	window, target := s.window, s.windowTarget
+	s.mu.Unlock()
+	// An unwindowed server runs the whole batch as one window, which leaves
+	// no later window for the adaptive target to resize.
 	if window <= 0 || window > len(items) {
 		window = len(items)
 	}
@@ -648,7 +605,7 @@ func (s *Server) ReEncryptBatchWindowed(ownerID string, items []ReEncryptItem, w
 			return report, err
 		}
 		report.WindowSizes = append(report.WindowSizes, end-start)
-		if adaptive && end < len(items) {
+		if target > 0 && end < len(items) {
 			size = nextWindowSize(size, end-start, stats.WallNs, target)
 		}
 		start = end

@@ -512,7 +512,7 @@ func TestShardedStoreMixedRace(t *testing.T) {
 					errc <- fmt.Errorf("owner %d round %d: no update info", i, r)
 					return
 				}
-				if _, err := env.Server.ReEncrypt(oc.Owner.ID(), uis, uk); err != nil {
+				if _, err := env.Server.ReEncrypt(oc.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: uis}}); err != nil {
 					errc <- err
 					return
 				}

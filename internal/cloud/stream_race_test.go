@@ -116,7 +116,7 @@ func TestStreamingBatchRace(t *testing.T) {
 		})
 
 		ready.Wait()
-		report, err := env.Server.ReEncryptBatch(ownerID, items)
+		report, err := env.Server.ReEncrypt(ownerID, items)
 		close(stop)
 		wg.Wait()
 		if err != nil {

@@ -56,24 +56,15 @@ func TestReEncryptBatchWindowedMatchesUnwindowed(t *testing.T) {
 	}
 
 	// Seed two identical servers from a snapshot of the live one.
-	var seed bytes.Buffer
-	if err := env.Server.Snapshot(&seed); err != nil {
-		t.Fatal(err)
-	}
-	fresh := func() *Server {
-		s := NewServer(env.Sys, nil)
-		if err := s.Restore(bytes.NewReader(seed.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	seed, fresh := restorer(t, env)
 	unwin, win := fresh(), fresh()
+	win.SetBatchWindow(2)
 
-	repU, err := unwin.ReEncryptBatchWindowed(ownerID, items, 0)
+	repU, err := unwin.ReEncrypt(ownerID, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repW, err := win.ReEncryptBatchWindowed(ownerID, items, 2)
+	repW, err := win.ReEncrypt(ownerID, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,30 +84,20 @@ func TestReEncryptBatchWindowedMatchesUnwindowed(t *testing.T) {
 	}
 
 	// Bit-identical stored state (Snapshot marshals every ciphertext).
-	var su, sw bytes.Buffer
-	if err := unwin.Snapshot(&su); err != nil {
-		t.Fatal(err)
-	}
-	if err := win.Snapshot(&sw); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(su.Bytes(), sw.Bytes()) {
+	su := snapshotBytes(t, unwin)
+	if !bytes.Equal(su, snapshotBytes(t, win)) {
 		t.Fatal("windowed batch diverged from unwindowed batch")
 	}
-	if bytes.Equal(su.Bytes(), seed.Bytes()) {
+	if bytes.Equal(su, seed) {
 		t.Fatal("re-encryption did not change the stored ciphertexts")
 	}
 
-	// The single-item ReEncrypt path over the same update infos agrees too.
-	if _, err := env.Server.ReEncrypt(ownerID, uis, uk); err != nil {
+	// One item carrying the whole update-info set agrees too.
+	if _, err := env.Server.ReEncrypt(ownerID, []ReEncryptItem{{UK: uk, UIs: uis}}); err != nil {
 		t.Fatal(err)
 	}
-	var se bytes.Buffer
-	if err := env.Server.Snapshot(&se); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(se.Bytes(), su.Bytes()) {
-		t.Fatal("batched path diverged from the single-item ReEncrypt path")
+	if !bytes.Equal(snapshotBytes(t, env.Server), su) {
+		t.Fatal("per-ciphertext items diverged from one item carrying every update info")
 	}
 
 	// Per-owner attribution on the windowed server.
@@ -146,32 +127,26 @@ func TestReEncryptBatchAdaptiveMatchesFixed(t *testing.T) {
 	uk, uis := revocationInputs(t, env, owner)
 	items := perCiphertextItems(uk, uis)
 
-	var seed bytes.Buffer
-	if err := env.Server.Snapshot(&seed); err != nil {
-		t.Fatal(err)
-	}
-	fresh := func() *Server {
-		s := NewServer(env.Sys, nil)
-		if err := s.Restore(bytes.NewReader(seed.Bytes())); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
+	seed, fresh := restorer(t, env)
 	fixed, adaptive, unwin := fresh(), fresh(), fresh()
+	fixed.SetBatchWindow(2)
+	adaptive.SetBatchWindow(2)
 
-	repF, err := fixed.ReEncryptBatchWindowed(ownerID, items, 2)
+	repF, err := fixed.ReEncrypt(ownerID, items)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A generous target lets the adaptive run grow past the initial window; a
 	// tiny target would shrink back to 1-item windows. Either way the output
-	// must not change.
+	// must not change. The unwindowed server gets the same target, which it
+	// must ignore.
 	adaptive.SetBatchWindowTarget(time.Minute)
-	repA, err := adaptive.ReEncryptBatchWindowed(ownerID, items, 2)
+	unwin.SetBatchWindowTarget(time.Minute)
+	repA, err := adaptive.ReEncrypt(ownerID, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repU, err := unwin.ReEncryptBatchWindowed(ownerID, items, 0)
+	repU, err := unwin.ReEncrypt(ownerID, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +165,7 @@ func TestReEncryptBatchAdaptiveMatchesFixed(t *testing.T) {
 		}
 	}
 	if repF.WindowSizes[0] != 2 || repA.WindowSizes[0] != 2 {
-		t.Fatalf("first window must honour the submitted cap: fixed %v, adaptive %v",
+		t.Fatalf("first window must honour the configured cap: fixed %v, adaptive %v",
 			repF.WindowSizes, repA.WindowSizes)
 	}
 	// The unwindowed run ignores the target entirely.
@@ -198,22 +173,14 @@ func TestReEncryptBatchAdaptiveMatchesFixed(t *testing.T) {
 		t.Fatalf("unwindowed run split into %d windows", repU.Windows)
 	}
 
-	var sf, sa, su bytes.Buffer
-	for _, c := range []struct {
-		s *Server
-		b *bytes.Buffer
-	}{{fixed, &sf}, {adaptive, &sa}, {unwin, &su}} {
-		if err := c.s.Snapshot(c.b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !bytes.Equal(sf.Bytes(), sa.Bytes()) {
+	sf := snapshotBytes(t, fixed)
+	if !bytes.Equal(sf, snapshotBytes(t, adaptive)) {
 		t.Fatal("adaptive windowing diverged from fixed windowing")
 	}
-	if !bytes.Equal(sf.Bytes(), su.Bytes()) {
+	if !bytes.Equal(sf, snapshotBytes(t, unwin)) {
 		t.Fatal("windowed runs diverged from the unwindowed run")
 	}
-	if bytes.Equal(sf.Bytes(), seed.Bytes()) {
+	if bytes.Equal(sf, seed) {
 		t.Fatal("re-encryption did not change the stored ciphertexts")
 	}
 }
@@ -228,13 +195,13 @@ func TestNextWindowSize(t *testing.T) {
 		target time.Duration
 		want   int
 	}{
-		{2, 2, int64(20 * time.Millisecond), 100 * time.Millisecond, 8},   // 10ms/item → 10 items, capped at 4x
-		{4, 4, int64(4 * time.Millisecond), 100 * time.Millisecond, 16},   // 1ms/item → 100, capped at 16
-		{8, 8, int64(800 * time.Millisecond), 100 * time.Millisecond, 1},  // 100ms/item → 1
-		{8, 8, int64(400 * time.Millisecond), 100 * time.Millisecond, 2},  // 50ms/item → 2
-		{3, 3, 0, 100 * time.Millisecond, 12},                             // no measurement → grow 4x
-		{0, 0, 0, 100 * time.Millisecond, 4},                              // degenerate prev clamps to 1, then 4x
-		{5, 5, int64(50 * time.Millisecond), 50 * time.Millisecond, 5},    // on target → hold
+		{2, 2, int64(20 * time.Millisecond), 100 * time.Millisecond, 8},  // 10ms/item → 10 items, capped at 4x
+		{4, 4, int64(4 * time.Millisecond), 100 * time.Millisecond, 16},  // 1ms/item → 100, capped at 16
+		{8, 8, int64(800 * time.Millisecond), 100 * time.Millisecond, 1}, // 100ms/item → 1
+		{8, 8, int64(400 * time.Millisecond), 100 * time.Millisecond, 2}, // 50ms/item → 2
+		{3, 3, 0, 100 * time.Millisecond, 12},                            // no measurement → grow 4x
+		{0, 0, 0, 100 * time.Millisecond, 4},                             // degenerate prev clamps to 1, then 4x
+		{5, 5, int64(50 * time.Millisecond), 50 * time.Millisecond, 5},   // on target → hold
 	}
 	for _, c := range cases {
 		if got := nextWindowSize(c.prev, c.did, c.wallNs, c.target); got != c.want {
@@ -258,7 +225,7 @@ func TestReEncryptBatchMidFailureReportsCommitted(t *testing.T) {
 
 	// Rekey once and apply it, so uis1 becomes stale...
 	uk1, uis1 := revocationInputs(t, env, owner)
-	if _, err := env.Server.ReEncrypt(ownerID, uis1, uk1); err != nil {
+	if _, err := env.Server.ReEncrypt(ownerID, []ReEncryptItem{{UK: uk1, UIs: uis1}}); err != nil {
 		t.Fatal(err)
 	}
 	// ...then rekey again for a current update-info set.
@@ -295,7 +262,8 @@ func TestReEncryptBatchMidFailureReportsCommitted(t *testing.T) {
 	m0 := env.Server.Metrics()
 
 	items := []ReEncryptItem{{UK: uk2, UIs: valid}, {UK: uk2, UIs: stale}}
-	report, err := env.Server.ReEncryptBatchWindowed(ownerID, items, 1)
+	env.Server.SetBatchWindow(1)
+	report, err := env.Server.ReEncrypt(ownerID, items)
 	if err == nil {
 		t.Fatal("stale window committed")
 	}
@@ -344,7 +312,7 @@ func TestReEncryptBatchMidFailureReportsCommitted(t *testing.T) {
 	}
 
 	// Recovery: resubmitting only the uncommitted remainder succeeds.
-	rep2, err := env.Server.ReEncryptBatchWindowed(ownerID, []ReEncryptItem{{UK: uk2, UIs: remainder}}, 1)
+	rep2, err := env.Server.ReEncrypt(ownerID, []ReEncryptItem{{UK: uk2, UIs: remainder}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,6 +321,31 @@ func TestReEncryptBatchMidFailureReportsCommitted(t *testing.T) {
 	}
 	if bytes.Equal(before, marshalRecord(t, env.Server, "patient-8")) {
 		t.Fatal("recovery batch did not re-encrypt")
+	}
+}
+
+// snapshotBytes returns the server's snapshot, which marshals every stored
+// ciphertext in a deterministic order.
+func snapshotBytes(t *testing.T, s *Server) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// restorer snapshots env.Server and returns the snapshot plus a constructor
+// for fresh servers restored from it.
+func restorer(t *testing.T, env *Env) ([]byte, func() *Server) {
+	t.Helper()
+	seed := snapshotBytes(t, env.Server)
+	return seed, func() *Server {
+		s := NewServer(env.Sys, nil)
+		if err := s.Restore(bytes.NewReader(seed)); err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 }
 

@@ -4,6 +4,28 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# need PKG RE: fail unless every |-separated alternative of RE names at
+# least one test, benchmark or fuzz target in PKG. go test exits 0 with
+# "[no tests to run]" (or "no fuzz tests to fuzz") when a selector matches
+# nothing, so a renamed test would otherwise drop out of its gate silently.
+need() {
+	list=$(go test -list "$2" "$1")
+	for alt in $(printf '%s\n' "$2" | tr '|' ' '); do
+		if ! printf '%s\n' "$list" | grep -Eq "$alt"; then
+			echo "check.sh: '$alt' names nothing in $1" >&2
+			exit 1
+		fi
+	done
+}
+
+# gate PKG RE FLAGS...: need PKG RE, then go test FLAGS -run RE PKG.
+gate() {
+	pkg=$1 re=$2
+	shift 2
+	need "$pkg" "$re"
+	go test "$@" -run "$re" "$pkg"
+}
+
 echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
@@ -13,37 +35,42 @@ go test -race -short ./...
 echo "== go test -race ./internal/cloud/..."
 go test -race -count=1 ./internal/cloud/...
 echo "== streaming-batch race gate"
-go test -race -count=2 -run 'TestStreamingBatchRace|TestFetchDuringReEncryptNoRace' ./internal/cloud/
+gate ./internal/cloud/ 'TestStreamingBatchRace|TestFetchDuringReEncryptNoRace' -race -count=2
 echo "== storage race gate: crash recovery + sharded mixed traffic"
-go test -race -count=2 -run 'TestFileStoreCrashRecovery|TestShardedStoreMixedRace' ./internal/cloud/
+gate ./internal/cloud/ 'TestFileStoreCrashRecovery|TestShardedStoreMixedRace' -race -count=2
 echo "== group-commit race gate: concurrent writers + kill-at-any-point"
-go test -race -count=2 -run 'TestFileStoreGroupCommit|TestFileStoreKillAnywhere' ./internal/cloud/
+gate ./internal/cloud/ 'TestFileStoreGroupCommit|TestFileStoreKillAnywhere' -race -count=2
 echo "== WAL fault-injection gate: append faults, compaction faults, partial restore"
-go test -count=1 -run 'TestFileStoreAppendFaultTruncates|TestFileStoreCompactFault|TestFileStoreCompactionCrashBeforeDelete|TestShardedStoreRestorePartialFailure' ./internal/cloud/
+gate ./internal/cloud/ 'TestFileStoreAppendFaultTruncates|TestFileStoreCompactFault|TestFileStoreCompactionCrashBeforeDelete|TestShardedStoreRestorePartialFailure' -count=1
 echo "== cloud suite on the file backend (MAACS_STORE=file)"
 MAACS_STORE=file go test -count=1 ./internal/cloud/
 echo "== cloud suite on the sharded file backend (MAACS_STORE=sharded-file)"
 MAACS_STORE=sharded-file go test -count=1 ./internal/cloud/
 echo "== load-smoke gate: open-loop harness vs live server, both transports"
-go test -race -count=1 -run 'TestMeasureLoadSmoke' ./internal/bench/
+gate ./internal/bench/ 'TestMeasureLoadSmoke' -race -count=1
 echo "== response-cache gate: byte differential + stale-generation hammer (race)"
-go test -race -count=2 -run 'TestResponseCacheDifferentialBytes|TestResponseCacheStaleGenerationHammer|TestResponseCacheSingleFlight' ./internal/cloud/
+gate ./internal/cloud/ 'TestResponseCacheDifferentialBytes|TestResponseCacheStaleGenerationHammer|TestResponseCacheSingleFlight' -race -count=2
 echo "== response-cache alloc pin: zero-alloc steady-state hit path (race off: AllocsPerRun)"
-go test -count=1 -run 'TestResponseCacheZeroAllocHit' ./internal/cloud/
+gate ./internal/cloud/ 'TestResponseCacheZeroAllocHit' -count=1
 echo "== fetchpath bench smoke: cached vs uncached read path"
-go test -count=1 -run 'TestMeasureFetchPathSmoke' ./internal/bench/
+gate ./internal/bench/ 'TestMeasureFetchPathSmoke' -count=1
 echo "== histogram-exposition lint: /metrics le-buckets well formed"
-go test -count=1 -run 'TestPrometheusHistogram' ./internal/cloud/
+gate ./internal/cloud/ 'TestPrometheusHistogram' -count=1
+echo "== benchmark module (separate go.mod): vet + smoke test"
+(cd benchmark && go vet ./... && go test -count=1 ./...)
 echo "== go test -race ./internal/pairing"
 go test -race -count=1 ./internal/pairing
 echo "== exp-cache race gate: engine table caches under concurrent use"
-go test -race -count=2 -run 'TestExpCache' ./internal/engine
+gate ./internal/engine 'TestExpCache' -race -count=2
 echo "== alloc pins: comb evaluation + field primitives (race off: AllocsPerRun)"
-go test -count=1 -run 'TestCombExpMontAllocs|TestHotPathZeroBigIntAllocs' ./internal/pairing
+gate ./internal/pairing 'TestCombExpMontAllocs|TestHotPathZeroBigIntAllocs' -count=1
 echo "== bench smoke: pairing kernels"
+need ./internal/pairing BenchmarkPair
 go test -run=NoTests -bench=Pair -benchtime=1x ./internal/pairing
 echo "== fuzz smoke: Montgomery field vs math/big"
+need ./internal/pairing FuzzFpMontgomery
 go test -run=NoTests -fuzz=FuzzFpMontgomery -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: Lehmer inversion vs Fermat and ModInverse"
+need ./internal/pairing FuzzFpInvLehmer
 go test -run=NoTests -fuzz=FuzzFpInvLehmer -fuzztime=5s ./internal/pairing
 echo "== OK"
