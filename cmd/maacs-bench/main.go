@@ -9,7 +9,6 @@
 //	maacs-bench -what fig3,fig4     # only the timing figures
 //	maacs-bench -what revocation    # only the revocation experiment
 //	maacs-bench -what reencrypt-batch  # per-ciphertext vs batched submission
-//	maacs-bench -what shardiso      # cross-owner fetch latency, mem vs sharded
 //	maacs-bench -what walcommit     # durable put throughput + fsyncs/op vs writers
 //	maacs-bench -what load          # open-loop load vs a live server, both transports
 //	maacs-bench -what load -load-mix fetch=60,fetch_component=30,store=5,delete=3,reencrypt=1,revoke=1
@@ -43,7 +42,7 @@ import (
 // experiments) report success while running nothing.
 var benchModes = []string{
 	"tables", "fig3", "fig4", "revocation", "ablation", "scale", "engine",
-	"reencrypt-batch", "shardiso", "walcommit", "pairing", "load", "fetchpath",
+	"reencrypt-batch", "walcommit", "pairing", "load", "fetchpath",
 }
 
 func main() {
@@ -65,8 +64,6 @@ func run(args []string, out io.Writer) error {
 	engineJSON := fs.String("engine-json", "BENCH_engine.json", "output path for the engine serial-vs-parallel report")
 	reencryptJSON := fs.String("reencrypt-json", "BENCH_reencrypt.json", "output path for the batched re-encryption report")
 	batchWindow := fs.Int("batch-window", 4, "server re-encryption window for the windowed reencrypt-batch submissions and the load run (0 = unwindowed)")
-	shardisoJSON := fs.String("shardiso-json", "BENCH_shardiso.json", "output path for the shard-isolation report")
-	shards := fs.Int("shards", 4, "shard count for the shard-isolation experiment")
 	pairingJSON := fs.String("pairing-json", "BENCH_pairing.json", "output path for the two-kernel pairing report (montgomery/reference)")
 	walcommitJSON := fs.String("walcommit-json", "BENCH_walcommit.json", "output path for the WAL group-commit report")
 	walOps := fs.Int("wal-ops", 256, "durable puts per writer in the WAL group-commit experiment")
@@ -234,26 +231,6 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "  wrote %s\n\n", *reencryptJSON)
-	}
-
-	if want["shardiso"] {
-		report, err := bench.MeasureShardIsolation(params, rand.Reader, *ciphertexts, *shards, *trials)
-		if err != nil {
-			return fmt.Errorf("shardiso: %w", err)
-		}
-		report.Render(out)
-		f, err := os.Create(*shardisoJSON)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n\n", *shardisoJSON)
 	}
 
 	if want["walcommit"] {

@@ -16,7 +16,6 @@ func TestBenchToolSmoke(t *testing.T) {
 	err := run([]string{"-fast", "-points", "2,3", "-trials", "1", "-fixed", "2", "-ciphertexts", "2",
 		"-engine-json", filepath.Join(dir, "engine.json"),
 		"-reencrypt-json", filepath.Join(dir, "reencrypt.json"),
-		"-shardiso-json", filepath.Join(dir, "shardiso.json"),
 		"-pairing-json", filepath.Join(dir, "pairing.json"),
 		"-walcommit-json", filepath.Join(dir, "walcommit.json"),
 		"-load-json", filepath.Join(dir, "load.json"),

@@ -13,7 +13,6 @@
 //	maacs-server -addr 127.0.0.1:7744 -batch-window 32       # streaming window
 //	maacs-server -batch-window 32 -batch-window-target 50ms  # adaptive windows
 //	maacs-server -store file -data-dir /var/lib/maacs        # durable records
-//	maacs-server -store file -data-dir /var/lib/maacs -shards 8
 //	maacs-server -response-cache-bytes 134217728             # read-path cache cap
 //	maacs-server -pprof-addr 127.0.0.1:6060                  # profiling endpoints
 //
@@ -29,19 +28,15 @@
 //	      the total WAL size that wakes the background compactor (both
 //	      default to the engine's built-ins: 1 MiB and 4 MiB)
 //
-// -shards N > 1 stripes either backend per data owner (hash of the owner ID
-// picks one of N shards, each with its own lock — and for the file backend
-// its own WAL in -data-dir/shard-NNN), so one owner's re-encryption commit
-// never blocks another owner's downloads. On SIGINT the server stops
-// listening and closes the store, flushing the WAL before exit.
-// GET /healthz reports the backend, shard count, WAL size and records
+// On SIGINT the server stops listening and closes the store, flushing the
+// WAL before exit. GET /healthz reports the backend, WAL size and records
 // loaded; RPC clients get the same via CloudServer.Health.
 //
 // Re-encryption has one entry point per transport: HTTP
 // POST /owners/{id}/reencrypt/batch and RPC CloudServer.ReEncrypt, both
 // streaming the request's update-info sets through bounded engine runs.
 // -batch-window caps how many fuse into one run, so huge batches never pin
-// a shard lock, and -batch-window-target resizes later windows toward a
+// the store lock, and -batch-window-target resizes later windows toward a
 // wall time; requests cannot override either. A batch that fails mid-way
 // reports its committed prefix and the index of the first uncommitted
 // item, and the client resumes by resubmitting the items from there. The
@@ -63,7 +58,6 @@ import (
 	_ "net/http/pprof" // profiling endpoints, served only when -pprof-addr is set
 	"os"
 	"os/signal"
-	"path/filepath"
 	"time"
 
 	"maacs/internal/cloud"
@@ -80,7 +74,6 @@ type config struct {
 	batchWindowTarget time.Duration
 	store             string
 	dataDir           string
-	shards            int
 	walSegmentBytes   int64
 	compactThreshold  int64
 	responseCache     int64
@@ -104,9 +97,7 @@ func main() {
 	flag.StringVar(&cfg.store, "store", "mem",
 		"storage backend: mem (process-lifetime maps) or file (WAL-backed, crash-safe)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
-		"data directory for -store=file (required; shard WALs live under it)")
-	flag.IntVar(&cfg.shards, "shards", 1,
-		"per-owner shard stripes over the backend (1 = unsharded)")
+		"data directory for -store=file (required)")
 	flag.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 0,
 		"file store: WAL segment rotation threshold in bytes (0 = engine default)")
 	flag.Int64Var(&cfg.compactThreshold, "compact-threshold", 0,
@@ -133,34 +124,20 @@ func main() {
 
 // openStore builds the configured storage backend.
 func openStore(cfg config, sys *core.System) (cloud.Store, error) {
-	if cfg.shards < 1 {
-		return nil, fmt.Errorf("-shards must be >= 1, got %d", cfg.shards)
-	}
 	switch cfg.store {
 	case "mem":
-		if cfg.shards == 1 {
-			return cloud.NewMemStore(), nil
-		}
-		return cloud.NewShardedMemStore(cfg.shards), nil
+		return cloud.NewMemStore(), nil
 	case "file":
 		if cfg.dataDir == "" {
 			return nil, errors.New("-store=file requires -data-dir")
 		}
-		openShard := func(dir string) (cloud.Store, error) {
-			fstore, err := cloud.OpenFileStore(sys, dir)
-			if err != nil {
-				return nil, err
-			}
-			fstore.SetSegmentBytes(cfg.walSegmentBytes)
-			fstore.SetCompactThreshold(cfg.compactThreshold)
-			return fstore, nil
+		fstore, err := cloud.OpenFileStore(sys, cfg.dataDir)
+		if err != nil {
+			return nil, err
 		}
-		if cfg.shards == 1 {
-			return openShard(cfg.dataDir)
-		}
-		return cloud.NewShardedStore(cfg.shards, func(i int) (cloud.Store, error) {
-			return openShard(filepath.Join(cfg.dataDir, fmt.Sprintf("shard-%03d", i)))
-		})
+		fstore.SetSegmentBytes(cfg.walSegmentBytes)
+		fstore.SetCompactThreshold(cfg.compactThreshold)
+		return fstore, nil
 	default:
 		return nil, fmt.Errorf("unknown -store %q (want mem or file)", cfg.store)
 	}
@@ -191,8 +168,8 @@ func run(cfg config) error {
 		}()
 	}
 	info := server.StoreInfo()
-	fmt.Printf("maacs-server: store %s, %d shard(s), %d record(s) loaded, wal %d bytes\n",
-		info.Backend, info.Shards, info.Records, info.WALBytes)
+	fmt.Printf("maacs-server: store %s, %d record(s) loaded, wal %d bytes\n",
+		info.Backend, info.Records, info.WALBytes)
 	listener, bound, err := cloud.ServeRPC(sys, server, cfg.addr)
 	if err != nil {
 		store.Close()

@@ -10,18 +10,18 @@ import (
 	"maacs/internal/core"
 )
 
-// TestMain lets the whole cloud test suite run against an alternate storage
-// backend: MAACS_STORE=file|sharded|sharded-file reroutes every NewServer
-// call (and so every NewEnv) through that backend. scripts/check.sh uses
-// this to gate the file engine on the full protocol suite, not just the
-// store-level tests.
+// TestMain lets the whole cloud test suite run against the file backend:
+// MAACS_STORE=file reroutes every NewServer call (and so every NewEnv)
+// through a fresh FileStore. scripts/check.sh uses this to gate the file
+// engine on the full protocol suite, not just the store-level tests.
 func TestMain(m *testing.M) {
 	os.Exit(testMain(m))
 }
 
 func testMain(m *testing.M) int {
-	backend := os.Getenv("MAACS_STORE")
-	if backend != "" && backend != "mem" {
+	switch backend := os.Getenv("MAACS_STORE"); backend {
+	case "", "mem":
+	case "file":
 		root, err := os.MkdirTemp("", "maacs-store-suite-")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cloud: MAACS_STORE temp dir:", err)
@@ -29,36 +29,17 @@ func testMain(m *testing.M) int {
 		}
 		defer os.RemoveAll(root)
 		var serverSeq atomic.Int64
-		serverDir := func() string {
-			return filepath.Join(root, fmt.Sprintf("srv-%04d", serverSeq.Add(1)))
+		defaultStore = func(sys *core.System) Store {
+			dir := filepath.Join(root, fmt.Sprintf("srv-%04d", serverSeq.Add(1)))
+			fs, err := OpenFileStore(sys, dir)
+			if err != nil {
+				panic(fmt.Sprintf("cloud: MAACS_STORE backend: %v", err))
+			}
+			return fs
 		}
-		switch backend {
-		case "file":
-			defaultStore = func(sys *core.System) Store {
-				return mustStore(OpenFileStore(sys, serverDir()))
-			}
-		case "sharded":
-			defaultStore = func(*core.System) Store {
-				return NewShardedMemStore(4)
-			}
-		case "sharded-file":
-			defaultStore = func(sys *core.System) Store {
-				dir := serverDir()
-				return mustStore(NewShardedStore(3, func(i int) (Store, error) {
-					return OpenFileStore(sys, filepath.Join(dir, fmt.Sprintf("shard-%03d", i)))
-				}))
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "cloud: unknown MAACS_STORE %q (want mem, file, sharded or sharded-file)\n", backend)
-			return 2
-		}
+	default:
+		fmt.Fprintf(os.Stderr, "cloud: unknown MAACS_STORE %q (want mem or file)\n", backend)
+		return 2
 	}
 	return m.Run()
-}
-
-func mustStore[S Store](s S, err error) Store {
-	if err != nil {
-		panic(fmt.Sprintf("cloud: MAACS_STORE backend: %v", err))
-	}
-	return s
 }

@@ -39,7 +39,7 @@ func NewEnv(sys *core.System, rnd io.Reader) *Env {
 
 // NewEnvWithStore creates an environment whose server runs on an explicit
 // storage backend (nil = the default), so scenarios and tests can exercise
-// the file-backed and sharded engines through the full protocol.
+// the file-backed engine through the full protocol.
 func NewEnvWithStore(sys *core.System, rnd io.Reader, store Store) *Env {
 	acct := NewAccounting()
 	server := NewServer(sys, acct)

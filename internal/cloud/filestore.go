@@ -935,7 +935,6 @@ func (f *FileStore) Restore(recs []*Record) error {
 func (f *FileStore) Info() StoreInfo {
 	info := StoreInfo{
 		Backend:     "file",
-		Shards:      1,
 		WALBytes:    f.walBytes.Load(),
 		WALSegments: int(f.segments.Load()),
 		WALFsyncs:   f.fsyncs.Load(),

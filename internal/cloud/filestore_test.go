@@ -3,7 +3,6 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -560,111 +559,5 @@ func TestFileStoreKillAnywhere(t *testing.T) {
 	})
 	if got := fs.Info().CompactErr; got != "" {
 		t.Fatalf("background compaction failed: %s", got)
-	}
-}
-
-// faultRestoreStore wraps a shard backend with a switchable Restore fault.
-type faultRestoreStore struct {
-	Store
-	fail *atomic.Bool
-}
-
-func (f *faultRestoreStore) Restore(recs []*Record) error {
-	if f.fail.Load() {
-		return errors.New("injected shard restore fault")
-	}
-	return f.Store.Restore(recs)
-}
-
-// TestShardedStoreRestorePartialFailure is the regression for the PR 6
-// partial-restore bug: a mid-batch shard failure must report exactly which
-// shards/records committed and roll back the directory reservations of the
-// uncommitted groups — so retrying the remainder succeeds instead of dying
-// on "would overwrite" for records that never landed.
-func TestShardedStoreRestorePartialFailure(t *testing.T) {
-	sys, recs := storeFixture(t, 1)
-	comp := recs[0]
-	const shards = 3
-	shardOf := func(owner string) int {
-		h := fnv.New32a()
-		h.Write([]byte(owner))
-		return int(h.Sum32() % shards)
-	}
-	// One owner per shard, so the batch splits into three groups and the
-	// commit order (ascending shard index) is fully determined.
-	owners := make([]string, shards)
-	for i := 0; len(owners[0]) == 0 || len(owners[1]) == 0 || len(owners[2]) == 0; i++ {
-		name := fmt.Sprintf("owner-%d", i)
-		if s := shardOf(name); owners[s] == "" {
-			owners[s] = name
-		}
-	}
-
-	backends := map[string]func(t *testing.T, i int) (Store, error){
-		"mem": func(*testing.T, int) (Store, error) { return NewMemStore(), nil },
-		"file": func(t *testing.T, i int) (Store, error) {
-			return OpenFileStore(sys, filepath.Join(t.TempDir(), fmt.Sprintf("shard-%d", i)))
-		},
-	}
-	for name, open := range backends {
-		t.Run(name, func(t *testing.T) {
-			var fail atomic.Bool
-			fail.Store(true)
-			const failShard = 1
-			s, err := NewShardedStore(shards, func(i int) (Store, error) {
-				st, err := open(t, i)
-				if err != nil || i != failShard {
-					return st, err
-				}
-				return &faultRestoreStore{Store: st, fail: &fail}, nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-
-			batch := []*Record{
-				cloneWithID(comp, "a-0", owners[0]),
-				cloneWithID(comp, "b-0", owners[1]),
-				cloneWithID(comp, "c-0", owners[2]),
-				cloneWithID(comp, "a-1", owners[0]),
-			}
-			err = s.Restore(batch)
-			var rerr *RestoreError
-			if !errors.As(err, &rerr) {
-				t.Fatalf("got %v, want *RestoreError", err)
-			}
-			if len(rerr.CommittedShards) != 1 || rerr.CommittedShards[0] != 0 {
-				t.Fatalf("committed shards %v, want [0]", rerr.CommittedShards)
-			}
-			if len(rerr.CommittedRecords) != 2 || rerr.CommittedRecords[0] != "a-0" || rerr.CommittedRecords[1] != "a-1" {
-				t.Fatalf("committed records %v, want [a-0 a-1]", rerr.CommittedRecords)
-			}
-			if !strings.Contains(err.Error(), "injected shard restore fault") {
-				t.Fatalf("error does not carry the shard failure: %v", err)
-			}
-			// Shard 0's group landed; the failing and later groups did not.
-			for id, want := range map[string]bool{"a-0": true, "a-1": true, "b-0": false, "c-0": false} {
-				if _, ok := s.Get(id); ok != want {
-					t.Fatalf("after partial failure: %s present=%v, want %v", id, ok, want)
-				}
-			}
-
-			// The regression: uncommitted reservations were rolled back, so
-			// the remainder retries cleanly once the shard recovers.
-			fail.Store(false)
-			remainder := []*Record{batch[1], batch[2]}
-			if err := s.Restore(remainder); err != nil {
-				t.Fatalf("retry of uncommitted remainder: %v", err)
-			}
-			if s.Len() != len(batch) {
-				t.Fatalf("len %d after recovery, want %d", s.Len(), len(batch))
-			}
-			// And committed records stayed reserved: restoring them again is
-			// still an overwrite.
-			if err := s.Restore([]*Record{cloneWithID(comp, "a-0", owners[0])}); err == nil {
-				t.Fatal("restore overwrote a committed record")
-			}
-		})
 	}
 }

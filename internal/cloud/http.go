@@ -56,10 +56,10 @@ type HTTPBatchReEncryptRequest struct {
 type HTTPBatchReEncryptResponse = BatchReport
 
 // HTTPHealth is the GET /healthz body: liveness plus a description of the
-// storage backend (engine, shard count, WAL state, records loaded). Status
-// is "degraded" while the backend reports a background-compaction failure —
-// writes are still durable through the WAL, but the log is no longer being
-// folded and disk usage grows unbounded.
+// storage backend (engine, WAL state, records loaded). Status is "degraded"
+// while the backend reports a background-compaction failure — writes are
+// still durable through the WAL, but the log is no longer being folded and
+// disk usage grows unbounded.
 type HTTPHealth struct {
 	Status string    `json:"status"`
 	Store  StoreInfo `json:"store"`

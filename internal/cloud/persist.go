@@ -82,8 +82,7 @@ func decodeRecord(sys *core.System, d *wire.Decoder) (*Record, error) {
 // Snapshot serializes every stored record to w in a deterministic order, so
 // the server can be restarted (or replicated) without losing hosted data.
 // Only public material is written — the server never held anything else.
-// The record set comes from the store's snapshot hook; under a sharded
-// backend the view is consistent per shard, not across shards.
+// The record set comes from the store's snapshot hook, one consistent view.
 func (s *Server) Snapshot(w io.Writer) error {
 	recs := s.store.Records()
 	var e wire.Encoder
@@ -143,12 +142,11 @@ func (s *Server) Restore(r io.Reader) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("snapshot: %w", err)
 	}
-	err = s.store.Restore(records)
-	// Invalidate every record in the batch regardless of outcome: a sharded
-	// restore can commit some shards before failing, and those records are
-	// now live.
+	if err := s.store.Restore(records); err != nil {
+		return err
+	}
 	for _, rec := range records {
 		s.resp.Bump(rec.ID)
 	}
-	return err
+	return nil
 }

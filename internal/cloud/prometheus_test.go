@@ -63,7 +63,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 			},
 		},
 		Store: StoreInfo{
-			Backend: "file", Shards: 1,
+			Backend:  "file",
 			WALBytes: 8192, WALSegments: 3, WALFsyncs: 17, Compactions: 2,
 			Records: 3,
 		},

@@ -177,9 +177,9 @@ func (c *ResponseCache) genOf(id string) uint64 {
 }
 
 // Bump advances the record's generation and drops its cached responses. Every
-// mutation path calls it after the store commit succeeds (or may have
-// partially succeeded, as in a sharded Restore) and before returning, so no
-// fetch that starts after the mutation completes can see pre-mutation bytes.
+// mutation path calls it after the store commit succeeds and before
+// returning, so no fetch that starts after the mutation completes can see
+// pre-mutation bytes.
 func (c *ResponseCache) Bump(id string) {
 	cell, ok := c.gens.Load(id)
 	if !ok {

@@ -51,8 +51,7 @@ func wireEqual(a, b fetchWireSnapshot) bool {
 // TestResponseCacheDifferentialBytes pins the cache's core contract: a
 // cached response is byte-identical to an uncached render of the same state,
 // across every representation and through the real HTTP handler. Under
-// MAACS_STORE=file|sharded|sharded-file the same test covers the other
-// backends.
+// MAACS_STORE=file the same test covers the file backend.
 func TestResponseCacheDifferentialBytes(t *testing.T) {
 	env, owner := hospitalEnv(t)
 	uploadPatientRecord(t, owner)

@@ -131,7 +131,7 @@ type BatchReport struct {
 type Metrics struct {
 	// Records is the number of records currently stored.
 	Records int `json:"records"`
-	// StoreRequests counts successful uploads (rejected duplicates excluded).
+	// StoreRequests counts successful uploads (rejected uploads excluded).
 	StoreRequests uint64 `json:"store_requests"`
 	// RecordFetches / ComponentFetches count successful downloads (whole
 	// records and single components); FetchedBytes totals the bytes served.
@@ -185,13 +185,13 @@ var durationOps = []string{opStore, opFetch, opFetchComponent, opDelete, opReEnc
 // and performs proxy re-encryption during revocation. It holds no secret key
 // material and never sees a plaintext or content key.
 //
-// Record storage lives behind the Store interface — in-memory, file-backed
-// (WAL + snapshot) or sharded per owner — and the store carries its own
-// synchronization. The server's mutex guards only the small counter state
-// (metrics, per-owner/per-user rows, configuration) and is never held across
-// a store operation, an engine run or any I/O, so downloads of different
-// records proceed concurrently and a re-encryption commit on one owner's
-// shard never blocks another owner's fetches.
+// Record storage lives behind the Store interface — in-memory or file-backed
+// (WAL + snapshot) — and the store carries its own synchronization. The
+// server's mutex guards only the small counter state (metrics,
+// per-owner/per-user rows, configuration) and is never held across a store
+// operation, an engine run or any I/O, so downloads of different records
+// proceed concurrently and a re-encryption holds the store's lock only for
+// its commit.
 type Server struct {
 	sys   *core.System
 	acct  *Accounting
@@ -234,9 +234,9 @@ type userCounters struct {
 }
 
 // defaultStore, when non-nil, overrides the backend NewServer installs. The
-// test suite sets it (MAACS_STORE=file|sharded|sharded-file) to run every
-// NewServer-based test against another backend; production code leaves it
-// nil, which means a fresh MemStore.
+// test suite sets it (MAACS_STORE=file) to run every NewServer-based test
+// against the file backend; production code leaves it nil, which means a
+// fresh MemStore.
 var defaultStore func(sys *core.System) Store
 
 // NewServer creates a server over the system's public parameters, storing
@@ -347,11 +347,19 @@ func (s *Server) noteDownload(userID string, size int, component bool) {
 	uc.fetchedBytes.Add(uint64(size))
 }
 
-// Store uploads a record (Server↔Owner channel). Rejected duplicates are not
-// metered: the upload never happened, so it must not inflate the Table IV
-// communication tally.
+// Store uploads a record (Server↔Owner channel). The record must carry an ID
+// and an owner: HTTP cannot address an empty ID, and because no owner-less
+// record is ever stored, an empty owner never passes the delete owner check.
+// Rejected uploads are not metered: the upload never happened, so it must not
+// inflate the Table IV communication tally.
 func (s *Server) Store(rec *Record) error {
 	defer s.observe(opStore, time.Now())
+	if rec.ID == "" {
+		return errors.New("cloud: record ID is empty")
+	}
+	if rec.OwnerID == "" {
+		return fmt.Errorf("cloud: record %q names no owner", rec.ID)
+	}
 	size := 0
 	for _, c := range rec.Components {
 		size += c.CT.Size(s.sys.Params) + len(c.Sealed)
@@ -538,8 +546,7 @@ func (s *Server) Metrics() Metrics {
 // uploads proceed while the expensive group arithmetic runs — and commits its
 // swaps atomically through Store.ReplaceIfUnchanged, which re-validates that
 // every slot still holds the snapshot it was computed from
-// (ErrReEncryptConflict otherwise). Under a sharded store the commit takes
-// only the owner's shard lock, so it cannot delay another owner's traffic.
+// (ErrReEncryptConflict otherwise).
 //
 // Items must target disjoint ciphertexts — chained version updates of the
 // same ciphertext need sequential requests. An empty batch, overlapping items
@@ -705,7 +712,7 @@ func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, e
 	// Commit only if every slot still holds the ciphertext this window was
 	// computed from; a concurrent writer (another batch, a delete) means the
 	// results would overwrite state they were not derived from. The store
-	// applies the whole window atomically under its (shard's) lock.
+	// applies the whole window atomically under its lock.
 	if s.commitHook != nil {
 		s.commitHook()
 	}

@@ -28,14 +28,13 @@ type CTSwap struct {
 }
 
 // StoreInfo describes a storage backend for health reporting: which engine
-// holds the records, how it is striped, and the state of its write-ahead log
-// (zero values for memory-only backends). CompactErr carries the most recent
+// holds the records and the state of its write-ahead log (zero values for
+// the memory-only backend). CompactErr carries the most recent
 // background-compaction failure, if any — mutations stay durable through the
 // WAL when compaction is sick, so the condition is reported here (and via
 // /healthz) instead of failing committed writes.
 type StoreInfo struct {
 	Backend     string `json:"backend"`
-	Shards      int    `json:"shards"`
 	WALBytes    int64  `json:"wal_bytes"`
 	WALSegments int    `json:"wal_segments,omitempty"`
 	WALFsyncs   uint64 `json:"wal_fsyncs,omitempty"`
@@ -50,9 +49,8 @@ type StoreInfo struct {
 // handed out by Get, OwnerScan or Records stays internally consistent forever
 // and may be read without any lock.
 //
-// The three implementations are MemStore (process-lifetime maps), FileStore
-// (crash-safe WAL + snapshot files) and ShardedStore (per-owner striping over
-// any backend).
+// The two implementations are MemStore (process-lifetime maps) and FileStore
+// (crash-safe WAL + snapshot files).
 type Store interface {
 	// Get returns the stored record, or false. The returned record must not
 	// be mutated by the caller.
@@ -60,11 +58,9 @@ type Store interface {
 	// Put inserts a new record; it fails with ErrAlreadyStored if the ID is
 	// taken. The store owns rec afterwards.
 	Put(rec *Record) error
-	// Delete removes a record if ownerID matches the stored owner
-	// (ownerID == "" skips the check), returning the removed record.
+	// Delete removes a record if ownerID matches the stored owner, returning
+	// the removed record.
 	Delete(id, ownerID string) (*Record, error)
-	// Len reports the number of stored records.
-	Len() int
 	// IDs lists the stored record IDs in sorted order.
 	IDs() []string
 	// OwnerScan visits the owner's records in sorted ID order until fn
@@ -74,13 +70,14 @@ type Store interface {
 	// ReplaceIfUnchanged atomically applies a re-encryption commit: every
 	// swap's slot must still hold its Expect ciphertext, otherwise nothing is
 	// applied and the error wraps ErrReEncryptConflict. All swaps must belong
-	// to records of ownerID (one owner ↔ one shard under ShardedStore).
+	// to records of ownerID.
 	ReplaceIfUnchanged(ownerID string, swaps []CTSwap) error
-	// Records returns every stored record sorted by ID — the snapshot hook
-	// Server.Snapshot serializes. The view is consistent per shard.
+	// Records returns every stored record sorted by ID, as one consistent
+	// view — the snapshot hook Server.Snapshot serializes.
 	Records() []*Record
-	// Restore inserts a batch of records, refusing to overwrite any existing
-	// ID — the snapshot hook Server.Restore loads through.
+	// Restore inserts a batch of records all-or-nothing, refusing to
+	// overwrite any existing ID — the snapshot hook Server.Restore loads
+	// through.
 	Restore(recs []*Record) error
 	// Info describes the backend for GET /healthz.
 	Info() StoreInfo
@@ -91,9 +88,10 @@ type Store interface {
 
 // checkDeleteOwner enforces the owner check shared by every backend: only the
 // record's owner may delete it (the paper's server executes owners' tasks
-// correctly).
+// correctly). There is no bypass: Server.Store refuses a record without an
+// owner, so an empty ownerID never matches.
 func checkDeleteOwner(rec *Record, ownerID string) error {
-	if ownerID != "" && rec.OwnerID != ownerID {
+	if rec.OwnerID != ownerID {
 		return fmt.Errorf("cloud: record %q belongs to %q, not %q", rec.ID, rec.OwnerID, ownerID)
 	}
 	return nil
@@ -279,7 +277,7 @@ func (m *MemStore) Restore(recs []*Record) error {
 
 // Info describes the backend.
 func (m *MemStore) Info() StoreInfo {
-	return StoreInfo{Backend: "mem", Shards: 1, Records: m.Len()}
+	return StoreInfo{Backend: "mem", Records: m.Len()}
 }
 
 // Close is a no-op: an in-memory store holds no external resources and stays

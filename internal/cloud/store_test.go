@@ -68,19 +68,6 @@ func TestStoreBackendsConformance(t *testing.T) {
 	backends := map[string]func(t *testing.T) Store{
 		"mem":  func(*testing.T) Store { return NewMemStore() },
 		"file": func(t *testing.T) Store { return mustOpenFileStore(t, sys, t.TempDir()) },
-		"sharded-mem": func(*testing.T) Store {
-			return NewShardedMemStore(3)
-		},
-		"sharded-file": func(t *testing.T) Store {
-			dir := t.TempDir()
-			s, err := NewShardedStore(3, func(i int) (Store, error) {
-				return OpenFileStore(sys, filepath.Join(dir, fmt.Sprintf("shard-%d", i)))
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
 	}
 	for name, open := range backends {
 		t.Run(name, func(t *testing.T) {
@@ -93,9 +80,6 @@ func TestStoreBackendsConformance(t *testing.T) {
 			}
 			if err := st.Put(recs[0].snapshot()); !errors.Is(err, ErrAlreadyStored) {
 				t.Fatalf("duplicate put: got %v, want ErrAlreadyStored", err)
-			}
-			if st.Len() != 3 {
-				t.Fatalf("len %d, want 3", st.Len())
 			}
 			if got := st.IDs(); len(got) != 3 || got[0] != "rec-00" || got[2] != "rec-02" {
 				t.Fatalf("ids %v", got)
@@ -163,12 +147,12 @@ func TestStoreBackendsConformance(t *testing.T) {
 			if err := st.Restore([]*Record{recs[1].snapshot(), recs[3].snapshot()}); err != nil {
 				t.Fatal(err)
 			}
-			if got := st.Len(); got != 4 {
+			if got := len(st.IDs()); got != 4 {
 				t.Fatalf("len after restore %d, want 4", got)
 			}
 
 			info := st.Info()
-			if info.Records != 4 || info.Shards < 1 || info.Backend == "" {
+			if info.Records != 4 || info.Backend == "" {
 				t.Fatalf("info %+v", info)
 			}
 		})
@@ -432,14 +416,15 @@ func TestFileServerRestartMidWorkload(t *testing.T) {
 	}
 }
 
-// TestShardedStoreMixedRace hammers a sharded store with concurrent
+// TestMultiOwnerMixedRace hammers the store with concurrent
 // fetch/store/re-encrypt traffic across owners (run under -race by
-// scripts/check.sh). Every owner has its own authority, so the goroutines'
-// revocations are independent; the cross-owner fetches are the part the
-// striping must keep safe and non-blocking.
-func TestShardedStoreMixedRace(t *testing.T) {
+// scripts/check.sh, on whichever backend MAACS_STORE selects). Every owner
+// has its own authority, so the goroutines' revocations are independent; the
+// cross-owner fetches must stay safe while neighbours commit.
+func TestMultiOwnerMixedRace(t *testing.T) {
 	sys := core.NewSystem(pairing.Test())
-	env := NewEnvWithStore(sys, rand.Reader, NewShardedMemStore(4))
+	env := NewEnv(sys, rand.Reader)
+	defer env.Server.Close()
 	const owners = 3
 	const rounds = 2
 	ownerClients := make([]*OwnerClient, owners)
@@ -528,7 +513,7 @@ func TestShardedStoreMixedRace(t *testing.T) {
 		t.Fatalf("stored %d records, want %d", got, want)
 	}
 	info := env.Server.StoreInfo()
-	if info.Shards != 4 || info.Records != owners*(rounds+1) {
+	if info.Records != owners*(rounds+1) {
 		t.Fatalf("store info %+v", info)
 	}
 }

@@ -23,6 +23,9 @@ func TestRPCDelete(t *testing.T) {
 	if err := remote.Delete("r1", "intruder"); err == nil {
 		t.Fatal("foreign delete accepted over RPC")
 	}
+	if err := remote.Delete("r1", ""); err == nil {
+		t.Fatal("owner-less delete accepted over RPC")
+	}
 	if err := remote.Delete("r1", "hospital"); err != nil {
 		t.Fatal(err)
 	}
@@ -74,5 +77,60 @@ func TestHTTPDelete(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusNotFound {
 		t.Fatalf("record still present after HTTP delete: %d", getResp.StatusCode)
+	}
+}
+
+// TestUploadRequiresIDAndOwner: a record without an ID could never be
+// fetched over HTTP, and one without an owner would match an owner-less
+// delete, so both transports refuse them before anything is stored or
+// metered.
+func TestUploadRequiresIDAndOwner(t *testing.T) {
+	t.Run("rpc", func(t *testing.T) {
+		env, remote := rpcFixture(t)
+		for _, rec := range unaddressableRecords(t, env) {
+			if err := remote.Store(rec); err == nil {
+				t.Fatalf("record %q of owner %q accepted over RPC", rec.ID, rec.OwnerID)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+	t.Run("http", func(t *testing.T) {
+		env, ts := httpFixture(t)
+		for _, rec := range unaddressableRecords(t, env) {
+			resp := postJSON(t, ts.URL+"/records", toHTTPRecord(rec))
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("record %q of owner %q: status %d, want 400", rec.ID, rec.OwnerID, resp.StatusCode)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+}
+
+// unaddressableRecords builds two otherwise valid records: one with an empty
+// ID and one with an empty owner.
+func unaddressableRecords(t *testing.T, env *Env) []*Record {
+	t.Helper()
+	if _, err := env.AddAuthority("med", []string{"doctor"}); err != nil {
+		t.Fatal(err)
+	}
+	owner, err := env.AddOwner("hospital")
+	if err != nil {
+		t.Fatal(err)
+	}
+	comps := []UploadComponent{{Label: "x", Data: []byte("v"), Policy: "med:doctor"}}
+	noID := buildRecord(t, env, owner, "", comps)
+	noOwner := buildRecord(t, env, owner, "r1", comps)
+	noOwner.OwnerID = ""
+	return []*Record{noID, noOwner}
+}
+
+func assertNothingStored(t *testing.T, env *Env) {
+	t.Helper()
+	if ids := env.Server.RecordIDs(); len(ids) != 0 {
+		t.Fatalf("stored %v", ids)
+	}
+	if n := env.Server.Metrics().StoreRequests; n != 0 {
+		t.Fatalf("metered %d rejected uploads", n)
 	}
 }

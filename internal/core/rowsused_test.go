@@ -51,7 +51,7 @@ func TestDecryptionCostScalesWithRowsUsed(t *testing.T) {
 	var orTotal, andTotal time.Duration
 	const trials = 3
 	for i := 0; i < trials; i++ {
-		orTotal += timeDecrypt(ctOr, oneAttr)   // 1 row used
+		orTotal += timeDecrypt(ctOr, oneAttr)    // 1 row used
 		andTotal += timeDecrypt(ctAnd, allAttrs) // 12 rows used
 	}
 	// 2·1+1 = 3 pairings vs 2·12+1 = 25: expect ≥ 3× gap; assert a lenient 2×.
