@@ -1,8 +1,11 @@
 package cloud
 
 import (
+	"encoding/base64"
 	"net/http"
 	"testing"
+
+	"maacs/internal/wire"
 )
 
 func TestRPCDelete(t *testing.T) {
@@ -105,6 +108,78 @@ func TestUploadRequiresIDAndOwner(t *testing.T) {
 		}
 		assertNothingStored(t, env)
 	})
+}
+
+// TestUploadRejectsVersionMapMismatch: a ciphertext whose version map names
+// an authority outside its policy, or one authority twice, is refused on
+// both transports. Accepted, it would make a later revocation at that
+// authority re-encrypt C while touching no row.
+func TestUploadRejectsVersionMapMismatch(t *testing.T) {
+	t.Run("rpc", func(t *testing.T) {
+		env, remote := rpcFixture(t)
+		rec, bad := versionMapMismatches(t, env)
+		for i, raw := range bad {
+			args := &RPCStoreArgs{RecordID: rec.ID, OwnerID: rec.OwnerID, Components: []RPCComponent{
+				{Label: "x", CT: raw, Sealed: rec.Components[0].Sealed},
+			}}
+			if err := remote.client.Call("CloudServer.Store", args, &struct{}{}); err == nil {
+				t.Fatalf("encoding %d accepted over RPC", i)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+	t.Run("http", func(t *testing.T) {
+		env, ts := httpFixture(t)
+		rec, bad := versionMapMismatches(t, env)
+		for i, raw := range bad {
+			in := toHTTPRecord(rec)
+			in.Components[0].CT = base64.StdEncoding.EncodeToString(raw)
+			resp := postJSON(t, ts.URL+"/records", in)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("encoding %d: status %d, want 400", i, resp.StatusCode)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+}
+
+// versionMapMismatches builds a valid one-component record under a
+// one-authority policy, plus two encodings of its ciphertext whose version
+// entries read [med, uni] (an extra authority) and [med, med] (a duplicate).
+func versionMapMismatches(t *testing.T, env *Env) (*Record, [][]byte) {
+	t.Helper()
+	for _, aid := range []string{"med", "uni"} {
+		if _, err := env.AddAuthority(aid, []string{"doctor"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owner, err := env.AddOwner("hospital")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := buildRecord(t, env, owner, "r1", []UploadComponent{{Label: "x", Data: []byte("v"), Policy: "med:doctor"}})
+	ct := rec.Components[0].CT
+	var bad [][]byte
+	for _, aids := range [][]string{{"med", "uni"}, {"med", "med"}} {
+		var e wire.Encoder
+		e.String(ct.ID)
+		e.String(ct.OwnerID)
+		e.String(ct.Policy)
+		e.Int(len(aids))
+		for _, aid := range aids {
+			e.String(aid)
+			e.Int(ct.Versions["med"])
+		}
+		e.Blob(ct.C.Marshal())
+		e.Blob(ct.CPrime.Marshal())
+		e.Int(len(ct.Rows))
+		for _, row := range ct.Rows {
+			e.Blob(row.Marshal())
+		}
+		bad = append(bad, e.Bytes())
+	}
+	return rec, bad
 }
 
 // unaddressableRecords builds two otherwise valid records: one with an empty

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"testing"
 
+	"maacs/internal/engine"
 	"maacs/internal/pairing"
 )
 
@@ -120,22 +121,50 @@ func BenchmarkRekeyAndUpdateKey(b *testing.B) {
 	}
 }
 
+// BenchmarkCiphertextMarshalRoundTrip times UnmarshalCiphertext of a
+// 2-row ciphertext (three G elements and one G_T). "cold" cycles through
+// more distinct ciphertexts than the engine's decoded-element cache holds,
+// so every decode validates every element; "hit" decodes the same bytes
+// every iteration, so after the first every element is a cache hit.
 func BenchmarkCiphertextMarshalRoundTrip(b *testing.B) {
 	sys, _, owner, _ := benchFixture(b)
-	m, _, err := sys.Params.RandomGT(rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct, err := owner.Encrypt(m, "a1:x AND a2:y", rand.Reader)
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := ct.Marshal()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := UnmarshalCiphertext(sys.Params, data); err != nil {
+	const distinct = 512 // 1,536 G and 512 G_T encodings: past both cache bounds
+	encs := make([][]byte, distinct)
+	for i := range encs {
+		m, _, err := sys.Params.RandomGT(rand.Reader)
+		if err != nil {
 			b.Fatal(err)
 		}
+		ct, err := owner.Encrypt(m, "a1:x AND a2:y", rand.Reader)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encs[i] = ct.Marshal()
 	}
+	run := func(b *testing.B, next func() []byte) {
+		b.SetBytes(int64(len(encs[0])))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := UnmarshalCiphertext(sys.Params, next()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// The cursor carries over between the framework's calls with growing
+	// b.N, so no round restarts on encodings the previous one cached.
+	cursor := 0
+	b.Run("cold", func(b *testing.B) {
+		h0, _ := engine.DecodeCacheStats()
+		run(b, func() []byte {
+			cursor++
+			return encs[cursor%distinct]
+		})
+		b.StopTimer()
+		if h, _ := engine.DecodeCacheStats(); h != h0 {
+			b.Fatalf("%d cold decodes hit the cache", h-h0)
+		}
+	})
+	b.Run("hit", func(b *testing.B) {
+		run(b, func() []byte { return encs[0] })
+	})
 }

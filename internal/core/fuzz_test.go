@@ -5,10 +5,13 @@ import (
 	"testing"
 
 	"maacs/internal/pairing"
+	"maacs/internal/wire"
 )
 
-// FuzzUnmarshalCiphertext asserts the ciphertext decoder never panics and
-// that whatever it accepts re-encodes stably.
+// FuzzUnmarshalCiphertext asserts the ciphertext decoder never panics, that
+// whatever it accepts re-encodes stably, and that every element it returns
+// through the engine's decoded-element cache equals a direct
+// UnmarshalG/UnmarshalGT of the same bytes.
 func FuzzUnmarshalCiphertext(f *testing.F) {
 	sys := NewSystem(pairing.Test())
 	ca := NewCA(sys)
@@ -52,6 +55,26 @@ func FuzzUnmarshalCiphertext(f *testing.F) {
 		}
 		if string(got2.Marshal()) != string(re) {
 			t.Fatal("unstable re-encoding")
+		}
+
+		d := wire.NewDecoder(data)
+		_, _, _ = d.String(), d.String(), d.String() // ID, owner, policy
+		for i, n := 0, d.Count(2); i < n; i++ {
+			_, _ = d.String(), d.Int()
+		}
+		c, err := sys.Params.UnmarshalGT(d.Blob())
+		if err != nil || !got.C.Equal(c) {
+			t.Fatalf("C differs from a direct decode (%v)", err)
+		}
+		cp, err := sys.Params.UnmarshalG(d.Blob())
+		if err != nil || !got.CPrime.Equal(cp) {
+			t.Fatalf("C' differs from a direct decode (%v)", err)
+		}
+		for i, n := 0, d.Count(1); i < n; i++ {
+			row, err := sys.Params.UnmarshalG(d.Blob())
+			if err != nil || !got.Rows[i].Equal(row) {
+				t.Fatalf("row %d differs from a direct decode (%v)", i, err)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"maacs/internal/engine"
 	"maacs/internal/lsss"
 	"maacs/internal/pairing"
 	"maacs/internal/wire"
@@ -171,7 +172,12 @@ func (ct *Ciphertext) MarshalTo(e *wire.Encoder) {
 }
 
 // UnmarshalCiphertext decodes a ciphertext, recompiling the access structure
-// from the policy and validating every group element.
+// from the policy and validating every group element. The version map must
+// name exactly the policy's authorities, in the strictly increasing AID
+// order Marshal writes: ReEncrypt and RevocationUpdate decide from it
+// whether a ciphertext is involved in a revocation. The elements decode
+// through the engine's decoded-element cache, so a repeat of an encoding
+// this process has already validated costs a lookup.
 func UnmarshalCiphertext(p *pairing.Params, data []byte) (*Ciphertext, error) {
 	d := wire.NewDecoder(data)
 	ct := &Ciphertext{
@@ -184,9 +190,17 @@ func UnmarshalCiphertext(p *pairing.Params, data []byte) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ciphertext: %w", d.Err())
 	}
 	ct.Versions = make(map[string]int, nv)
+	prev := ""
 	for i := 0; i < nv; i++ {
 		aid := d.String()
-		ct.Versions[aid] = d.Int()
+		v := d.Int()
+		if d.Err() != nil {
+			return nil, fmt.Errorf("ciphertext version %d: %w", i, d.Err())
+		}
+		if i > 0 && aid <= prev {
+			return nil, fmt.Errorf("ciphertext: version for authority %q out of order or repeated", aid)
+		}
+		ct.Versions[aid], prev = v, aid
 	}
 	cRaw := d.Blob()
 	cpRaw := d.Blob()
@@ -202,25 +216,6 @@ func UnmarshalCiphertext(p *pairing.Params, data []byte) (*Ciphertext, error) {
 		return nil, fmt.Errorf("ciphertext: %d rows for %d-row policy", nRows, len(matrix.Rho))
 	}
 	ct.Matrix = matrix
-	if ct.C, err = p.UnmarshalGT(cRaw); err != nil {
-		return nil, fmt.Errorf("ciphertext C: %w", err)
-	}
-	if ct.CPrime, err = p.UnmarshalG(cpRaw); err != nil {
-		return nil, fmt.Errorf("ciphertext C': %w", err)
-	}
-	ct.Rows = make([]*pairing.G, nRows)
-	for i := 0; i < nRows; i++ {
-		raw := d.Blob()
-		if d.Err() != nil {
-			return nil, fmt.Errorf("ciphertext row %d: %w", i, d.Err())
-		}
-		if ct.Rows[i], err = p.UnmarshalG(raw); err != nil {
-			return nil, fmt.Errorf("ciphertext row %d: %w", i, err)
-		}
-	}
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("ciphertext: %w", err)
-	}
 	aids, err := ct.InvolvedAuthorities()
 	if err != nil {
 		return nil, err
@@ -229,6 +224,28 @@ func UnmarshalCiphertext(p *pairing.Params, data []byte) (*Ciphertext, error) {
 		if _, ok := ct.Versions[aid]; !ok {
 			return nil, fmt.Errorf("ciphertext: missing version for authority %q", aid)
 		}
+	}
+	if len(ct.Versions) != len(aids) {
+		return nil, fmt.Errorf("ciphertext: %d versions for %d policy authorities", len(ct.Versions), len(aids))
+	}
+	if ct.C, err = engine.DecodeGT(p, cRaw); err != nil {
+		return nil, fmt.Errorf("ciphertext C: %w", err)
+	}
+	if ct.CPrime, err = engine.DecodeG(p, cpRaw); err != nil {
+		return nil, fmt.Errorf("ciphertext C': %w", err)
+	}
+	ct.Rows = make([]*pairing.G, nRows)
+	for i := 0; i < nRows; i++ {
+		raw := d.Blob()
+		if d.Err() != nil {
+			return nil, fmt.Errorf("ciphertext row %d: %w", i, d.Err())
+		}
+		if ct.Rows[i], err = engine.DecodeG(p, raw); err != nil {
+			return nil, fmt.Errorf("ciphertext row %d: %w", i, err)
+		}
+	}
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("ciphertext: %w", err)
 	}
 	return ct, nil
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/rand"
 	"testing"
+
+	"maacs/internal/wire"
 )
 
 func TestUserPublicKeyMarshalRoundTrip(t *testing.T) {
@@ -122,6 +124,53 @@ func TestCiphertextUnmarshalRejectsCorruption(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCiphertextUnmarshalRejectsVersionMapMismatch: the version map must
+// name exactly the policy's authorities, in strictly increasing AID order.
+// An extra entry used to be accepted, and a later revocation at that
+// authority then re-encrypted C while touching no row, so an authorized
+// holder decrypted the wrong plaintext without an error.
+func TestCiphertextUnmarshalRejectsVersionMapMismatch(t *testing.T) {
+	f := twoAuthorityFixture(t)
+	_, one := f.encrypt("med:doctor")
+	_, two := f.encrypt("med:doctor AND uni:researcher")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"extra", encodeWithVersions(one, "med", "uni")},
+		{"duplicate", encodeWithVersions(one, "med", "med")},
+		{"out of order", encodeWithVersions(two, "uni", "med")},
+	} {
+		if _, err := UnmarshalCiphertext(f.sys.Params, tc.data); err == nil {
+			t.Errorf("%s version entry accepted", tc.name)
+		}
+	}
+	if _, err := UnmarshalCiphertext(f.sys.Params, encodeWithVersions(two, "med", "uni")); err != nil {
+		t.Fatalf("the Marshal form of the same ciphertext: %v", err)
+	}
+}
+
+// encodeWithVersions encodes ct as Marshal does, except that the version
+// entries name aids in the order given, each at version 0.
+func encodeWithVersions(ct *Ciphertext, aids ...string) []byte {
+	var e wire.Encoder
+	e.String(ct.ID)
+	e.String(ct.OwnerID)
+	e.String(ct.Policy)
+	e.Int(len(aids))
+	for _, aid := range aids {
+		e.String(aid)
+		e.Int(0)
+	}
+	e.Blob(ct.C.Marshal())
+	e.Blob(ct.CPrime.Marshal())
+	e.Int(len(ct.Rows))
+	for _, row := range ct.Rows {
+		e.Blob(row.Marshal())
+	}
+	return e.Bytes()
 }
 
 func TestUpdateKeyMarshalRoundTrip(t *testing.T) {

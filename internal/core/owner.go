@@ -185,7 +185,8 @@ func (o *Owner) EncryptMatrix(m *pairing.GT, policy string, matrix *lsss.Matrix,
 }
 
 // ApplyUpdate moves the owner's stored public keys for uk.AID to the next
-// version: PK̃_o = PK_o^UK2 and PK̃_x = PK_x^UK2.
+// version: PK̃_o = PK_o^UK2 and PK̃_x = PK_x^UK2. Each replaced PK_x leaves
+// the engine's caches, since this owner never exponentiates it again.
 func (o *Owner) ApplyUpdate(uk *UpdateKey) error {
 	if uk.OwnerID != o.id {
 		return fmt.Errorf("%w: update key for owner %q", ErrWrongOwner, uk.OwnerID)
@@ -213,6 +214,7 @@ func (o *Owner) ApplyUpdate(uk *UpdateKey) error {
 			Version: uk.ToVersion,
 			PK:      engine.PreparedExp(apk.PK).Exp(uk.UK2),
 		}
+		engine.Forget(apk.PK)
 	}
 	return nil
 }

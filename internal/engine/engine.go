@@ -1,6 +1,6 @@
 // Package engine is the shared group-compute layer every scheme package and
 // the cloud server's proxy re-encryption path run their per-attribute and
-// per-row hot loops on. It offers three things:
+// per-row hot loops on. It offers:
 //
 //   - a bounded worker pool (sized by GOMAXPROCS, overridable) that evaluates
 //     independent jobs in parallel with first-error cancellation,
@@ -8,6 +8,8 @@
 //     small LRU cache of prepared Miller-loop coefficients keyed by the
 //     serialized first argument,
 //   - fixed-base and simultaneous (Shamir's trick) exponentiation helpers,
+//   - validated decoding of ciphertext elements (DecodeG, DecodeGT) behind
+//     a bounded LRU keyed by the exact encoding,
 //   - process-wide activity counters (jobs, chunks, cache hits/misses)
 //     snapshotted via SnapshotStats and attributed to a region with Measure.
 //

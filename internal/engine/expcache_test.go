@@ -67,9 +67,9 @@ func TestExpCacheHitMiss(t *testing.T) {
 // never exceeds the cap, the most recent bases stay resident, and an
 // evicted base misses again on its next use.
 func TestExpCacheEviction(t *testing.T) {
-	old := preparedCacheCap
-	preparedCacheCap = 4
-	defer func() { preparedCacheCap = old }()
+	old := expTables.limit
+	expTables.limit = 4
+	defer func() { expTables.limit = old }()
 
 	p := pairing.Test()
 	bases := freshBases(t, p, 10)

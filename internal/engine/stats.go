@@ -8,7 +8,7 @@ import (
 // Stats is a snapshot (or a delta between two snapshots) of the engine's
 // process-wide activity counters: how many jobs the pools scheduled, how many
 // PairProd chunks were split off, and how effective the PreparedG and
-// doubling-table caches were. Counters are cumulative and monotonically
+// exp-table caches were. Counters are cumulative and monotonically
 // non-decreasing for the life of the process; WallNs is only populated on
 // deltas produced by Measure and on sums of such deltas (a raw snapshot
 // carries no meaningful wall time).
@@ -23,7 +23,7 @@ type Stats struct {
 	// PreparedHits/PreparedMisses track the Miller-loop preparation cache.
 	PreparedHits   uint64 `json:"prepared_hits"`
 	PreparedMisses uint64 `json:"prepared_misses"`
-	// ExpHits/ExpMisses track the doubling-table cache.
+	// ExpHits/ExpMisses track the exp-table cache.
 	ExpHits   uint64 `json:"exp_hits"`
 	ExpMisses uint64 `json:"exp_misses"`
 	// WallNs is the wall time of the measured region (Measure deltas only).

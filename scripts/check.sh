@@ -51,8 +51,8 @@ echo "== benchmark module (separate go.mod): vet + smoke test"
 (cd benchmark && go vet ./... && go test -count=1 ./...)
 echo "== go test -race ./internal/pairing"
 go test -race -count=1 ./internal/pairing
-echo "== exp-cache race gate: engine table caches under concurrent use"
-gate ./internal/engine 'TestExpCache' -race -count=2
+echo "== engine cache race gate: table, decoded-element and retirement tests"
+gate ./internal/engine 'TestExpCache|TestDecodeCache|TestRetiredBasesLeaveCaches' -race -count=2
 echo "== alloc pins: comb evaluation + field primitives (race off: AllocsPerRun)"
 gate ./internal/pairing 'TestCombExpMontAllocs|TestHotPathZeroBigIntAllocs' -count=1
 echo "== bench smoke: pairing kernels"
@@ -64,4 +64,7 @@ go test -run=NoTests -fuzz=FuzzFpMontgomery -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: Lehmer inversion vs Fermat and ModInverse"
 need ./internal/pairing FuzzFpInvLehmer
 go test -run=NoTests -fuzz=FuzzFpInvLehmer -fuzztime=5s ./internal/pairing
+echo "== fuzz smoke: ciphertext decoder, cached elements vs direct decode"
+need ./internal/core FuzzUnmarshalCiphertext
+go test -run=NoTests -fuzz=FuzzUnmarshalCiphertext -fuzztime=5s ./internal/core
 echo "== OK"
