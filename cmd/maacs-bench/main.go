@@ -10,12 +10,15 @@
 //	maacs-bench -what revocation    # only the revocation experiment
 //	maacs-bench -what reencrypt-batch  # per-ciphertext vs batched submission
 //	maacs-bench -what walcommit     # durable put throughput + fsyncs/op vs writers
-//	maacs-bench -what load          # open-loop load vs a live server, both transports
-//	maacs-bench -what load -load-mix fetch=60,fetch_component=30,store=5,delete=3,reencrypt=1,revoke=1
 //	maacs-bench -what fetchpath     # cached vs uncached serving cost of the read path
+//	maacs-bench -what engine -trials 8 -json-dir .  # rewrite BENCH_engine.json here
 //	maacs-bench -points 2,5,8 -trials 3
 //	maacs-bench -fast               # small test curve (CI smoke run)
 //	maacs-bench -csv dir            # also write CSV series into dir
+//
+// The engine, reencrypt-batch, walcommit, fetchpath and pairing modes
+// report JSON as well; -json-dir names the directory their BENCH_*.json
+// files go to, and without it no JSON is written.
 //
 // Absolute times depend on the host; the paper's claims are about shapes
 // (who wins, linear growth), which the tool checks and reports explicitly.
@@ -30,7 +33,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"maacs/internal/bench"
 	"maacs/internal/pairing"
@@ -42,8 +44,27 @@ import (
 // experiments) report success while running nothing.
 var benchModes = []string{
 	"tables", "fig3", "fig4", "revocation", "ablation", "scale", "engine",
-	"reencrypt-batch", "walcommit", "pairing", "load", "fetchpath",
+	"reencrypt-batch", "walcommit", "pairing", "fetchpath",
 }
+
+// artifacts maps each mode that reports JSON to its file name under
+// -json-dir. The committed copies sit at the repository root.
+var artifacts = map[string]string{
+	"engine":          "BENCH_engine.json",
+	"reencrypt-batch": "BENCH_reencrypt.json",
+	"walcommit":       "BENCH_walcommit.json",
+	"fetchpath":       "BENCH_fetchpath.json",
+	"pairing":         "BENCH_pairing.json",
+}
+
+// Settings of the JSON-reporting experiments: the server re-encryption
+// window of the windowed reencrypt-batch submissions, and the durable puts
+// per writer and WAL segment rotation threshold of walcommit.
+const (
+	batchWindow     = 4
+	walOpsPerWriter = 256
+	walSegmentBytes = 256 << 10
+)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -61,24 +82,7 @@ func run(args []string, out io.Writer) error {
 	ciphertexts := fs.Int("ciphertexts", 4, "stored ciphertexts in the revocation experiment")
 	fast := fs.Bool("fast", false, "use the small test curve instead of paper-scale parameters")
 	csvDir := fs.String("csv", "", "directory to write CSV series into (optional)")
-	engineJSON := fs.String("engine-json", "BENCH_engine.json", "output path for the engine serial-vs-parallel report")
-	reencryptJSON := fs.String("reencrypt-json", "BENCH_reencrypt.json", "output path for the batched re-encryption report")
-	batchWindow := fs.Int("batch-window", 4, "server re-encryption window for the windowed reencrypt-batch submissions and the load run (0 = unwindowed)")
-	pairingJSON := fs.String("pairing-json", "BENCH_pairing.json", "output path for the two-kernel pairing report (montgomery/reference)")
-	walcommitJSON := fs.String("walcommit-json", "BENCH_walcommit.json", "output path for the WAL group-commit report")
-	walOps := fs.Int("wal-ops", 256, "durable puts per writer in the WAL group-commit experiment")
-	walSegment := fs.Int64("wal-segment-bytes", 256<<10, "WAL segment rotation threshold during the group-commit experiment")
-	loadJSON := fs.String("load-json", "BENCH_load.json", "output path for the open-loop load report")
-	loadDuration := fs.Duration("load-duration", 2*time.Second, "driving time per load point")
-	loadRates := fs.String("load-rates", "25,50,100,200", "offered rates (ops/sec) of the load saturation sweep")
-	loadOwners := fs.Int("load-owners", 4, "simulated data owners in the load population")
-	loadUsers := fs.Int("load-users", 8, "simulated users in the load population")
-	loadRecords := fs.Int("load-records", 6, "durable records per owner in the load population")
-	loadTransports := fs.String("load-transports", "rpc,http", "transports the load sweep drives")
-	loadProcs := fs.String("load-procs", "", "GOMAXPROCS values to sweep at the highest load rate (empty = skip)")
-	loadMix := fs.String("load-mix", "", "op mix for the load sweep as op=weight pairs (empty = built-in default mix)")
-	fetchpathJSON := fs.String("fetchpath-json", "BENCH_fetchpath.json", "output path for the cached-vs-uncached read-path report")
-	fetchpathIters := fs.Int("fetchpath-iters", 0, "timed iterations per fetchpath row (0 = built-in default)")
+	jsonDir := fs.String("json-dir", "", "directory to write the BENCH_*.json reports into (empty = write none)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -198,39 +202,19 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
-		report.Render(out)
-		f, err := os.Create(*engineJSON)
-		if err != nil {
+		if err := writeReport(out, *jsonDir, "engine", report); err != nil {
 			return err
 		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n\n", *engineJSON)
 	}
 
 	if want["reencrypt-batch"] {
-		report, err := bench.MeasureReEncryptBatch(params, rand.Reader, []int{2, 4, 8, 16}, *fixed, *trials, *batchWindow)
+		report, err := bench.MeasureReEncryptBatch(params, rand.Reader, []int{2, 4, 8, 16}, *fixed, *trials, batchWindow)
 		if err != nil {
 			return fmt.Errorf("reencrypt-batch: %w", err)
 		}
-		report.Render(out)
-		f, err := os.Create(*reencryptJSON)
-		if err != nil {
+		if err := writeReport(out, *jsonDir, "reencrypt-batch", report); err != nil {
 			return err
 		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n\n", *reencryptJSON)
 	}
 
 	if want["walcommit"] {
@@ -238,102 +222,24 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		report, err := bench.MeasureWALCommit(params, rand.Reader, dir, *walOps, *walSegment, []int{1, 4, 16})
+		report, err := bench.MeasureWALCommit(params, rand.Reader, dir, walOpsPerWriter, walSegmentBytes, []int{1, 4, 16})
 		os.RemoveAll(dir)
 		if err != nil {
 			return fmt.Errorf("walcommit: %w", err)
 		}
-		report.Render(out)
-		f, err := os.Create(*walcommitJSON)
-		if err != nil {
+		if err := writeReport(out, *jsonDir, "walcommit", report); err != nil {
 			return err
 		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n\n", *walcommitJSON)
-	}
-
-	if want["load"] {
-		rates, err := parseRates(*loadRates)
-		if err != nil {
-			return fmt.Errorf("load: %w", err)
-		}
-		var procs []int
-		if *loadProcs != "" {
-			if procs, err = parsePoints(*loadProcs); err != nil {
-				return fmt.Errorf("load: %w", err)
-			}
-		}
-		var transports []string
-		for _, tr := range strings.Split(*loadTransports, ",") {
-			if tr = strings.TrimSpace(tr); tr != "" {
-				transports = append(transports, tr)
-			}
-		}
-		mix, err := parseLoadMix(*loadMix)
-		if err != nil {
-			return fmt.Errorf("load: %w", err)
-		}
-		report, err := bench.MeasureLoad(bench.LoadSpec{
-			Params:          params,
-			Rnd:             rand.Reader,
-			Owners:          *loadOwners,
-			Users:           *loadUsers,
-			RecordsPerOwner: *loadRecords,
-			Duration:        *loadDuration,
-			Rates:           rates,
-			Transports:      transports,
-			Procs:           procs,
-			Window:          *batchWindow,
-			Mix:             mix,
-		})
-		if err != nil {
-			return fmt.Errorf("load: %w", err)
-		}
-		report.Render(out)
-		f, err := os.Create(*loadJSON)
-		if err != nil {
-			return err
-		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n\n", *loadJSON)
 	}
 
 	if want["fetchpath"] {
-		report, err := bench.MeasureFetchPath(bench.FetchPathSpec{
-			Params:          params,
-			Rnd:             rand.Reader,
-			Owners:          *loadOwners,
-			RecordsPerOwner: *loadRecords,
-			Iters:           *fetchpathIters,
-		})
+		report, err := bench.MeasureFetchPath(bench.FetchPathSpec{Params: params, Rnd: rand.Reader})
 		if err != nil {
 			return fmt.Errorf("fetchpath: %w", err)
 		}
-		report.Render(out)
-		f, err := os.Create(*fetchpathJSON)
-		if err != nil {
+		if err := writeReport(out, *jsonDir, "fetchpath", report); err != nil {
 			return err
 		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n\n", *fetchpathJSON)
 	}
 
 	if want["pairing"] {
@@ -341,20 +247,34 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("pairing: %w", err)
 		}
-		report.Render(out)
-		f, err := os.Create(*pairingJSON)
-		if err != nil {
+		if err := writeReport(out, *jsonDir, "pairing", report); err != nil {
 			return err
 		}
-		if err := report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "  wrote %s\n\n", *pairingJSON)
 	}
+	return nil
+}
+
+// writeReport prints report and, when dir is set, writes it as JSON to the
+// mode's artifact file in dir.
+func writeReport(out io.Writer, dir, mode string, report interface{ Render(io.Writer) }) error {
+	report.Render(out)
+	if dir == "" {
+		fmt.Fprintln(out)
+		return nil
+	}
+	path := filepath.Join(dir, artifacts[mode])
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := bench.WriteJSON(f, report); err != nil {
+		f.Close()
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "  wrote %s\n\n", path)
 	return nil
 }
 
@@ -412,44 +332,6 @@ func ablation(out io.Writer, params *pairing.Params, n int) error {
 	fmt.Fprintf(out, "%-46s %14s %6.1fx\n", "aggregated multi-pairing (2 Millers, extension)", fast, float64(slow)/float64(fast))
 	fmt.Fprintln(out)
 	return nil
-}
-
-// parseLoadMix parses "fetch=60,store=5,..." into a bench.LoadMix. An empty
-// string means the built-in default mix; weight validation (unknown ops,
-// negatives) happens inside the load harness.
-func parseLoadMix(s string) (bench.LoadMix, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	mix := make(bench.LoadMix)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		op, weight, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -load-mix entry %q (want op=weight)", part)
-		}
-		w, err := strconv.Atoi(strings.TrimSpace(weight))
-		if err != nil {
-			return nil, fmt.Errorf("bad -load-mix weight %q", part)
-		}
-		mix[strings.TrimSpace(op)] = w
-	}
-	return mix, nil
-}
-
-func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad offered rate %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parsePoints(s string) ([]int, error) {

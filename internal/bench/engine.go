@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"maacs/internal/cloud"
@@ -32,10 +30,8 @@ type EnginePoint struct {
 // something relative to it: on a single-core host the pool degrades to the
 // serial path and speedups hover around 1.0 by construction.
 type EngineReport struct {
-	GOMAXPROCS  int           `json:"gomaxprocs"`
+	Header
 	Workers     int           `json:"workers"`
-	RBits       int           `json:"r_bits"`
-	QBits       int           `json:"q_bits"`
 	Trials      int           `json:"trials"`
 	Ciphertexts int           `json:"reencrypt_ciphertexts"`
 	Points      []EnginePoint `json:"points"`
@@ -59,15 +55,21 @@ func timeBest(workers, trials int, f func() error) (time.Duration, error) {
 }
 
 // measurePair times f serially (workers=1) and on the default-width pool,
-// and appends the resulting point.
+// and appends the resulting point. The two sides alternate trial by trial,
+// so a noisy stretch of a shared host lands on both instead of on whichever
+// side happened to run during it.
 func (r *EngineReport) measurePair(attrs int, op string, trials int, f func() error) error {
-	serial, err := timeBest(1, trials, f)
-	if err != nil {
-		return fmt.Errorf("%s/%d serial: %w", op, attrs, err)
-	}
-	parallel, err := timeBest(0, trials, f)
-	if err != nil {
-		return fmt.Errorf("%s/%d parallel: %w", op, attrs, err)
+	var serial, parallel time.Duration
+	for t := 0; t < trials; t++ {
+		d, err := timeBest(1, 1, f)
+		if err != nil {
+			return fmt.Errorf("%s/%d serial: %w", op, attrs, err)
+		}
+		keepBest(&serial, d)
+		if d, err = timeBest(0, 1, f); err != nil {
+			return fmt.Errorf("%s/%d parallel: %w", op, attrs, err)
+		}
+		keepBest(&parallel, d)
 	}
 	r.Points = append(r.Points, EnginePoint{
 		Attrs:      attrs,
@@ -111,10 +113,8 @@ func reencryptWorkload(cfg Config, numCTs int) (func() error, error) {
 // on the engine pool.
 func MeasureEngine(params *pairing.Params, rnd io.Reader, attrCounts []int, trials, numCTs int) (*EngineReport, error) {
 	report := &EngineReport{
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Header:      newHeader(params),
 		Workers:     engine.New(0).Workers(),
-		RBits:       params.R.BitLen(),
-		QBits:       params.Q.BitLen(),
 		Trials:      trials,
 		Ciphertexts: numCTs,
 	}
@@ -149,13 +149,6 @@ func MeasureEngine(params *pairing.Params, rnd io.Reader, attrCounts []int, tria
 		}
 	}
 	return report, nil
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *EngineReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Render prints a human-readable table of the report.

@@ -34,7 +34,7 @@ func TestMeasureEngineProducesValidJSON(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := report.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, report); err != nil {
 		t.Fatal(err)
 	}
 	var round EngineReport

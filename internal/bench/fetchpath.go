@@ -2,10 +2,8 @@ package bench
 
 import (
 	crand "crypto/rand"
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -31,7 +29,7 @@ type FetchPathSpec struct {
 	Params *pairing.Params
 	Rnd    io.Reader
 	// Owners and RecordsPerOwner size the stored population (each record
-	// carries a data and a meta component, as in the load harness).
+	// carries a data and a meta component).
 	Owners, RecordsPerOwner int
 	// Iters is the timed iteration count per row; Trials takes the best of
 	// repeated timings.
@@ -70,9 +68,7 @@ type FetchPathRow struct {
 // FetchPathReport is the machine-readable result of MeasureFetchPath,
 // written to BENCH_fetchpath.json.
 type FetchPathReport struct {
-	GOMAXPROCS      int            `json:"gomaxprocs"`
-	RBits           int            `json:"r_bits"`
-	QBits           int            `json:"q_bits"`
+	Header
 	Owners          int            `json:"owners"`
 	RecordsPerOwner int            `json:"records_per_owner"`
 	Iters           int            `json:"iters"`
@@ -91,7 +87,7 @@ type fetchPathOp struct {
 // record IDs.
 func buildFetchPathPopulation(spec FetchPathSpec) (*cloud.Env, []string, error) {
 	sys := core.NewSystem(spec.Params)
-	env := cloud.NewEnvWithStore(sys, spec.Rnd, nil)
+	env := cloud.NewEnv(sys, spec.Rnd)
 	const aid = "fetchpath-aa"
 	if _, err := env.AddAuthority(aid, []string{"read"}); err != nil {
 		return nil, nil, err
@@ -197,9 +193,7 @@ func MeasureFetchPath(spec FetchPathSpec) (*FetchPathReport, error) {
 		return nil, fmt.Errorf("fetchpath setup: %w", err)
 	}
 	report := &FetchPathReport{
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		RBits:           spec.Params.R.BitLen(),
-		QBits:           spec.Params.Q.BitLen(),
+		Header:          newHeader(spec.Params),
 		Owners:          spec.Owners,
 		RecordsPerOwner: spec.RecordsPerOwner,
 		Iters:           spec.Iters,
@@ -231,13 +225,6 @@ func MeasureFetchPath(spec FetchPathSpec) (*FetchPathReport, error) {
 		}
 	}
 	return report, nil
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *FetchPathReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Render prints a human-readable comparison table.

@@ -46,7 +46,7 @@ func TestMeasureFetchPathSmoke(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := report.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, report); err != nil {
 		t.Fatal(err)
 	}
 	var back FetchPathReport

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -55,8 +54,7 @@ type FieldPoint struct {
 // is pinned to one worker for the scheme-level rows), so the speedups are
 // pure kernel arithmetic, not parallelism.
 type PairingReport struct {
-	RBits  int `json:"r_bits"`
-	QBits  int `json:"q_bits"`
+	Header
 	Trials int `json:"trials"`
 	Attrs  int `json:"attrs"`
 	// Fields are the base/extension-field primitive rows; Points are the
@@ -188,8 +186,7 @@ func kernelClone(p *pairing.Params, k pairing.Kernel) (*pairing.Params, error) {
 // attrs is split as one authority with attrs attributes.
 func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*PairingReport, error) {
 	report := &PairingReport{
-		RBits:  params.R.BitLen(),
-		QBits:  params.Q.BitLen(),
+		Header: newHeader(params),
 		Trials: trials,
 		Attrs:  attrs,
 	}
@@ -391,17 +388,10 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*
 	return report, nil
 }
 
-// WriteJSON writes the report as indented JSON.
-func (r *PairingReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // Render prints a human-readable table of the report.
 func (r *PairingReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "Pairing kernels montgomery vs reference — |r|=%d, |q|=%d bits, attrs=%d (%d trials, best-of, single-threaded)\n",
-		r.RBits, r.QBits, r.Attrs, r.Trials)
+	fmt.Fprintf(w, "Pairing kernels montgomery vs reference — GOMAXPROCS=%d, |r|=%d, |q|=%d bits, attrs=%d (%d trials, best-of, single-threaded)\n",
+		r.GOMAXPROCS, r.RBits, r.QBits, r.Attrs, r.Trials)
 	if len(r.Fields) > 0 {
 		fmt.Fprintf(w, "%-14s %14s %14s %8s %12s %12s\n",
 			"field op", "montgomery", "big.Int", "speedup", "mont allocs", "big allocs")

@@ -53,7 +53,7 @@ func TestMeasurePairingShapes(t *testing.T) {
 			t.Fatalf("render missing %q", want)
 		}
 	}
-	if err := r.WriteJSON(&sb); err != nil {
+	if err := WriteJSON(&sb, r); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"montgomery_ns", "reference_ns", "speedup", "bigint_allocs"} {

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"maacs/internal/cloud"
@@ -106,12 +104,10 @@ type ReEncryptPoint struct {
 // ReEncryptBatchReport is the machine-readable result of
 // MeasureReEncryptBatch, written to BENCH_reencrypt.json.
 type ReEncryptBatchReport struct {
-	GOMAXPROCS int `json:"gomaxprocs"`
-	Workers    int `json:"workers"`
-	RBits      int `json:"r_bits"`
-	QBits      int `json:"q_bits"`
-	Trials     int `json:"trials"`
-	Attrs      int `json:"attrs"`
+	Header
+	Workers int `json:"workers"`
+	Trials  int `json:"trials"`
+	Attrs   int `json:"attrs"`
 	// Window is the per-run item cap the windowed submissions used.
 	Window int              `json:"window"`
 	Points []ReEncryptPoint `json:"points"`
@@ -128,13 +124,11 @@ type ReEncryptBatchReport struct {
 // per-owner counter row the server accumulated.
 func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int, attrs, trials, window int) (*ReEncryptBatchReport, error) {
 	report := &ReEncryptBatchReport{
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    engine.New(0).Workers(),
-		RBits:      params.R.BitLen(),
-		QBits:      params.Q.BitLen(),
-		Trials:     trials,
-		Attrs:      attrs,
-		Window:     window,
+		Header:  newHeader(params),
+		Workers: engine.New(0).Workers(),
+		Trials:  trials,
+		Attrs:   attrs,
+		Window:  window,
 	}
 	for _, numCTs := range ctCounts {
 		cfg := Config{Params: params, Authorities: 1, AttrsPerAuthority: attrs, Rnd: rnd}
@@ -225,13 +219,6 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 		})
 	}
 	return report, nil
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *ReEncryptBatchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Render prints a human-readable table of the report.

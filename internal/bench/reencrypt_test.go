@@ -55,7 +55,7 @@ func TestMeasureReEncryptBatchProducesValidJSON(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := report.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, report); err != nil {
 		t.Fatal(err)
 	}
 	var round ReEncryptBatchReport

@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"time"
 
@@ -36,9 +34,7 @@ type WALCommitPoint struct {
 // WALCommitReport is the machine-readable result of MeasureWALCommit,
 // written to BENCH_walcommit.json.
 type WALCommitReport struct {
-	GOMAXPROCS   int              `json:"gomaxprocs"`
-	RBits        int              `json:"r_bits"`
-	QBits        int              `json:"q_bits"`
+	Header
 	OpsPerWriter int              `json:"ops_per_writer"`
 	SegmentBytes int64            `json:"segment_bytes"`
 	Points       []WALCommitPoint `json:"points"`
@@ -77,9 +73,7 @@ func MeasureWALCommit(params *pairing.Params, rnd io.Reader, dir string, opsPerW
 		return nil, fmt.Errorf("walcommit setup: %w", err)
 	}
 	report := &WALCommitReport{
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		RBits:        params.R.BitLen(),
-		QBits:        params.Q.BitLen(),
+		Header:       newHeader(params),
 		OpsPerWriter: opsPerWriter,
 		SegmentBytes: segmentBytes,
 	}
@@ -146,13 +140,6 @@ func measureWALCommitPoint(sys *core.System, template *cloud.Record, dir string,
 		FsyncsPerOp: float64(fsyncs) / float64(ops),
 		Segments:    info.WALSegments,
 	}, nil
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *WALCommitReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Render prints a human-readable table of the report.

@@ -44,7 +44,7 @@ func TestMeasureWALCommit(t *testing.T) {
 		t.Fatalf("render missing header:\n%s", sb.String())
 	}
 	sb.Reset()
-	if err := report.WriteJSON(&sb); err != nil {
+	if err := WriteJSON(&sb, report); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "\"fsyncs_per_op\"") {

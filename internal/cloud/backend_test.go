@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"crypto/rand"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"maacs/internal/core"
+	"maacs/internal/pairing"
 )
 
 // TestMain lets the whole cloud test suite run against the file backend:
@@ -42,4 +44,31 @@ func testMain(m *testing.M) int {
 		return 2
 	}
 	return m.Run()
+}
+
+// TestNewEnvWithStoreBuildsNoDefaultStore pins that an explicit store is the
+// only backend NewEnvWithStore opens. It used to build a default server
+// first and drop it, which leaked a FileStore under MAACS_STORE=file.
+func TestNewEnvWithStoreBuildsNoDefaultStore(t *testing.T) {
+	prev := defaultStore
+	t.Cleanup(func() { defaultStore = prev })
+	calls := 0
+	defaultStore = func(*core.System) Store {
+		calls++
+		return NewMemStore()
+	}
+	sys := core.NewSystem(pairing.Test())
+
+	if err := NewEnvWithStore(sys, rand.Reader, NewMemStore()).Server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 0 {
+		t.Fatalf("NewEnvWithStore with an explicit store opened %d default store(s)", calls)
+	}
+	if err := NewEnv(sys, rand.Reader).Server.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("NewEnv opened %d default store(s), want 1", calls)
+	}
 }

@@ -42,8 +42,10 @@ func NewEnv(sys *core.System, rnd io.Reader) *Env {
 // the file-backed engine through the full protocol.
 func NewEnvWithStore(sys *core.System, rnd io.Reader, store Store) *Env {
 	acct := NewAccounting()
-	server := NewServer(sys, acct)
-	if store != nil {
+	var server *Server
+	if store == nil {
+		server = NewServer(sys, acct)
+	} else {
 		server = NewServerWithStore(sys, acct, store)
 	}
 	return &Env{

@@ -10,7 +10,7 @@ import (
 // span 10µs to ~168s — cheap fetches and multi-second re-encryption batches
 // land in the same family. Observation is a pair of atomic adds with no lock,
 // so the fetch fast path stays lock-free; snapshots fold the buckets into the
-// cumulative `le` form Prometheus histograms and the load harness share.
+// cumulative `le` form of Prometheus histograms.
 
 // histBuckets is the number of finite buckets; observations beyond the last
 // boundary count only toward the +Inf bucket.
@@ -106,43 +106,4 @@ func (h *LatencyHistogram) Snapshot() HistogramSnapshot {
 		snap.Buckets = nil
 	}
 	return snap
-}
-
-// Quantile estimates the q-quantile (0 < q <= 1) in seconds by linear
-// interpolation inside the containing bucket. Observations past the last
-// finite boundary are reported as that boundary — the histogram cannot
-// resolve them further. Returns 0 for an empty snapshot.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * float64(s.Count)
-	prevLE, prevCum := 0.0, uint64(0)
-	for _, b := range s.Buckets {
-		if float64(b.Count) >= target {
-			in := b.Count - prevCum
-			if in == 0 {
-				return b.LE
-			}
-			frac := (target - float64(prevCum)) / float64(in)
-			return prevLE + (b.LE-prevLE)*frac
-		}
-		prevLE, prevCum = b.LE, b.Count
-	}
-	// Target falls in the +Inf bucket.
-	return boundarySeconds(histBuckets - 1)
-}
-
-// Mean returns the average observed duration in seconds (0 when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.SumNs) / 1e9 / float64(s.Count)
 }

@@ -74,42 +74,6 @@ func TestHistogramSnapshotCumulative(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	var h LatencyHistogram
-	// 90 fast observations in bucket 0 and 10 slow ones in bucket 7: p50 sits
-	// inside bucket 0, p99 inside bucket 7.
-	for i := 0; i < 90; i++ {
-		h.Observe(4 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(time.Millisecond)
-	}
-	s := h.Snapshot()
-	if p50 := s.Quantile(0.50); p50 <= 0 || p50 > 1e-5 {
-		t.Fatalf("p50 = %g, want within bucket 0 (0, 1e-05]", p50)
-	}
-	if p99 := s.Quantile(0.99); p99 <= boundarySeconds(6) || p99 > boundarySeconds(7) {
-		t.Fatalf("p99 = %g, want within bucket 7", p99)
-	}
-	if q0 := s.Quantile(0); q0 < 0 {
-		t.Fatalf("q0 = %g", q0)
-	}
-	if q1 := s.Quantile(1); q1 > boundarySeconds(7) {
-		t.Fatalf("q1 = %g beyond the slow bucket", q1)
-	}
-
-	// All-overflow histogram: quantiles saturate at the last finite boundary.
-	var o LatencyHistogram
-	o.Observe(time.Hour)
-	if got := o.Snapshot().Quantile(0.5); got != boundarySeconds(histBuckets-1) {
-		t.Fatalf("overflow quantile = %g, want last boundary %g", got, boundarySeconds(histBuckets-1))
-	}
-
-	if got := (HistogramSnapshot{}).Quantile(0.5); got != 0 {
-		t.Fatalf("empty quantile = %g, want 0", got)
-	}
-}
-
 // TestHistogramConcurrentObserve hammers Observe from many goroutines (run
 // under -race by check.sh) and checks nothing is lost.
 func TestHistogramConcurrentObserve(t *testing.T) {

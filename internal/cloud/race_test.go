@@ -138,10 +138,10 @@ func TestFetchDuringReEncryptNoRace(t *testing.T) {
 	}
 }
 
-// TestMixedTrafficMetricsNoRace hammers the lock-free serving paths the load
-// harness exercises — attributed fetches (per-user counters), component
-// fetches, metrics snapshots, Prometheus rendering and accounting reads — all
-// while revocation re-encryptions stream through the store. Run under -race
+// TestMixedTrafficMetricsNoRace hammers the lock-free serving paths —
+// attributed fetches (per-user counters), component fetches, metrics
+// snapshots, Prometheus rendering and accounting reads — all while
+// revocation re-encryptions stream through the store. Run under -race
 // by scripts/check.sh; this is the regression test for the counter races on
 // the lock-free read paths (noteDownload, acct.Add, the per-user stats map).
 func TestMixedTrafficMetricsNoRace(t *testing.T) {

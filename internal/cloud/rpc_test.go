@@ -23,23 +23,33 @@ func rpcFixture(t *testing.T) (*Env, *RemoteServer) {
 // in-process server.
 func buildRecord(t *testing.T, env *Env, owner *OwnerClient, id string, comps []UploadComponent) *Record {
 	t.Helper()
+	rec, err := sealRecord(env, owner, id, comps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// sealRecord is buildRecord for goroutines: it returns its error instead of
+// failing the test.
+func sealRecord(env *Env, owner *OwnerClient, id string, comps []UploadComponent) (*Record, error) {
 	rec := &Record{ID: id, OwnerID: owner.Owner.ID()}
 	for _, c := range comps {
 		key, err := hybrid.NewContentKey(env.Sys.Params, rand.Reader)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		sealed, err := key.Seal(c.Data, rand.Reader)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		ct, err := owner.Owner.Encrypt(key.Element, c.Policy, rand.Reader)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		rec.Components = append(rec.Components, StoredComponent{Label: c.Label, CT: ct, Sealed: sealed})
 	}
-	return rec
+	return rec, nil
 }
 
 func TestRPCStoreFetchRoundTrip(t *testing.T) {

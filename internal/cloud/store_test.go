@@ -5,6 +5,8 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -416,17 +418,93 @@ func TestFileServerRestartMidWorkload(t *testing.T) {
 	}
 }
 
-// TestMultiOwnerMixedRace hammers the store with concurrent
-// fetch/store/re-encrypt traffic across owners (run under -race by
-// scripts/check.sh, on whichever backend MAACS_STORE selects). Every owner
-// has its own authority, so the goroutines' revocations are independent; the
-// cross-owner fetches must stay safe while neighbours commit.
+// mixedTrafficClient is the part of the server API TestMultiOwnerMixedRace
+// drives, bound to one transport.
+type mixedTrafficClient struct {
+	name           string
+	store          func(rec *Record) error
+	fetch          func(recordID, userID string) error
+	fetchComponent func(recordID, label, userID string) error
+	delete         func(recordID, ownerID string) error
+	reencrypt      func(ownerID string, items []ReEncryptItem) error
+}
+
+// mixedTrafficClients binds srv in-process, over net/rpc and over the HTTP
+// gateway.
+func mixedTrafficClients(t *testing.T, sys *core.System, srv *Server) []mixedTrafficClient {
+	t.Helper()
+	remote := remoteFor(t, sys, srv)
+	ts := httptest.NewServer(NewHTTPHandler(sys, srv))
+	t.Cleanup(ts.Close)
+	return []mixedTrafficClient{{
+		name:  "in-process",
+		store: srv.Store,
+		fetch: func(id, user string) error {
+			_, err := srv.FetchAs(id, user)
+			return err
+		},
+		fetchComponent: func(id, label, user string) error {
+			_, err := srv.FetchComponentAs(id, label, user)
+			return err
+		},
+		delete: func(id, owner string) error {
+			_, err := srv.Delete(id, owner)
+			return err
+		},
+		reencrypt: func(owner string, items []ReEncryptItem) error {
+			_, err := srv.ReEncrypt(owner, items)
+			return err
+		},
+	}, {
+		name:  "rpc",
+		store: remote.Store,
+		fetch: func(id, user string) error {
+			_, err := remote.FetchAs(id, user)
+			return err
+		},
+		fetchComponent: func(id, label, user string) error {
+			_, err := remote.FetchComponentAs(id, label, user)
+			return err
+		},
+		delete: remote.Delete,
+		reencrypt: func(owner string, items []ReEncryptItem) error {
+			_, err := remote.ReEncrypt(owner, items)
+			return err
+		},
+	}, {
+		name: "http",
+		store: func(rec *Record) error {
+			return httpCall(http.MethodPost, ts.URL+"/records", toHTTPRecord(rec))
+		},
+		fetch: func(id, user string) error {
+			return httpCall(http.MethodGet, ts.URL+"/records/"+id+"?user="+user, nil)
+		},
+		fetchComponent: func(id, label, user string) error {
+			return httpCall(http.MethodGet, ts.URL+"/records/"+id+"/"+label+"?user="+user, nil)
+		},
+		delete: func(id, owner string) error {
+			return httpCall(http.MethodDelete, ts.URL+"/records/"+id+"?owner="+owner, nil)
+		},
+		reencrypt: func(owner string, items []ReEncryptItem) error {
+			return httpCall(http.MethodPost, ts.URL+"/owners/"+owner+"/reencrypt/batch", httpReEncryptBody(items))
+		},
+	}}
+}
+
+// TestMultiOwnerMixedRace hammers one server with concurrent fetch,
+// fetch-component, store, delete and re-encrypt traffic across owners (run
+// under -race by scripts/check.sh, on whichever backend MAACS_STORE
+// selects). Owner i sends its traffic in-process, over net/rpc or over HTTP
+// (i mod 3), so every transport runs beside the others. Every owner has its
+// own authority, so the goroutines' revocations are independent; the
+// cross-owner fetches must stay safe while neighbours commit and delete.
 func TestMultiOwnerMixedRace(t *testing.T) {
 	sys := core.NewSystem(pairing.Test())
 	env := NewEnv(sys, rand.Reader)
 	defer env.Server.Close()
-	const owners = 3
-	const rounds = 2
+	clients := mixedTrafficClients(t, sys, env.Server)
+	const owners = 6
+	const rounds = 3
 	ownerClients := make([]*OwnerClient, owners)
 	for i := 0; i < owners; i++ {
 		aid := fmt.Sprintf("a%d", i)
@@ -448,43 +526,66 @@ func TestMultiOwnerMixedRace(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	errc := make(chan error, owners*rounds*4)
+	errc := make(chan error, owners) // each goroutine sends at most once
 	for i := 0; i < owners; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			oc := ownerClients[i]
-			aid := fmt.Sprintf("a%d", i)
-			aa, _ := env.Authority(aid)
+			oc, c := ownerClients[i], clients[i%len(clients)]
+			ownerID, user := oc.Owner.ID(), fmt.Sprintf("u%d", i)
+			aa, _ := env.Authority(fmt.Sprintf("a%d", i))
+			var prev *Record
 			for r := 0; r < rounds; r++ {
-				// Cross-owner reads while neighbours re-encrypt.
+				fail := func(op string, err error) {
+					errc <- fmt.Errorf("owner %d over %s, round %d: %s: %w", i, c.name, r, op, err)
+				}
+				// Cross-owner reads while neighbours re-encrypt and delete.
 				other := fmt.Sprintf("seed-o%d", (i+1)%owners)
-				if _, err := env.Server.Fetch(other); err != nil {
-					errc <- err
+				if err := c.fetch(other, user); err != nil {
+					fail("fetch", err)
 					return
 				}
-				if _, err := oc.Upload(fmt.Sprintf("o%d-r%d", i, r), []UploadComponent{
+				if err := c.fetchComponent(other, "d", user); err != nil {
+					fail("fetch component", err)
+					return
+				}
+				rec, err := sealRecord(env, oc, fmt.Sprintf("o%d-r%d", i, r), []UploadComponent{
 					{Label: "d", Data: []byte("x"), Policy: fmt.Sprintf("a%d:x", i)},
-				}); err != nil {
-					errc <- err
+				})
+				if err != nil {
+					fail("seal", err)
 					return
 				}
+				if err := c.store(rec); err != nil {
+					fail("store", err)
+					return
+				}
+				if prev != nil {
+					if err := c.delete(prev.ID, ownerID); err != nil {
+						fail("delete", err)
+						return
+					}
+					for _, comp := range prev.Components {
+						oc.Owner.ForgetCiphertext(comp.CT.ID)
+					}
+				}
+				prev = rec
 				// Own-corpus re-encryption: rekey this owner's authority and
 				// push the update through the proxy.
 				fromV, _, err := aa.AA.Rekey(rand.Reader)
 				if err != nil {
-					errc <- err
+					fail("rekey", err)
 					return
 				}
 				uk, err := aa.AA.UpdateKeyFor(oc.Owner.SecretKeyForAAs(), fromV)
 				if err != nil {
-					errc <- err
+					fail("update key", err)
 					return
 				}
-				cts := env.Server.CiphertextsOf(oc.Owner.ID())
+				cts := env.Server.CiphertextsOf(ownerID)
 				uiList, err := oc.Owner.RevocationUpdate(uk, cts)
 				if err != nil {
-					errc <- err
+					fail("update info", err)
 					return
 				}
 				uis := make(map[string]*core.UpdateInfo)
@@ -494,11 +595,11 @@ func TestMultiOwnerMixedRace(t *testing.T) {
 					}
 				}
 				if len(uis) == 0 {
-					errc <- fmt.Errorf("owner %d round %d: no update info", i, r)
+					fail("update info", errors.New("none produced"))
 					return
 				}
-				if _, err := env.Server.ReEncrypt(oc.Owner.ID(), []ReEncryptItem{{UK: uk, UIs: uis}}); err != nil {
-					errc <- err
+				if err := c.reencrypt(ownerID, []ReEncryptItem{{UK: uk, UIs: uis}}); err != nil {
+					fail("re-encrypt", err)
 					return
 				}
 			}
@@ -509,11 +610,14 @@ func TestMultiOwnerMixedRace(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if got, want := len(env.Server.RecordIDs()), owners*(rounds+1); got != want {
+	// Each owner keeps its seed and its last round's upload; every earlier
+	// upload was deleted the round after.
+	want := owners * 2
+	if got := len(env.Server.RecordIDs()); got != want {
 		t.Fatalf("stored %d records, want %d", got, want)
 	}
 	info := env.Server.StoreInfo()
-	if info.Records != owners*(rounds+1) {
+	if info.Records != want {
 		t.Fatalf("store info %+v", info)
 	}
 }

@@ -36,10 +36,8 @@ func remoteFor(t *testing.T, sys *core.System, srv *Server) *RemoteServer {
 	return remote
 }
 
-// httpReEncrypt posts items to the gateway's re-encryption route and returns
-// the status and the raw body.
-func httpReEncrypt(t *testing.T, baseURL, ownerID string, items []ReEncryptItem) (int, []byte) {
-	t.Helper()
+// httpReEncryptBody is the gateway's re-encryption request body for items.
+func httpReEncryptBody(items []ReEncryptItem) HTTPBatchReEncryptRequest {
 	req := HTTPBatchReEncryptRequest{Items: make([]HTTPReEncryptRequest, len(items))}
 	for i, it := range items {
 		uis := make([]*core.UpdateInfo, 0, len(it.UIs))
@@ -48,7 +46,14 @@ func httpReEncrypt(t *testing.T, baseURL, ownerID string, items []ReEncryptItem)
 		}
 		req.Items[i] = encodeReEncryptRequest(it.UK, uis)
 	}
-	resp := postJSON(t, baseURL+"/owners/"+ownerID+"/reencrypt/batch", req)
+	return req
+}
+
+// httpReEncrypt posts items to the gateway's re-encryption route and returns
+// the status and the raw body.
+func httpReEncrypt(t *testing.T, baseURL, ownerID string, items []ReEncryptItem) (int, []byte) {
+	t.Helper()
+	resp := postJSON(t, baseURL+"/owners/"+ownerID+"/reencrypt/batch", httpReEncryptBody(items))
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
