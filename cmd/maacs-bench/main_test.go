@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -50,8 +51,9 @@ func TestBenchToolSmoke(t *testing.T) {
 // TestArtifactsHaveOneHome pins where the committed reports live: every
 // mode in the artifact table has its file at the repository root, the file
 // decodes into that mode's report type, and it was measured with the
-// current default parameters. No BENCH_*.json exists anywhere else, and a
-// run without -json-dir writes none.
+// current default parameters. The paper-run record results/benchrun.txt
+// must name those parameters too. No BENCH_*.json exists anywhere else,
+// and a run without -json-dir writes none.
 func TestArtifactsHaveOneHome(t *testing.T) {
 	const root = "../.."
 	reports := map[string]any{
@@ -92,7 +94,21 @@ func TestArtifactsHaveOneHome(t *testing.T) {
 		}
 	}
 
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	raw, err := os.ReadFile(filepath.Join(root, "results", "benchrun.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := strings.Cut(string(raw), "\n")
+	var rBits, qBits int
+	if _, err := fmt.Sscanf(first, "maacs-bench: |r|=%d bits, |q|=%d bits,", &rBits, &qBits); err != nil {
+		t.Fatalf("results/benchrun.txt: first line %q: %v", first, err)
+	}
+	if rBits != params.R.BitLen() || qBits != params.Q.BitLen() {
+		t.Fatalf("results/benchrun.txt: |r|=%d |q|=%d, default parameters have %d and %d: regenerate it",
+			rBits, qBits, params.R.BitLen(), params.Q.BitLen())
+	}
+
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}

@@ -1,5 +1,7 @@
-// Command maacs-paramgen generates fresh Type-A pairing parameters and
-// prints them as decimal constants suitable for internal/pairing/default.go.
+// Command maacs-paramgen generates fresh Type-A pairing parameters in the
+// shape of PBC's a.param (a Solinas prime order 2^(r−1) + 2^b ± 1 and a base
+// field prime of exactly -q bits) and prints them as decimal constants
+// suitable for internal/pairing/default.go.
 //
 // Usage:
 //
@@ -19,7 +21,7 @@ import (
 
 func main() {
 	rBits := flag.Int("r", 160, "bit length of the prime group order")
-	qBits := flag.Int("q", 512, "approximate bit length of the base field prime (at most 576)")
+	qBits := flag.Int("q", 512, "exact bit length of the base field prime (at most 512)")
 	flag.Parse()
 	if err := run(*rBits, *qBits, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "maacs-paramgen:", err)

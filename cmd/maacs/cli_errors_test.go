@@ -1,10 +1,15 @@
 package main
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"maacs/internal/pairing"
 )
 
 func TestCLIDecryptUnknownUser(t *testing.T) {
@@ -74,4 +79,54 @@ func TestCLIDecryptRevokedKeyFileIsCurrentButUseless(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "satisfy") {
 		t.Fatalf("expected policy failure, got: %v", err)
 	}
+}
+
+// TestOpenStoreRejectsRetiredParams pins the upgrade path for state
+// directories made before the default moved to PBC's 512-bit a.param: their
+// params file holds the old 513-bit set, which no longer fits the 8-limb
+// field. openStore must fail with ErrInvalidParams, not panic, and leave
+// the directory as it found it.
+func TestOpenStoreRejectsRetiredParams(t *testing.T) {
+	dir := t.TempDir()
+	retired := strings.Join([]string{
+		"20301860231833114598641005763142720493888738528957608109043358401580478807106066893483095486137055720228780930537780026463377271001020864698048346658282731",
+		"1240700080266801019348078620562842876609138719753",
+		"16363229562673509516895572929760960456108751190710230266611947953828970101189563609243593826868276519471244",
+		"11448672117395126746089558245729596125671060559782178736541505145695671660825454556816607192145409790574106844214289948824979288474383163796540699508405928",
+		"2202765372023036855548900473460563006470260220740215046094422696072435520469541675799754649807173412330533486582799614038913565173530256128429376083570941",
+	}, "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, paramsFile), []byte(retired), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotDir(t, dir)
+	s, err := openStore(dir)
+	if !errors.Is(err, pairing.ErrInvalidParams) {
+		t.Fatalf("openStore on a 513-bit params file: store %v, err = %v, want ErrInvalidParams", s, err)
+	}
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("openStore changed the state dir: %v → %v", before, after)
+	}
+}
+
+// snapshotDir maps every path under dir to its contents ("/" for a
+// directory).
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			files[path] = "/"
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		files[path] = string(raw)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

@@ -5,8 +5,8 @@ import "maacs/internal/pairing"
 // decodeCacheCap bounds the decoded-element caches: decodeCacheCap G
 // elements and a quarter as many G_T elements. A reader cycling through 64
 // records, each a six-row and a one-row ciphertext, decodes 576 distinct G
-// and 128 distinct G_T encodings. At paper scale an entry holds about 645 B
-// (G) or 610 B (G_T), so the full caches take about 0.78 MiB.
+// and 128 distinct G_T encodings. At paper scale an entry holds about 610 B
+// (G) or 560 B (G_T), so the full caches take about 0.73 MiB.
 const decodeCacheCap = 1024
 
 var (

@@ -8,8 +8,9 @@ import (
 	"testing"
 )
 
-// benchOrder matches the default pairing group-order size (160 bits).
-var benchOrder, _ = new(big.Int).SetString("1240700080266801019348078620562842876609138719753", 10)
+// benchOrder is the default pairing group order, a.param's 160-bit
+// r = 2^159 + 2^107 + 1.
+var benchOrder, _ = new(big.Int).SetString("730750818665451621361119245571504901405976559617", 10)
 
 // andPolicy builds "a0 AND a1 AND … AND a(n−1)" — the figure workload shape.
 func andPolicy(n int) string {

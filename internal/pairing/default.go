@@ -30,15 +30,16 @@ func NewParams(qStr, rStr, hStr, gxStr, gyStr string) (*Params, error) {
 	return p, nil
 }
 
-// Decimal constants for the default (paper-scale) parameters: a 160-bit
-// group order and 512-bit base field, the same sizes as the PBC α-curve used
-// in the paper's evaluation. Generated once with cmd/maacs-paramgen.
+// Decimal constants for the default (paper-scale) parameters: the Type A
+// instance PBC ships as param/a.param, which the paper's evaluation ran on.
+// q has 512 bits and r = 2^159 + 2^107 + 1 is a Solinas prime. a.param names
+// no generator; GX, GY were picked once with pickGenerator.
 const (
-	defaultQ  = "20301860231833114598641005763142720493888738528957608109043358401580478807106066893483095486137055720228780930537780026463377271001020864698048346658282731"
-	defaultR  = "1240700080266801019348078620562842876609138719753"
-	defaultH  = "16363229562673509516895572929760960456108751190710230266611947953828970101189563609243593826868276519471244"
-	defaultGX = "11448672117395126746089558245729596125671060559782178736541505145695671660825454556816607192145409790574106844214289948824979288474383163796540699508405928"
-	defaultGY = "2202765372023036855548900473460563006470260220740215046094422696072435520469541675799754649807173412330533486582799614038913565173530256128429376083570941"
+	defaultQ  = "8780710799663312522437781984754049815806883199414208211028653399266475630880222957078625179422662221423155858769582317459277713367317481324925129998224791"
+	defaultR  = "730750818665451621361119245571504901405976559617"
+	defaultH  = "12016012264891146079388821366740534204802954401251311822919615131047207289359704531102844802183906537786776"
+	defaultGX = "2267465082853985602136353615359360785701423275258882087754825611628021321113217438065518944567316777545888598616335643397080075149385950731939501374191571"
+	defaultGY = "6946524081407340717457823103013099218931715785525895829082802774907457842843900484860378822690381903479046075405039195624302468251360499615015616460909551"
 )
 
 // Decimal constants for small test parameters (48-bit order, 96-bit field):

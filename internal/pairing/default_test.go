@@ -11,15 +11,36 @@ func TestDefaultParamsValid(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := p.R.BitLen(); got != 160 {
-		t.Errorf("default R bit length = %d, want 160 (paper's α-curve group order)", got)
+	// PBC's a.param: r = 2^159 + 2^107 + 1, whose NAF has three nonzero
+	// digits, and a q of exactly 512 bits, which fills eight limbs.
+	r := new(big.Int).Lsh(one, 159)
+	r.Add(r, new(big.Int).Lsh(one, 107)).Add(r, one)
+	if p.R.Cmp(r) != 0 {
+		t.Errorf("default R = %v, want 2^159 + 2^107 + 1 (a.param)", p.R)
 	}
-	if got := p.Q.BitLen(); got < 512 || got > 520 {
-		t.Errorf("default Q bit length = %d, want ≈512 (paper's α-curve base field)", got)
+	if w := nafWeight(p); w != 3 {
+		t.Errorf("default R has NAF weight %d, want 3", w)
+	}
+	if got := p.Q.BitLen(); got != 512 {
+		t.Errorf("default Q bit length = %d, want 512 (a.param)", got)
+	}
+	if p.fpc.n != 8 {
+		t.Errorf("default field runs %d limbs, want 8", p.fpc.n)
 	}
 	if Default() != p {
 		t.Error("Default() not memoized")
 	}
+}
+
+// nafWeight counts the nonzero digits of p's Miller-loop NAF of R.
+func nafWeight(p *Params) int {
+	w := 0
+	for _, d := range p.millerNAF {
+		if d != 0 {
+			w++
+		}
+	}
+	return w
 }
 
 func TestTestParamsValid(t *testing.T) {

@@ -22,7 +22,7 @@
 // One) so that code using this package reads like the paper's formulas, even
 // though G is internally an elliptic-curve group written additively.
 //
-// The default kernel runs on fixed-width Montgomery limbs (q up to 576
+// The default kernel runs on fixed-width Montgomery limbs (q up to 512
 // bits) with math/big only at the API boundary; the retained reference
 // kernel is plain affine math/big code and serves as the test oracle.
 // Neither is constant-time, so this package must not be used to protect

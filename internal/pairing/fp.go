@@ -18,17 +18,17 @@ import (
 // boundary.
 //
 // The array is sized for the shipped Type-A parameters: the default base
-// field prime is 513 bits (q = 4m·r − 1 with a 160-bit r), which needs nine
-// 64-bit limbs, one more than the nominal "512-bit field" of the paper.
-// newParams rejects wider fields, so every valid Params has a context.
+// field prime is PBC's 512-bit a.param q, which fills exactly eight 64-bit
+// limbs. newParams rejects wider fields, so every valid Params has a
+// context.
 //
 // Invariant: limbs at index ≥ n are always zero, so whole-array comparison
 // and copying are valid. Every constructor below establishes the invariant
 // and every operation preserves it.
 
-// fpMaxLimbs is the fixed width of fpElement: 9×64 = 576 bits, sized for the
-// 513-bit default prime.
-const fpMaxLimbs = 9
+// fpMaxLimbs is the fixed width of fpElement: 8×64 = 512 bits, sized for the
+// 512-bit default prime.
+const fpMaxLimbs = 8
 
 // fpElement is a base-field element in Montgomery form, little-endian limbs.
 type fpElement [fpMaxLimbs]uint64
@@ -496,7 +496,9 @@ func fpLinComb62(dst, x, y *fpElement, f, g int64, n int) bool {
 // fpLinComb62Mod sets dst = (f·u + g·v)·2^-62 mod q for plain residues
 // u, v ∈ [0, q): one Montgomery-style fold by 2^62 (m = t·(−q⁻¹) mod 2^62,
 // t ← (t + m·q)/2^62 < 2q), a conditional subtraction, and a negation for a
-// negative combination.
+// negative combination. When q fills its top limb the folded value can
+// reach 2^(64n); that bit lives in t[n] above bit 62, and the subtraction
+// must fire on it too (the n-limb difference wraps to the right value).
 func (c *fpContext) fpLinComb62Mod(dst, u, v *fpElement, f, g int64) {
 	n := c.n
 	var t [fpMaxLimbs + 1]uint64
@@ -519,7 +521,7 @@ func (c *fpContext) fpLinComb62Mod(dst, u, v *fpElement, f, g int64) {
 	for i := 0; i < n; i++ {
 		r[i] = t[i]>>invDivsteps | t[i+1]<<(64-invDivsteps)
 	}
-	if fpGE(&r, &c.mod, n) {
+	if t[n]>>invDivsteps != 0 || fpGE(&r, &c.mod, n) {
 		fpSubNoBorrow(&r, &c.mod, n)
 	}
 	if neg && r != (fpElement{}) {
@@ -543,7 +545,8 @@ func fpGE(x, y *fpElement, n int) bool {
 	return true
 }
 
-// fpSubNoBorrow sets x −= y for plain integers with x ≥ y.
+// fpSubNoBorrow sets x −= y mod 2^(64n) for plain integers whose true
+// difference is in [0, 2^(64n)); the final borrow is dropped.
 func fpSubNoBorrow(x, y *fpElement, n int) {
 	var borrow uint64
 	for i := 0; i < n; i++ {

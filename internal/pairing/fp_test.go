@@ -7,13 +7,15 @@ import (
 )
 
 // fpTestFields returns named fpContexts to exercise both limb widths the
-// shipped parameter sets use: 2 limbs (96-bit test field) and 9 limbs
-// (513-bit default field).
+// shipped parameter sets use, 2 limbs (96-bit test field) and 8 limbs
+// (512-bit default field), plus a prime that fills both of its limbs
+// (2^128 − 159), where the Lehmer fold's top bit matters at test speed.
 func fpTestFields(t *testing.T) map[string]*fpContext {
 	t.Helper()
 	fields := map[string]*fpContext{
-		"test":    Test().fpc,
-		"default": Default().fpc,
+		"test":       Test().fpc,
+		"default":    Default().fpc,
+		"full-width": fullWidthField(),
 	}
 	for name, c := range fields {
 		if c == nil {
@@ -21,6 +23,25 @@ func fpTestFields(t *testing.T) map[string]*fpContext {
 		}
 	}
 	return fields
+}
+
+// fullWidthField is the Montgomery context of the prime q = 2^128 − 159:
+// q ≥ 2^(64n−1), so a Lehmer fold (t + m·q)/2^62 < 2q can carry into bit 64n.
+func fullWidthField() *fpContext {
+	q := new(big.Int).Lsh(one, 128)
+	return newFpContext(q.Sub(q, big.NewInt(159)))
+}
+
+// noInvFallback returns a check, to be deferred, that fails t if the Lehmer
+// inversion fell back to Fermat in between: the fallback keeps answers
+// right, so only the counter shows a Lehmer bug.
+func noInvFallback(t *testing.T) func() {
+	before := fpInvFallbacks.Load()
+	return func() {
+		if after := fpInvFallbacks.Load(); after != before {
+			t.Errorf("Lehmer inversion fell back to Fermat %d time(s)", after-before)
+		}
+	}
 }
 
 // fpEdgeValues are the boundary inputs the fuzz satellite calls out: 0, 1,
@@ -77,6 +98,7 @@ func TestFpRoundTrip(t *testing.T) {
 // (a, b, e) triple; shared by the differential test and the fuzz target.
 func fpCheckOps(t *testing.T, c *fpContext, aBig, bBig *big.Int, e uint64) {
 	t.Helper()
+	defer noInvFallback(t)()
 	q := c.qBig
 	aBig = new(big.Int).Mod(aBig, q)
 	bBig = new(big.Int).Mod(bBig, q)
@@ -144,7 +166,7 @@ func TestFpArithMatchesBig(t *testing.T) {
 			rnd := rand.New(rand.NewSource(42))
 			iters := 40
 			if name == "default" {
-				iters = 12 // 513-bit Fermat inversions are the slow part
+				iters = 12 // 512-bit Fermat inversions are the slow part
 			}
 			for i := 0; i < iters; i++ {
 				a := new(big.Int).Rand(rnd, c.qBig)
@@ -176,10 +198,12 @@ func TestFpExpLargeExponents(t *testing.T) {
 
 // TestFpInvAgainstFermat pins the binary extended-GCD inverse to the
 // independently-derived Fermat exponentiation x^(q−2) on edge values and
-// random elements, including the inv(0) = 0 convention.
+// random elements, including the inv(0) = 0 convention, and requires the
+// Lehmer path to get every answer without the Fermat fallback.
 func TestFpInvAgainstFermat(t *testing.T) {
 	for name, c := range fpTestFields(t) {
 		t.Run(name, func(t *testing.T) {
+			defer noInvFallback(t)()
 			rnd := rand.New(rand.NewSource(31))
 			cases := fpEdgeValues(c.qBig)
 			for i := 0; i < 16; i++ {
@@ -210,6 +234,7 @@ func TestFpInvAgainstFermat(t *testing.T) {
 func TestFpBatchInv(t *testing.T) {
 	for name, c := range fpTestFields(t) {
 		t.Run(name, func(t *testing.T) {
+			defer noInvFallback(t)()
 			c.batchInv(nil) // must not panic
 			rnd := rand.New(rand.NewSource(9))
 			var xs []*fpElement
@@ -247,7 +272,7 @@ func TestFpBatchInv(t *testing.T) {
 }
 
 // TestNewFpContextRejects pins the constructor contract: fields wider than
-// the fixed 9×64-bit width (which newParams rejects up front) and
+// the fixed 8×64-bit width (which newParams rejects up front) and
 // degenerate moduli get no Montgomery context.
 func TestNewFpContextRejects(t *testing.T) {
 	wide := new(big.Int).Lsh(one, 64*fpMaxLimbs)
@@ -443,12 +468,14 @@ func FuzzFp2Montgomery(f *testing.F) {
 
 // FuzzFpInvLehmer pins the Lehmer/divstep inversion against both the
 // Fermat power ladder and math/big's ModInverse, at test scale (2 active
-// limbs) and paper scale (9 active limbs). It also asserts the
-// verified-fallback counter stays untouched: the Lehmer path must succeed
-// on its own for every input, including 0, 1, q−1, and sparse-limb values.
+// limbs), on the full-width 2^128 − 159 field and at paper scale (8 active
+// limbs). It also asserts the verified-fallback counter stays untouched:
+// the Lehmer path must succeed on its own for every input, including 0, 1,
+// q−1, and sparse-limb values.
 func FuzzFpInvLehmer(f *testing.F) {
 	pt := Test()
 	pd := Default()
+	fields := []*fpContext{pt.fpc, fullWidthField(), pd.fpc}
 	f.Add([]byte{})                            // 0
 	f.Add([]byte{1})                           // 1
 	f.Add(new(big.Int).Sub(pd.Q, one).Bytes()) // q−1
@@ -462,8 +489,7 @@ func FuzzFpInvLehmer(f *testing.F) {
 			return // keep the math/big oracle time bounded
 		}
 		x := new(big.Int).SetBytes(raw)
-		for _, p := range []*Params{pt, pd} {
-			c := p.fpc
+		for _, c := range fields {
 			before := fpInvFallbacks.Load()
 			xr := new(big.Int).Mod(x, c.qBig)
 			var xm, zm fpElement

@@ -64,7 +64,7 @@ func TestPairMatchesAllKernels(t *testing.T) {
 }
 
 // TestPairMatchesAllKernelsPaperScale repeats the cross-kernel pin at the
-// 513-bit default field, where the Montgomery context runs nine limbs.
+// 512-bit default field, where the Montgomery context runs eight limbs.
 func TestPairMatchesAllKernelsPaperScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale kernels in -short mode")

@@ -27,8 +27,12 @@ func TestGenerateParamsValid(t *testing.T) {
 	if got := p.R.BitLen(); got != 40 {
 		t.Errorf("R bit length = %d, want 40", got)
 	}
-	if got := p.Q.BitLen(); got < 72 || got > 88 {
-		t.Errorf("Q bit length = %d, want ≈80", got)
+	if got := p.Q.BitLen(); got != 80 {
+		t.Errorf("Q bit length = %d, want exactly 80", got)
+	}
+	// R is a Solinas prime 2^39 + 2^b ± 1: at most three nonzero NAF digits.
+	if w := nafWeight(p); w > 3 {
+		t.Errorf("R = %v has NAF weight %d, want ≤ 3", p.R, w)
 	}
 }
 
@@ -203,6 +207,9 @@ func TestNewParamsRejectsBadInput(t *testing.T) {
 		// A consistent 640-bit parameter set (prime q = h·r − 1 ≡ 3 mod 4,
 		// generator of order r) that only the field-width limit rejects.
 		{"q over 576 bits", wideQ, wideR, wideH, wideGX, wideGY},
+		// The 513-bit set shipped as Default() before a.param: valid in
+		// every other respect, one bit wider than the 8-limb field.
+		{"q over 512 bits", retiredQ, retiredR, retiredH, retiredGX, retiredGY},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -222,6 +229,14 @@ const (
 	wideH  = "919367659241126371827208843099846824555426335332775165549749751093411866958298954203694154218482606279447035813489971008482211220240148791844938939989721473312523943467300955500995968"
 	wideGX = "3152268788813784545666365716496897422449894616169476164160448551003602580246424531969925950389109698096846813526902242432721227935611480315842523972846019946745052001610765310679791306871001621"
 	wideGY = "215351224027579626807782887765674868872609429344057681840690955727179604908661189796157510657152532479640658531827718869384318608170042571838094276612392639853854848213222471293487339056033671"
+)
+
+const (
+	retiredQ  = "20301860231833114598641005763142720493888738528957608109043358401580478807106066893483095486137055720228780930537780026463377271001020864698048346658282731"
+	retiredR  = "1240700080266801019348078620562842876609138719753"
+	retiredH  = "16363229562673509516895572929760960456108751190710230266611947953828970101189563609243593826868276519471244"
+	retiredGX = "11448672117395126746089558245729596125671060559782178736541505145695671660825454556816607192145409790574106844214289948824979288474383163796540699508405928"
+	retiredGY = "2202765372023036855548900473460563006470260220740215046094422696072435520469541675799754649807173412330533486582799614038913565173530256128429376083570941"
 )
 
 func mustInt(s string) *big.Int {

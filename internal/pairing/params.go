@@ -34,59 +34,94 @@ var (
 	// ErrInvalidParams reports parameters that fail validation.
 	ErrInvalidParams = errors.New("pairing: invalid parameters")
 
-	one  = big.NewInt(1)
-	two  = big.NewInt(2)
-	four = big.NewInt(4)
+	one = big.NewInt(1)
+	two = big.NewInt(2)
 )
 
-// GenerateParams constructs fresh Type-A parameters with an rBits-bit prime
-// group order and a base field prime of approximately qBits bits. It searches
-// for a cofactor H = 4m such that Q = H·R − 1 is prime; since H ≡ 0 (mod 4),
-// Q ≡ 3 (mod 4) automatically, which makes −1 a quadratic non-residue and
-// F_Q² = F_Q[i] a field. qBits may not exceed the 576-bit fixed width of the
-// Montgomery field arithmetic.
+// GenerateParams constructs fresh Type-A parameters in the shape of PBC's
+// a.param: a Solinas group order R = 2^(rBits−1) + 2^b ± 1, whose NAF has at
+// most three nonzero digits (so a Miller loop or an order-R check takes at
+// most two addition steps), and a base field prime Q = H·R − 1 of exactly
+// qBits bits with cofactor H = 4m. Since H ≡ 0 (mod 4), Q ≡ 3 (mod 4)
+// automatically, which makes −1 a quadratic non-residue and F_Q² = F_Q[i] a
+// field. It tries every (b, sign) once, starting at a random one, and fails
+// only when no Solinas prime R of rBits bits has a prime Q of qBits bits.
+// qBits may not exceed the 512-bit fixed width of the Montgomery field
+// arithmetic.
 func GenerateParams(rBits, qBits int, rnd io.Reader) (*Params, error) {
 	if rBits < 16 || qBits < rBits+8 || qBits > 64*fpMaxLimbs {
 		return nil, fmt.Errorf("%w: need rBits ≥ 16 and rBits+8 ≤ qBits ≤ %d (got %d, %d)", ErrInvalidParams, 64*fpMaxLimbs, rBits, qBits)
 	}
-	r, err := rand.Prime(rnd, rBits)
+	// b runs over [1, rBits−2], so R has exactly rBits bits.
+	n := 2 * (rBits - 2)
+	start, err := rand.Int(rnd, big.NewInt(int64(n)))
 	if err != nil {
 		return nil, fmt.Errorf("generate group order: %w", err)
 	}
-	return generateWithOrder(r, qBits, rnd)
+	for i := 0; i < n; i++ {
+		k := (int(start.Int64()) + i) % n
+		r := new(big.Int).Lsh(one, uint(rBits-1))
+		r.Add(r, new(big.Int).Lsh(one, uint(1+k/2)))
+		r.Add(r, big.NewInt(int64(1-2*(k%2))))
+		if !r.ProbablyPrime(32) {
+			continue
+		}
+		q, h, err := findCofactor(r, qBits, rnd)
+		if err != nil {
+			return nil, err
+		}
+		if q == nil {
+			continue
+		}
+		p, err := newParams(q, r, h)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.pickGenerator(rnd); err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+	return nil, fmt.Errorf("%w: no prime r = 2^%d + 2^b ± 1 with a %d-bit prime q = 4m·r − 1", ErrInvalidParams, rBits-1, qBits)
 }
 
-func generateWithOrder(r *big.Int, qBits int, rnd io.Reader) (*Params, error) {
-	mBits := qBits - r.BitLen() - 2 // H = 4m, so bits(H) = mBits+2
-	if mBits < 4 {
-		return nil, fmt.Errorf("%w: qBits too small for group order", ErrInvalidParams)
+// findCofactor searches for H = 4m with Q = H·R − 1 prime and exactly qBits
+// bits: that holds for 2^(qBits−1) < 4m·R ≤ 2^qBits, so m runs over
+// [⌊2^(qBits−1)/4R⌋ + 1, ⌊2^qBits/4R⌋] from a random start, wrapping at the
+// top, for at most 2^20 candidates. It returns nil, nil when none is prime.
+func findCofactor(r *big.Int, qBits int, rnd io.Reader) (q, h *big.Int, err error) {
+	r4 := new(big.Int).Lsh(r, 2)
+	lo := new(big.Int).Lsh(one, uint(qBits-1))
+	lo.Quo(lo, r4).Add(lo, one)
+	hi := new(big.Int).Lsh(one, uint(qBits))
+	hi.Quo(hi, r4)
+	span := new(big.Int).Sub(hi, lo)
+	span.Add(span, one)
+	if span.Sign() <= 0 {
+		return nil, nil, nil
 	}
-	m, err := randBits(mBits, rnd)
+	m, err := rand.Int(rnd, span)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("generate cofactor: %w", err)
 	}
-	h := new(big.Int)
-	q := new(big.Int)
-	for i := 0; ; i++ {
-		if i > 1<<20 {
-			return nil, fmt.Errorf("%w: no prime found in search range", ErrInvalidParams)
-		}
-		h.Mul(m, four)
+	m.Add(m, lo)
+	tries := int64(1 << 20)
+	if span.IsInt64() && span.Int64() < tries {
+		tries = span.Int64()
+	}
+	h, q = new(big.Int), new(big.Int)
+	for i := int64(0); i < tries; i++ {
+		h.Lsh(m, 2)
 		q.Mul(h, r)
 		q.Sub(q, one)
 		if q.ProbablyPrime(32) {
-			break
+			return q, h, nil
 		}
-		m.Add(m, one)
+		if m.Add(m, one).Cmp(hi) > 0 {
+			m.Set(lo)
+		}
 	}
-	p, err := newParams(q, r, h)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.pickGenerator(rnd); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return nil, nil, nil
 }
 
 // newParams validates (q, r, h) and builds the derived values. The generator
@@ -177,14 +212,4 @@ func (p *Params) RandomScalar(rnd io.Reader) (*big.Int, error) {
 			return k, nil
 		}
 	}
-}
-
-func randBits(bits int, rnd io.Reader) (*big.Int, error) {
-	buf := make([]byte, (bits+7)/8)
-	if _, err := io.ReadFull(rnd, buf); err != nil {
-		return nil, fmt.Errorf("random bits: %w", err)
-	}
-	m := new(big.Int).SetBytes(buf)
-	m.SetBit(m, bits-1, 1) // force the top bit so the size is exact
-	return m, nil
 }

@@ -141,11 +141,11 @@ func TestScalarMarshalRoundTrip(t *testing.T) {
 
 func TestByteLens(t *testing.T) {
 	p := Default()
-	if got := p.GByteLen(); got != 66 {
-		t.Errorf("default |G| = %d bytes, want 66 (513-bit q, compressed)", got)
+	if got := p.GByteLen(); got != 65 {
+		t.Errorf("default |G| = %d bytes, want 65 (512-bit q, compressed)", got)
 	}
-	if got := p.GTByteLen(); got != 130 {
-		t.Errorf("default |GT| = %d bytes, want 130", got)
+	if got := p.GTByteLen(); got != 128 {
+		t.Errorf("default |GT| = %d bytes, want 128 (PBC's a.param G_T size)", got)
 	}
 	if got := p.ScalarByteLen(); got != 20 {
 		t.Errorf("default |p| = %d bytes, want 20 (160-bit r)", got)
