@@ -243,7 +243,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if want["pairing"] {
-		report, err := bench.MeasurePairing(params, rand.Reader, *fixed, *trials)
+		report, err := bench.MeasurePairing(params, rand.Reader, *trials)
 		if err != nil {
 			return fmt.Errorf("pairing: %w", err)
 		}

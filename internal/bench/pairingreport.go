@@ -3,28 +3,24 @@ package bench
 import (
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 	"time"
 
-	"maacs/internal/engine"
 	"maacs/internal/pairing"
-	"maacs/internal/waters"
 )
 
-// PairingPoint is one measured operation of the pairing-kernel comparison:
-// the same work run on the fixed-width Montgomery kernel and on the
-// retained affine/naive reference.
+// PairingPoint is one measured group operation: the fixed-width Montgomery
+// implementation and its affine math/big reference function, run on the
+// same Params and operands.
 type PairingPoint struct {
-	// Op names the operation: "pair", "prepared-pair", "prepare", "g-exp",
-	// "gt-exp", a per-scheme "encrypt"/"encrypt-lewko"/"encrypt-waters",
-	// or "decrypt".
+	// Op names the operation: "pair" (Pair vs PairReference), "g-exp"
+	// (G.Exp vs G.ExpReference) or "gt-exp" (GT.Exp vs GT.ExpReference).
 	Op string `json:"op"`
 	// Reps is the number of back-to-back executions inside one timed trial;
 	// the recorded times are already divided down to per-operation cost.
 	Reps int `json:"reps"`
-	// MontgomeryNs and ReferenceNs are best-of-trials per-op wall times for
-	// the two kernels.
+	// MontgomeryNs and ReferenceNs are best-of-trials per-op wall times of
+	// the fast operation and of its reference.
 	MontgomeryNs int64 `json:"montgomery_ns"`
 	ReferenceNs  int64 `json:"reference_ns"`
 	// Speedup is ReferenceNs / MontgomeryNs.
@@ -50,52 +46,29 @@ type FieldPoint struct {
 }
 
 // PairingReport is the machine-readable result of MeasurePairing, written
-// to BENCH_pairing.json. All kernels run single-threaded (the engine pool
-// is pinned to one worker for the scheme-level rows), so the speedups are
-// pure kernel arithmetic, not parallelism.
+// to BENCH_pairing.json. Every row runs single-threaded, so the speedups
+// are pure arithmetic, not parallelism.
 type PairingReport struct {
 	Header
 	Trials int `json:"trials"`
-	Attrs  int `json:"attrs"`
 	// Fields are the base/extension-field primitive rows; Points are the
-	// group-operation and whole-scheme rows.
+	// group-operation rows.
 	Fields []FieldPoint   `json:"fields"`
 	Points []PairingPoint `json:"points"`
 }
 
-// timeBestPerOp runs f (which performs reps operations) trials times and
-// returns the fastest per-operation wall time.
-func timeBestPerOp(trials, reps int, f func() error) (time.Duration, error) {
+// timeBestPerOp runs op reps times per trial, trials times, and returns
+// the fastest per-operation wall time.
+func timeBestPerOp(trials, reps int, op func()) time.Duration {
 	best := time.Duration(0)
 	for t := 0; t < trials; t++ {
 		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
+		for i := 0; i < reps; i++ {
+			op()
 		}
 		keepBest(&best, time.Since(start))
 	}
-	return best / time.Duration(reps), nil
-}
-
-// measureKernels times the op on both kernels and appends the point. mont
-// and ref are closures bound to per-kernel Params clones.
-func (r *PairingReport) measureKernels(op string, reps int, mont, ref func() error) error {
-	m, err := timeBestPerOp(r.Trials, reps, mont)
-	if err != nil {
-		return fmt.Errorf("%s montgomery: %w", op, err)
-	}
-	rf, err := timeBestPerOp(r.Trials, reps, ref)
-	if err != nil {
-		return fmt.Errorf("%s reference: %w", op, err)
-	}
-	r.Points = append(r.Points, PairingPoint{
-		Op:           op,
-		Reps:         reps,
-		MontgomeryNs: m.Nanoseconds(),
-		ReferenceNs:  rf.Nanoseconds(),
-		Speedup:      float64(rf.Nanoseconds()) / float64(m.Nanoseconds()),
-	})
-	return nil
+	return best / time.Duration(reps)
 }
 
 // minFieldReps floors every field row: fewer iterations than this cannot
@@ -129,7 +102,7 @@ func calibrateFieldReps(f func()) int {
 
 // measureFields builds the field-primitive rows from the pairing package's
 // exported closures.
-func (r *PairingReport) measureFields(p *pairing.Params) error {
+func (r *PairingReport) measureFields(p *pairing.Params) {
 	for _, op := range p.FieldBench() {
 		// Both columns share one rep count (sized by the slower closure) so
 		// the per-op times divide identically.
@@ -137,22 +110,8 @@ func (r *PairingReport) measureFields(p *pairing.Params) error {
 		if bi := calibrateFieldReps(op.BigInt); bi < reps {
 			reps = bi
 		}
-		repeat := func(f func()) func() error {
-			return func() error {
-				for i := 0; i < reps; i++ {
-					f()
-				}
-				return nil
-			}
-		}
-		m, err := timeBestPerOp(r.Trials, reps, repeat(op.Montgomery))
-		if err != nil {
-			return err
-		}
-		bi, err := timeBestPerOp(r.Trials, reps, repeat(op.BigInt))
-		if err != nil {
-			return err
-		}
+		m := timeBestPerOp(r.Trials, reps, op.Montgomery)
+		bi := timeBestPerOp(r.Trials, reps, op.BigInt)
 		r.Fields = append(r.Fields, FieldPoint{
 			Op:               op.Name,
 			Reps:             reps,
@@ -163,235 +122,56 @@ func (r *PairingReport) measureFields(p *pairing.Params) error {
 			BigIntAllocs:     testing.AllocsPerRun(100, op.BigInt),
 		})
 	}
-	return nil
 }
 
-// kernelClone builds an independent Params with the same constants as p and
-// the requested kernel, so flipping the kernel never mutates shared state.
-func kernelClone(p *pairing.Params, k pairing.Kernel) (*pairing.Params, error) {
-	q, r, h, gx, gy := p.Export()
-	c, err := pairing.NewParams(q, r, h, gx, gy)
-	if err != nil {
-		return nil, err
-	}
-	c.SetKernel(k)
-	return c, nil
-}
-
-// MeasurePairing produces the two-kernel comparison behind
-// BENCH_pairing.json: the field primitives (Montgomery limbs vs math/big),
-// the pairing primitives head-to-head on the Montgomery and reference
-// kernels, then a whole-scheme encrypt/decrypt at the given
-// attribute count with every group operation routed through each kernel.
-// attrs is split as one authority with attrs attributes.
-func MeasurePairing(params *pairing.Params, rnd io.Reader, attrs, trials int) (*PairingReport, error) {
+// MeasurePairing produces the comparison behind BENCH_pairing.json: the
+// field primitives (Montgomery limbs vs math/big), then each group
+// operation against its reference function on the same Params — Pair vs
+// PairReference, G.Exp vs G.ExpReference and GT.Exp vs GT.ExpReference.
+func MeasurePairing(params *pairing.Params, rnd io.Reader, trials int) (*PairingReport, error) {
 	report := &PairingReport{
 		Header: newHeader(params),
 		Trials: trials,
-		Attrs:  attrs,
 	}
-	mont, err := kernelClone(params, pairing.KernelMontgomery)
+	report.measureFields(params)
+	ka, err := params.RandomScalar(rnd)
 	if err != nil {
 		return nil, err
 	}
-	ref, err := kernelClone(params, pairing.KernelReference)
+	kb, err := params.RandomScalar(rnd)
 	if err != nil {
 		return nil, err
 	}
-
-	if err := report.measureFields(mont); err != nil {
-		return nil, err
+	g := params.Generator()
+	ga, gb := g.Exp(ka), g.Exp(kb)
+	e := params.GTGenerator()
+	rows := []struct {
+		op        string
+		reps      int
+		fast, ref func()
+	}{
+		{"pair", 2, func() { params.MustPair(ga, gb) }, func() { params.PairReference(ga, gb) }},
+		{"g-exp", 8, func() { g.Exp(ka) }, func() { g.ExpReference(ka) }},
+		{"gt-exp", 8, func() { e.Exp(kb) }, func() { e.ExpReference(kb) }},
 	}
-
-	// Primitive rows. Each kernel gets its own elements so results stay
-	// comparable without cross-Params mixing.
-	type prim struct {
-		op   string
-		reps int
-		mk   func(p *pairing.Params) (func() error, error)
-	}
-	prims := []prim{
-		{"pair", 2, func(p *pairing.Params) (func() error, error) {
-			ka, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			kb, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			ga, gb := p.Generator().Exp(ka), p.Generator().Exp(kb)
-			return func() error {
-				for i := 0; i < 2; i++ {
-					p.MustPair(ga, gb)
-				}
-				return nil
-			}, nil
-		}},
-		{"prepare", 2, func(p *pairing.Params) (func() error, error) {
-			g := p.Generator()
-			return func() error {
-				for i := 0; i < 2; i++ {
-					p.Prepare(g)
-				}
-				return nil
-			}, nil
-		}},
-		{"prepared-pair", 4, func(p *pairing.Params) (func() error, error) {
-			pre := p.Prepare(p.Generator())
-			k, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			q := p.Generator().Exp(k)
-			return func() error {
-				for i := 0; i < 4; i++ {
-					if _, err := pre.Pair(q); err != nil {
-						return err
-					}
-				}
-				return nil
-			}, nil
-		}},
-		{"g-exp", 8, func(p *pairing.Params) (func() error, error) {
-			k, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			g := p.Generator()
-			return func() error {
-				for i := 0; i < 8; i++ {
-					g.Exp(k)
-				}
-				return nil
-			}, nil
-		}},
-		{"gt-exp", 8, func(p *pairing.Params) (func() error, error) {
-			e := p.GTGenerator()
-			k, err := p.RandomScalar(rnd)
-			if err != nil {
-				return nil, err
-			}
-			return func() error {
-				for i := 0; i < 8; i++ {
-					e.Exp(k)
-				}
-				return nil
-			}, nil
-		}},
-	}
-	for _, pr := range prims {
-		fMont, err := pr.mk(mont)
-		if err != nil {
-			return nil, err
-		}
-		fRef, err := pr.mk(ref)
-		if err != nil {
-			return nil, err
-		}
-		if err := report.measureKernels(pr.op, pr.reps, fMont, fRef); err != nil {
-			return nil, err
-		}
-	}
-
-	// Whole-scheme rows: the same workload point built once per kernel, with
-	// the engine pool pinned to one worker so the comparison stays
-	// single-threaded.
-	restore := engine.SetWorkers(1)
-	defer restore()
-	mkScheme := func(p *pairing.Params) (func() error, func() error, error) {
-		w, err := SetupOurs(Config{Params: p, Authorities: 1, AttrsPerAuthority: attrs, Rnd: rnd})
-		if err != nil {
-			return nil, nil, err
-		}
-		ct, _, err := w.Encrypt()
-		if err != nil {
-			return nil, nil, err
-		}
-		enc := func() error {
-			_, _, err := w.Encrypt()
-			return err
-		}
-		dec := func() error {
-			_, err := w.Decrypt(ct)
-			return err
-		}
-		return enc, dec, nil
-	}
-	encMont, decMont, err := mkScheme(mont)
-	if err != nil {
-		return nil, fmt.Errorf("pairing bench setup montgomery: %w", err)
-	}
-	encRef, decRef, err := mkScheme(ref)
-	if err != nil {
-		return nil, fmt.Errorf("pairing bench setup reference: %w", err)
-	}
-	if err := report.measureKernels("encrypt", 1, encMont, encRef); err != nil {
-		return nil, err
-	}
-	if err := report.measureKernels("decrypt", 1, decMont, decRef); err != nil {
-		return nil, err
-	}
-
-	// Per-scheme encrypt rows: the comparison schemes' encrypt loops run
-	// the same per-attribute two-base exponentiations through the engine's
-	// table caches, so the headline "encrypt wins" claim is visible for
-	// every scheme, not just the paper's.
-	mkLewko := func(p *pairing.Params) (func() error, error) {
-		w, err := SetupLewko(Config{Params: p, Authorities: 1, AttrsPerAuthority: attrs, Rnd: rnd})
-		if err != nil {
-			return nil, err
-		}
-		if _, _, err := w.Encrypt(); err != nil { // warm tables like a live server
-			return nil, err
-		}
-		return func() error {
-			_, _, err := w.Encrypt()
-			return err
-		}, nil
-	}
-	mkWaters := func(p *pairing.Params) (func() error, error) {
-		auth, err := waters.Setup(p, rnd)
-		if err != nil {
-			return nil, err
-		}
-		names := attrNames(attrs)
-		policy := strings.Join(names, " AND ")
-		m, _, err := p.RandomGT(rnd)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := waters.Encrypt(auth.PK, m, policy, rnd); err != nil {
-			return nil, err
-		}
-		return func() error {
-			_, err := waters.Encrypt(auth.PK, m, policy, rnd)
-			return err
-		}, nil
-	}
-	for _, sch := range []struct {
-		op string
-		mk func(p *pairing.Params) (func() error, error)
-	}{{"encrypt-lewko", mkLewko}, {"encrypt-waters", mkWaters}} {
-		fMont, err := sch.mk(mont)
-		if err != nil {
-			return nil, fmt.Errorf("pairing bench setup %s montgomery: %w", sch.op, err)
-		}
-		fRef, err := sch.mk(ref)
-		if err != nil {
-			return nil, fmt.Errorf("pairing bench setup %s reference: %w", sch.op, err)
-		}
-		if err := report.measureKernels(sch.op, 1, fMont, fRef); err != nil {
-			return nil, err
-		}
+	for _, row := range rows {
+		m := timeBestPerOp(trials, row.reps, row.fast)
+		rf := timeBestPerOp(trials, row.reps, row.ref)
+		report.Points = append(report.Points, PairingPoint{
+			Op:           row.op,
+			Reps:         row.reps,
+			MontgomeryNs: m.Nanoseconds(),
+			ReferenceNs:  rf.Nanoseconds(),
+			Speedup:      float64(rf.Nanoseconds()) / float64(m.Nanoseconds()),
+		})
 	}
 	return report, nil
 }
 
 // Render prints a human-readable table of the report.
 func (r *PairingReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "Pairing kernels montgomery vs reference — GOMAXPROCS=%d, |r|=%d, |q|=%d bits, attrs=%d (%d trials, best-of, single-threaded)\n",
-		r.GOMAXPROCS, r.RBits, r.QBits, r.Attrs, r.Trials)
+	fmt.Fprintf(w, "Pairing kernel montgomery vs reference — GOMAXPROCS=%d, |r|=%d, |q|=%d bits (%d trials, best-of, single-threaded)\n",
+		r.GOMAXPROCS, r.RBits, r.QBits, r.Trials)
 	if len(r.Fields) > 0 {
 		fmt.Fprintf(w, "%-14s %14s %14s %8s %12s %12s\n",
 			"field op", "montgomery", "big.Int", "speedup", "mont allocs", "big allocs")

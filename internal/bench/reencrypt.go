@@ -92,8 +92,8 @@ type ReEncryptPoint struct {
 	// Windows is the number of engine runs the windowed submission split
 	// into at this corpus size.
 	Windows int `json:"windows"`
-	// BatchEngine is the engine activity of one batched run (jobs, chunks,
-	// cache hits/misses, fan-out wall time), as reported per-request by the
+	// BatchEngine is the engine activity of one batched run (jobs, cache
+	// hits/misses, fan-out wall time), as reported per-request by the
 	// server.
 	BatchEngine engine.Stats `json:"batch_engine"`
 	// Owner is the per-owner counter row the server accumulated over the

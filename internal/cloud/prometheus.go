@@ -100,8 +100,6 @@ func WritePrometheus(w io.Writer, m HTTPMetrics) error {
 
 	b.family("maacs_engine_jobs_total", "counter", "Engine jobs scheduled by re-encryption runs.")
 	b.sample("maacs_engine_jobs_total", "", uintVal(m.Engine.Jobs))
-	b.family("maacs_engine_chunks_total", "counter", "Multi-pairing chunks split off by re-encryption runs.")
-	b.sample("maacs_engine_chunks_total", "", uintVal(m.Engine.Chunks))
 	b.family("maacs_engine_cache_hits_total", "counter", "Engine cache hits by cache.")
 	b.sample("maacs_engine_cache_hits_total", label("cache", "exp"), uintVal(m.Engine.ExpHits))
 	b.sample("maacs_engine_cache_hits_total", label("cache", "prepared"), uintVal(m.Engine.PreparedHits))

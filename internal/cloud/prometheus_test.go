@@ -27,7 +27,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 			ReEncryptedRows:        21,
 			ReEncryptFailures:      1,
 			Engine: engine.Stats{
-				Jobs: 9, Chunks: 4,
+				Jobs:         9,
 				PreparedHits: 3, PreparedMisses: 2,
 				ExpHits: 10, ExpMisses: 5,
 				WallNs: 1_500_000_000,
@@ -106,9 +106,6 @@ maacs_reencrypted_rows_total 21
 # HELP maacs_engine_jobs_total Engine jobs scheduled by re-encryption runs.
 # TYPE maacs_engine_jobs_total counter
 maacs_engine_jobs_total 9
-# HELP maacs_engine_chunks_total Multi-pairing chunks split off by re-encryption runs.
-# TYPE maacs_engine_chunks_total counter
-maacs_engine_chunks_total 4
 # HELP maacs_engine_cache_hits_total Engine cache hits by cache.
 # TYPE maacs_engine_cache_hits_total counter
 maacs_engine_cache_hits_total{cache="exp"} 10

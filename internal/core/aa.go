@@ -187,8 +187,8 @@ func (aa *AA) KeyGen(user *UserPublicKey, ownerSK *OwnerSecretKey, attrNames []s
 	aa.mu.Unlock()
 
 	p := aa.sys.Params
-	// K = PK_UID^(r/β) · g^(α/β); g^(α/β) = (g^(1/β))^α. The two halves
-	// share one squaring chain (Shamir's trick).
+	// K = PK_UID^(r/β) · g^(α/β); g^(α/β) = (g^(1/β))^α. Each half runs
+	// through a cached exponentiation table (engine.DualExp).
 	k := engine.DualExp(user.PK, ownerSK.ROverBeta, ownerSK.GInvBeta, alpha)
 	sk := &SecretKey{
 		UID:     user.UID,

@@ -4,14 +4,13 @@
 //
 //   - a bounded worker pool (sized by GOMAXPROCS, overridable) that evaluates
 //     independent jobs in parallel with first-error cancellation,
-//   - batched multi-pairing built on Params.PairProd and PreparedG, with a
-//     small LRU cache of prepared Miller-loop coefficients keyed by the
-//     serialized first argument,
-//   - fixed-base and simultaneous (Shamir's trick) exponentiation helpers,
+//   - LRU caches of prepared Miller-loop coefficients (Prepared) and
+//     exponentiation tables (PreparedExp) keyed by the serialized base,
+//   - two-base exponentiation helpers (DualExp, DualExpGT) on those tables,
 //   - validated decoding of ciphertext elements (DecodeG, DecodeGT) behind
 //     a bounded LRU keyed by the exact encoding,
-//   - process-wide activity counters (jobs, chunks, cache hits/misses)
-//     snapshotted via SnapshotStats and attributed to a region with Measure.
+//   - process-wide activity counters (jobs, cache hits/misses) snapshotted
+//     via SnapshotStats and attributed to a region with Measure.
 //
 // Determinism guarantee: every helper produces results that are bit-identical
 // to the equivalent serial loop. Jobs write only to their own index of a
@@ -125,23 +124,4 @@ func (p *Pool) Run(n int, job func(i int) error) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// Collect runs n value-producing jobs on the pool and returns their results
-// in index order. On failure it returns the first (lowest-indexed) error and
-// a nil slice.
-func Collect[T any](p *Pool, n int, job func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := p.Run(n, func(i int) error {
-		v, err := job(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -88,27 +88,6 @@ func TestSerialPoolRunsInline(t *testing.T) {
 	}
 }
 
-func TestCollect(t *testing.T) {
-	p := New(4)
-	out, err := Collect(p, 20, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	if _, err := Collect(p, 20, func(i int) (int, error) {
-		if i == 7 {
-			return 0, errors.New("bad")
-		}
-		return i, nil
-	}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestSetWorkersRestore(t *testing.T) {
 	before := Default().Workers()
 	restore := SetWorkers(1)

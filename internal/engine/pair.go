@@ -8,50 +8,6 @@ import (
 	"maacs/internal/pairing"
 )
 
-// PairProd computes Π_i e(as[i], bs[i]) on the pool. The index range is
-// split into one contiguous chunk per worker; each chunk shares a single
-// final exponentiation through Params.PairProd and the chunk products are
-// multiplied in index order. Because the final exponentiation is a group
-// homomorphism the result is the same field element the serial
-// Params.PairProd computes.
-func (p *Pool) PairProd(params *pairing.Params, as, bs []*pairing.G) (*pairing.GT, error) {
-	n := len(as)
-	if n != len(bs) {
-		return nil, pairing.ErrBadEncoding
-	}
-	// One final exponentiation per chunk only pays off when a chunk bundles
-	// several Miller loops.
-	chunks := p.workers
-	if chunks > n/2 {
-		chunks = n / 2
-	}
-	if chunks <= 1 {
-		return params.PairProd(as, bs)
-	}
-	chunksScheduled.Add(uint64(chunks))
-	parts, err := Collect(p, chunks, func(c int) (*pairing.GT, error) {
-		lo, hi := c*n/chunks, (c+1)*n/chunks
-		return params.PairProd(as[lo:hi], bs[lo:hi])
-	})
-	if err != nil {
-		return nil, err
-	}
-	acc := parts[0]
-	for _, part := range parts[1:] {
-		acc = acc.Mul(part)
-	}
-	return acc, nil
-}
-
-// PairAll computes e(a, bs[i]) for every i on the pool, preparing the shared
-// first argument once through the prepared-point cache.
-func (p *Pool) PairAll(a *pairing.G, bs []*pairing.G) ([]*pairing.GT, error) {
-	pre := Prepared(a)
-	return Collect(p, len(bs), func(i int) (*pairing.GT, error) {
-		return pre.Pair(bs[i])
-	})
-}
-
 // preparedCacheCap bounds the prepared-point and exp-table caches. Their
 // hot sets are the bases in current use: C' and PK_UID for a prepared
 // decryption, the attribute public keys an encryption uses (up to 100 in

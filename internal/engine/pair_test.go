@@ -23,56 +23,6 @@ func randomPairs(t *testing.T, p *pairing.Params, n int) (as, bs []*pairing.G) {
 	return as, bs
 }
 
-func TestPoolPairProdMatchesSerial(t *testing.T) {
-	p := pairing.Test()
-	for _, n := range []int{0, 1, 2, 3, 9, 16} {
-		as, bs := randomPairs(t, p, n)
-		want, err := p.PairProd(as, bs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			got, err := New(workers).PairProd(p, as, bs)
-			if err != nil {
-				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("n=%d workers=%d: chunked product diverged from serial", n, workers)
-			}
-		}
-	}
-}
-
-func TestPoolPairProdMismatchedLengths(t *testing.T) {
-	p := pairing.Test()
-	as, bs := randomPairs(t, p, 3)
-	if _, err := New(4).PairProd(p, as, bs[:2]); err == nil {
-		t.Fatal("expected error on mismatched slice lengths")
-	}
-}
-
-func TestPairAllMatchesPair(t *testing.T) {
-	p := pairing.Test()
-	a, _, err := p.RandomG(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, _ := randomPairs(t, p, 6)
-	got, err := New(4).PairAll(a, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range bs {
-		want, err := p.Pair(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got[i].Equal(want) {
-			t.Fatalf("PairAll[%d] diverged from Pair", i)
-		}
-	}
-}
-
 func TestPreparedCacheHits(t *testing.T) {
 	p := pairing.Test()
 	a, _, err := p.RandomG(rand.Reader)

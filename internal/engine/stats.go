@@ -6,20 +6,16 @@ import (
 )
 
 // Stats is a snapshot (or a delta between two snapshots) of the engine's
-// process-wide activity counters: how many jobs the pools scheduled, how many
-// PairProd chunks were split off, and how effective the PreparedG and
-// exp-table caches were. Counters are cumulative and monotonically
-// non-decreasing for the life of the process; WallNs is only populated on
-// deltas produced by Measure and on sums of such deltas (a raw snapshot
-// carries no meaningful wall time).
+// process-wide activity counters: how many jobs the pools scheduled and how
+// effective the PreparedG and exp-table caches were. Counters are
+// cumulative and monotonically non-decreasing for the life of the process;
+// WallNs is only populated on deltas produced by Measure and on sums of
+// such deltas (a raw snapshot carries no meaningful wall time).
 type Stats struct {
 	// Jobs counts jobs scheduled through Pool.Run (including the inline
 	// serial path and nested runs, such as per-row fan-outs inside a
 	// per-ciphertext job).
 	Jobs uint64 `json:"jobs"`
-	// Chunks counts the per-worker sub-products PairProd split multi-pairings
-	// into. The serial fallback (one Params.PairProd call) adds nothing.
-	Chunks uint64 `json:"chunks"`
 	// PreparedHits/PreparedMisses track the Miller-loop preparation cache.
 	PreparedHits   uint64 `json:"prepared_hits"`
 	PreparedMisses uint64 `json:"prepared_misses"`
@@ -30,12 +26,9 @@ type Stats struct {
 	WallNs int64 `json:"wall_ns"`
 }
 
-// Process-wide activity counters behind SnapshotStats. Cache hit/miss
-// counters live on the caches themselves (pair.go).
-var (
-	jobsScheduled   atomic.Uint64
-	chunksScheduled atomic.Uint64
-)
+// jobsScheduled is the process-wide job counter behind SnapshotStats. Cache
+// hit/miss counters live on the caches themselves (pair.go).
+var jobsScheduled atomic.Uint64
 
 // SnapshotStats returns the cumulative engine counters. Subtract two
 // snapshots with Delta to attribute work to a region of code; note the
@@ -46,7 +39,6 @@ func SnapshotStats() Stats {
 	eHits, eMisses := ExpCacheStats()
 	return Stats{
 		Jobs:           jobsScheduled.Load(),
-		Chunks:         chunksScheduled.Load(),
 		PreparedHits:   pHits,
 		PreparedMisses: pMisses,
 		ExpHits:        eHits,
@@ -59,7 +51,6 @@ func SnapshotStats() Stats {
 func (s Stats) Delta(since Stats) Stats {
 	return Stats{
 		Jobs:           s.Jobs - since.Jobs,
-		Chunks:         s.Chunks - since.Chunks,
 		PreparedHits:   s.PreparedHits - since.PreparedHits,
 		PreparedMisses: s.PreparedMisses - since.PreparedMisses,
 		ExpHits:        s.ExpHits - since.ExpHits,
@@ -73,7 +64,6 @@ func (s Stats) Delta(since Stats) Stats {
 func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Jobs:           s.Jobs + o.Jobs,
-		Chunks:         s.Chunks + o.Chunks,
 		PreparedHits:   s.PreparedHits + o.PreparedHits,
 		PreparedMisses: s.PreparedMisses + o.PreparedMisses,
 		ExpHits:        s.ExpHits + o.ExpHits,

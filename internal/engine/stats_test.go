@@ -32,7 +32,7 @@ func TestStatsMonotonicAndDeltaAdd(t *testing.T) {
 	a := SnapshotStats()
 	_ = New(2).Run(5, func(int) error { return nil })
 	b := SnapshotStats()
-	if b.Jobs < a.Jobs || b.Chunks < a.Chunks ||
+	if b.Jobs < a.Jobs ||
 		b.PreparedHits < a.PreparedHits || b.PreparedMisses < a.PreparedMisses ||
 		b.ExpHits < a.ExpHits || b.ExpMisses < a.ExpMisses {
 		t.Fatalf("counters went backwards: %+v -> %+v", a, b)
@@ -51,27 +51,37 @@ func TestStatsPreparedCacheCountersAcrossPools(t *testing.T) {
 	}
 	bs, _ := randomPairs(t, p, 6)
 
+	// pairAll pairs a against every b on pool, one job per pairing, with a's
+	// preparation served through the cache, the way re-encryption pairs
+	// one UK1 against every stored ciphertext.
+	pairAll := func(pool *Pool) []*pairing.GT {
+		pre := Prepared(a)
+		out := make([]*pairing.GT, len(bs))
+		if err := pool.Run(len(bs), func(i int) error {
+			gt, err := pre.Pair(bs[i])
+			out[i] = gt
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
 	// First use of a fresh point: at least one miss, and one job per pairing.
 	pre := SnapshotStats()
-	serial, err := New(1).PairAll(a, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := pairAll(New(1))
 	d1 := SnapshotStats().Delta(pre)
 	if d1.PreparedMisses == 0 {
 		t.Fatalf("fresh point served without a miss: %+v", d1)
 	}
 	if d1.Jobs != uint64(len(bs)) {
-		t.Fatalf("serial PairAll scheduled %d jobs, want %d", d1.Jobs, len(bs))
+		t.Fatalf("serial run scheduled %d jobs, want %d", d1.Jobs, len(bs))
 	}
 
 	// Same point on a parallel pool: served from cache, same job count, and
 	// bit-identical results — the schedule never leaks into the output.
 	pre = SnapshotStats()
-	parallel, err := New(4).PairAll(a, bs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parallel := pairAll(New(4))
 	d2 := SnapshotStats().Delta(pre)
 	if d2.PreparedHits == 0 || d2.PreparedMisses != 0 {
 		t.Fatalf("cached point not served from cache: %+v", d2)
@@ -83,27 +93,6 @@ func TestStatsPreparedCacheCountersAcrossPools(t *testing.T) {
 		if !serial[i].Equal(parallel[i]) {
 			t.Fatalf("pairing %d diverged between serial and parallel", i)
 		}
-	}
-}
-
-func TestStatsChunksCountedOnSplitOnly(t *testing.T) {
-	p := pairing.Test()
-	as, bs := randomPairs(t, p, 12)
-
-	pre := SnapshotStats()
-	if _, err := New(1).PairProd(p, as, bs); err != nil {
-		t.Fatal(err)
-	}
-	if d := SnapshotStats().Delta(pre); d.Chunks != 0 {
-		t.Fatalf("serial PairProd counted %d chunks", d.Chunks)
-	}
-
-	pre = SnapshotStats()
-	if _, err := New(4).PairProd(p, as, bs); err != nil {
-		t.Fatal(err)
-	}
-	if d := SnapshotStats().Delta(pre); d.Chunks != 4 {
-		t.Fatalf("split PairProd counted %d chunks, want 4", d.Chunks)
 	}
 }
 

@@ -15,96 +15,82 @@ func benchParams(b *testing.B) *Params {
 	return Default()
 }
 
-// benchKernels runs fn once per kernel as "montgomery" and "reference"
-// sub-benchmarks, each on its own Params clone so SetKernel never touches
-// shared state, with allocation reporting on.
-func benchKernels(b *testing.B, fn func(b *testing.B, p *Params)) {
+// benchKernels times the fast operation as the "montgomery" sub-benchmark
+// and, where one exists, its reference function as "reference", both on the
+// same Params with allocation reporting on. setup builds the operands and
+// returns the two operations; ref is nil when there is no reference.
+func benchKernels(b *testing.B, setup func(p *Params) (fast, ref func())) {
 	b.Helper()
-	base := benchParams(b)
-	for _, kc := range allKernels {
-		p := kernelClone(b, base, kc.kernel)
-		b.Run(kc.name, func(b *testing.B) {
+	fast, ref := setup(benchParams(b))
+	run := func(name string, op func()) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			fn(b, p)
+			for i := 0; i < b.N; i++ {
+				op()
+			}
 		})
+	}
+	run("montgomery", fast)
+	if ref != nil {
+		run("reference", ref)
 	}
 }
 
-// BenchmarkPair measures the full reduced pairing under both kernels:
-// fixed-width Montgomery and the affine/naive reference.
+// BenchmarkPair measures the full reduced pairing against the affine
+// reference.
 func BenchmarkPair(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchKernels(b, func(p *Params) (func(), func()) {
 		ka, _ := p.RandomScalar(rand.Reader)
 		kb, _ := p.RandomScalar(rand.Reader)
 		ga, gb := p.Generator().Exp(ka), p.Generator().Exp(kb)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.MustPair(ga, gb)
-		}
+		return func() { p.MustPair(ga, gb) }, func() { p.PairReference(ga, gb) }
 	})
 }
 
 // BenchmarkMiller isolates the Miller loop (no final exponentiation).
 func BenchmarkMiller(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchKernels(b, func(p *Params) (func(), func()) {
 		g := p.gen
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.millerLoop(g, g)
-		}
+		return func() { p.millerLoop(g, g) }, func() { p.miller(g, g) }
 	})
 }
 
 // BenchmarkPreparedPair measures pairing against cached line coefficients.
 func BenchmarkPreparedPair(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchKernels(b, func(p *Params) (func(), func()) {
 		pre := p.Prepare(p.Generator())
 		k, _ := p.RandomScalar(rand.Reader)
 		q := p.Generator().Exp(k)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := pre.Pair(q); err != nil {
-				b.Fatal(err)
-			}
-		}
+		return func() { pre.Pair(q) }, nil
 	})
 }
 
 // BenchmarkPrepare measures building the line cache: one batch inversion
-// (montgomery) vs one ModInverse per Miller step (reference).
+// for the whole Miller chain.
 func BenchmarkPrepare(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchKernels(b, func(p *Params) (func(), func()) {
 		g := p.Generator()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Prepare(g)
-		}
+		return func() { p.Prepare(g) }, nil
 	})
 }
 
 // BenchmarkGExp measures scalar multiplication in G: the limb Jacobian NAF
 // ladder vs the affine double-and-add reference.
 func BenchmarkGExp(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchKernels(b, func(p *Params) (func(), func()) {
 		k, _ := p.RandomScalar(rand.Reader)
 		g := p.Generator()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Exp(k)
-		}
+		return func() { g.Exp(k) }, func() { g.ExpReference(k) }
 	})
 }
 
 // BenchmarkGTExp measures target-group exponentiation: Lucas ladder vs
 // unitary square-and-multiply.
 func BenchmarkGTExp(b *testing.B) {
-	benchKernels(b, func(b *testing.B, p *Params) {
+	benchKernels(b, func(p *Params) (func(), func()) {
 		e := p.GTGenerator()
 		k, _ := p.RandomScalar(rand.Reader)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.Exp(k)
-		}
+		return func() { e.Exp(k) }, func() { e.ExpReference(k) }
 	})
 }
 

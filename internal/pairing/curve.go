@@ -126,31 +126,18 @@ func (p *Params) chord(a, b point, lambda *big.Int) point {
 // reduced mod R first (the group G has order R).
 func (p *Params) mulScalar(pt point, k *big.Int) point {
 	kk := new(big.Int).Mod(k, p.R)
-	return p.mulScalarRaw(pt, kk)
+	return p.mulScalarMont(pt, kk)
 }
 
 // hasOrderDividingR reports whether r·pt = ∞ computed with the UNREDUCED
 // group order — mulScalar reduces exponents mod R (correct for elements of
 // G, where it is a no-op), which would make this check vacuous.
 func (p *Params) hasOrderDividingR(pt point) bool {
-	return p.mulScalarRaw(pt, p.R).inf
+	return p.mulScalarMont(pt, p.R).inf
 }
 
-// mulScalarRaw computes k·pt for k ≥ 0 without reducing k; needed for
-// cofactor multiplication where k = H > R and for order checks. The
-// Montgomery kernel runs the NAF ladder on fixed-width Jacobian points
-// (mulScalarMont in montgomery.go); mulScalarAffine is the reference
-// implementation the tests cross-check against and the one KernelReference
-// runs.
-func (p *Params) mulScalarRaw(pt point, k *big.Int) point {
-	if p.kernel == KernelReference {
-		return p.mulScalarAffine(pt, k)
-	}
-	return p.mulScalarMont(pt, k)
-}
-
-// mulScalarAffine is the textbook affine double-and-add: the reference
-// kernel's ladder and the oracle for property tests.
+// mulScalarAffine is the textbook affine double-and-add: the oracle for
+// mulScalarMont and G.ExpReference's ladder.
 func (p *Params) mulScalarAffine(pt point, k *big.Int) point {
 	acc := infinity()
 	if pt.inf || k.Sign() == 0 {

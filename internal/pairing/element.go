@@ -138,7 +138,7 @@ func (g *G) String() string {
 	if g.pt.inf {
 		return "G(∞)"
 	}
-	return fmt.Sprintf("G(%x…)", g.pt.x.Bytes()[:4])
+	return fmt.Sprintf("G(%x…)", g.pt.x.Bytes()[:min(4, len(g.pt.x.Bytes()))])
 }
 
 // ---- GT operations ----
@@ -153,14 +153,10 @@ func (t *GT) Mul(u *GT) *GT {
 
 // Exp returns t^k. k is normalized mod R — the order of G_T inside the
 // unitary (norm-1) subgroup of F_q²* — before the ladder runs, so zero,
-// negative, and oversized scalars cost one bounded chain. The Montgomery
-// kernel runs the Lucas ladder on fixed-width field elements (fp2m.go);
-// the reference kernel keeps square-and-multiply.
+// negative, and oversized scalars cost one bounded chain. It runs the
+// Lucas ladder on fixed-width field elements (fp2m.go).
 func (t *GT) Exp(k *big.Int) *GT {
 	kk := new(big.Int).Mod(k, t.p.R)
-	if t.p.kernel == KernelReference {
-		return &GT{p: t.p, v: t.p.fp2ExpUnitary(t.v, kk)}
-	}
 	c := t.p.fpc
 	var x, z fp2m
 	c.fp2mFromFp2(&x, t.v)

@@ -7,8 +7,8 @@ import (
 // FieldOp is one base- or extension-field primitive exposed for external
 // benchmarking (internal/bench builds the field-level rows of
 // BENCH_pairing.json from these). Montgomery runs the fixed-width limb
-// kernel; BigInt runs the equivalent math/big computation the reference
-// kernel performs.
+// arithmetic; BigInt runs the equivalent math/big computation the reference
+// functions perform.
 type FieldOp struct {
 	// Name is the row label: "fp-mul", "fp-square", "fp-inv", "fp2-mul".
 	Name string

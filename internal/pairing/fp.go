@@ -278,8 +278,7 @@ const invDivsteps = 62
 //
 // The result is verified with one multiplication; on mismatch (which would
 // indicate a bug, not bad input) the Fermat inversion recomputes it, so the
-// answer is always exact. inv(0) = 0 by convention, which mirrors what the
-// projective kernel's denominator handling expects. z may alias x. No heap
+// answer is always exact. inv(0) = 0 by convention. z may alias x. No heap
 // allocation on any path except the (never-taken) fallback.
 func (c *fpContext) inv(z, x *fpElement) {
 	if c.isZero(x) {

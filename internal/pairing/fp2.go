@@ -98,8 +98,8 @@ func (p *Params) fp2Exp(x fp2, k *big.Int) fp2 {
 
 // fp2ExpUnitary is fp2Exp specialised to norm-1 elements, where inversion is
 // conjugation (folded into the same single pass as fp2Exp). This is the
-// square-and-multiply reference; the Montgomery kernel uses the Lucas
-// ladder fp2mExpUnitaryLucas instead.
+// square-and-multiply reference; GT.Exp and the final exponentiation use
+// the Lucas ladder fp2mExpUnitaryLucas instead.
 func (p *Params) fp2ExpUnitary(x fp2, k *big.Int) fp2 {
 	if k.Sign() < 0 {
 		x = p.fp2Conj(x)

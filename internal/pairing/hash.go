@@ -55,7 +55,7 @@ func (p *Params) hashToPoint(data []byte) (point, bool) {
 		if !ok {
 			continue
 		}
-		pt := p.mulScalarRaw(point{x: x, y: y}, p.H)
+		pt := p.mulScalarMont(point{x: x, y: y}, p.H)
 		if pt.inf {
 			continue
 		}

@@ -9,20 +9,6 @@ import (
 	"testing/quick"
 )
 
-// kernelClone builds an independent Params value with the same constants
-// as p but running kernel k, the way benchmarks and whole-scheme
-// before/after comparisons do, so SetKernel never touches shared state.
-func kernelClone(tb testing.TB, p *Params, k Kernel) *Params {
-	tb.Helper()
-	q, r, h, gx, gy := p.Export()
-	cl, err := NewParams(q, r, h, gx, gy)
-	if err != nil {
-		tb.Fatalf("clone params: %v", err)
-	}
-	cl.SetKernel(k)
-	return cl
-}
-
 // TestPairMatchesReference pins the Montgomery kernel (projective NAF Miller
 // loop + Lucas final exponentiation) bit-identical to the retained affine
 // reference on random subgroup points.
@@ -45,49 +31,45 @@ func TestPairMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPairKernelDispatch checks that a reference-kernel Params clone
-// produces the same pairing, exponentiation, and preparation results as the
-// optimized shared parameters, byte for byte.
+// TestPairKernelDispatch checks that pairing, prepared pairing, PairProd
+// and G arithmetic give the same results as the reference functions on the
+// same Params, byte for byte.
 func TestPairKernelDispatch(t *testing.T) {
 	p := Test()
-	ref := kernelClone(t, p, KernelReference)
-	if ref.Kernel() != KernelReference || p.Kernel() != KernelMontgomery {
-		t.Fatal("kernel selection not reflected by Kernel()")
-	}
 	a, b := big.NewInt(98765), big.NewInt(43210)
-	for name, pr := range map[string]*Params{"optimized": p, "reference": ref} {
-		ga, gb := pr.Generator().Exp(a), pr.Generator().Exp(b)
-		e := pr.MustPair(ga, gb)
-		pp, err := pr.Prepare(ga).Pair(gb)
-		if err != nil {
-			t.Fatalf("%s prepared pair: %v", name, err)
-		}
-		if !e.Equal(pp) {
-			t.Fatalf("%s: prepared pair disagrees with Pair", name)
-		}
-		prod, err := pr.PairProd([]*G{ga, gb}, []*G{gb, ga})
-		if err != nil {
-			t.Fatalf("%s PairProd: %v", name, err)
-		}
-		if !prod.Equal(e.Mul(e)) {
-			t.Fatalf("%s: PairProd ≠ e(a,b)²", name)
-		}
+	ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
+	e := p.MustPair(ga, gb)
+	ref, err := p.PairReference(p.Generator().ExpReference(a), p.Generator().ExpReference(b))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Cross-kernel: marshalled results must agree.
-	eOpt := p.MustPair(p.Generator().Exp(a), p.Generator().Exp(b))
-	eRef := ref.MustPair(ref.Generator().Exp(a), ref.Generator().Exp(b))
-	if !bytes.Equal(eOpt.Marshal(), eRef.Marshal()) {
-		t.Fatal("optimized and reference kernels disagree across Params clones")
+	if !bytes.Equal(e.Marshal(), ref.Marshal()) {
+		t.Fatal("Pair disagrees with PairReference")
 	}
-	gOpt := p.Generator().Exp(a).Mul(p.Generator().Exp(b).Inv())
-	gRef := ref.Generator().Exp(a).Mul(ref.Generator().Exp(b).Inv())
-	if !bytes.Equal(gOpt.Marshal(), gRef.Marshal()) {
-		t.Fatal("G arithmetic disagrees across kernels")
+	pp, err := p.Prepare(ga).Pair(gb)
+	if err != nil {
+		t.Fatalf("prepared pair: %v", err)
+	}
+	if !bytes.Equal(pp.Marshal(), ref.Marshal()) {
+		t.Fatal("prepared pair disagrees with PairReference")
+	}
+	prod, err := p.PairProd([]*G{ga, gb}, []*G{gb, ga})
+	if err != nil {
+		t.Fatalf("PairProd: %v", err)
+	}
+	if !bytes.Equal(prod.Marshal(), ref.Mul(ref).Marshal()) {
+		t.Fatal("PairProd ≠ PairReference(a,b)²")
+	}
+	g := p.Generator()
+	gFast := g.Exp(a).Mul(g.Exp(b).Inv())
+	gRef := g.ExpReference(a).Mul(g.ExpReference(b).Inv())
+	if !bytes.Equal(gFast.Marshal(), gRef.Marshal()) {
+		t.Fatal("G arithmetic disagrees with the reference ladder")
 	}
 }
 
 // TestPreparedProjMatchesAffinePrepare pins the batch-inverted projective
-// preparation (prepareMont) against the affine reference preparation on the
+// preparation and its walk against the affine reference pairing on the
 // same Params.
 func TestPreparedProjMatchesAffinePrepare(t *testing.T) {
 	p := Test()
@@ -96,18 +78,16 @@ func TestPreparedProjMatchesAffinePrepare(t *testing.T) {
 		a, _ := p.RandomScalar(rand.Reader)
 		b, _ := p.RandomScalar(rand.Reader)
 		ga, gb := g.Exp(a), g.Exp(b)
-		proj := p.prepareMont(ga)
-		aff := p.prepareAffine(ga)
-		e1, err1 := proj.Pair(gb)
-		e2, err2 := aff.Pair(gb)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("prepared pair: %v / %v", err1, err2)
+		got, err := p.Prepare(ga).Pair(gb)
+		if err != nil {
+			t.Fatalf("prepared pair: %v", err)
 		}
-		if !e1.Equal(e2) {
-			t.Fatalf("iteration %d: projective and affine preparations disagree", i)
+		want, err := p.PairReference(ga, gb)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !e1.Equal(p.MustPair(ga, gb)) {
-			t.Fatalf("iteration %d: prepared pair ≠ Pair", i)
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("iteration %d: prepared pair disagrees with PairReference", i)
 		}
 	}
 }
@@ -218,10 +198,11 @@ func TestNAFDigits(t *testing.T) {
 
 // TestKernelSharedStateConcurrency hammers one shared *Params and one
 // shared *PreparedG from many goroutines. All temporaries live on the
-// callers' stacks and the lazily built combs sit behind sync.Once, so shared
-// state stays read-only; the -race runs in scripts/check.sh turn any
-// aliasing bug into a hard failure, and the determinism check catches
-// silent corruption even without the race detector.
+// callers' stacks and the lazily built generator comb sits behind
+// sync.Once, so shared state stays read-only; the -race runs in
+// scripts/check.sh turn any aliasing bug into a hard failure, and the
+// determinism check catches silent corruption even without the race
+// detector.
 func TestKernelSharedStateConcurrency(t *testing.T) {
 	p := Test()
 	g := p.Generator()

@@ -2,13 +2,14 @@ package pairing
 
 import "math/big"
 
-// The Montgomery kernel: Jacobian point formulas, the NAF Miller loop with
+// The pairing kernel: Jacobian point formulas, the NAF Miller loop with
 // fused line evaluation, batch-inverted preparation, and the Lucas final
 // exponentiation, all on fixed-width fpElement arithmetic. Points and
 // accumulators convert into Montgomery form once on entry and back once on
 // exit; in between there is no math/big arithmetic and no heap allocation.
 // Reduced pairings and scalar multiples are bit-identical to the affine
-// reference kernel, which is what the differential tests pin.
+// reference functions (reference.go), which is what the differential tests
+// pin.
 
 // montAffine is an affine curve point with Montgomery-form coordinates.
 // Infinity is never represented here — callers special-case it before
@@ -131,10 +132,10 @@ func (c *fpContext) montJacAddAffine(j *montJac, a *montAffine) {
 }
 
 // mulScalarMont computes k·pt for k ≥ 0 with the NAF double-and-add ladder
-// over Montgomery-form Jacobian points — the Montgomery-kernel body of
-// mulScalarRaw. One field inversion at the final normalization; the result
-// is the same group element as mulScalarAffine for every k, only the
-// addition chain differs.
+// over Montgomery-form Jacobian points. It does not reduce k, which
+// cofactor clearing (k = H > R) and the order-R checks need. One field
+// inversion at the final normalization; the result is the same group
+// element as mulScalarAffine for every k, only the addition chain differs.
 func (p *Params) mulScalarMont(pt point, k *big.Int) point {
 	if pt.inf || k.Sign() == 0 {
 		return infinity()
@@ -330,16 +331,10 @@ func (p *Params) finalExpMont(f *fp2m) fp2m {
 	return out
 }
 
-// pairMont is the Montgomery-kernel reduced pairing on raw points: convert
-// in, Miller loop + final exponentiation without math/big, convert out.
-func (p *Params) pairMont(P, Q point) fp2 {
-	f := p.millerMont(P, Q)
-	u := p.finalExpMont(&f)
-	return p.fpc.fp2mToFp2(&u)
-}
-
-// mLineCoeff is lineCoeff with Montgomery-form coordinates, the cached-step
-// format the Montgomery kernel's PreparedG walk consumes.
+// mLineCoeff is a line l(x,y) = y − y0 − λ(x − x0) in evaluation-ready
+// form, l(φ(Q)) = (λ·(x0 + x_Q) − y0) + y_Q·i, with Montgomery-form
+// coordinates: the cached-step format the PreparedG walk consumes. A
+// vertical line is skipped entirely, represented by ok = false.
 type mLineCoeff struct {
 	lambda, x0, y0 fpElement
 	ok             bool
@@ -359,12 +354,12 @@ type mPrepStep struct {
 	den     fpElement // slope denominator, inverted in place by the batch pass
 }
 
-// prepareMont walks the NAF Miller chain on fpElements (zero inversions)
+// Prepare precomputes the Miller-loop lines of g as a first pairing
+// argument. It walks the NAF Miller chain on fpElements (zero inversions)
 // and recovers all the cached affine line coefficients with one batch
-// inversion over the accumulated denominators — the Montgomery-kernel body
-// of Prepare. The cached coefficients stay in Montgomery form so the
-// per-pairing walk needs no conversions beyond Q.
-func (p *Params) prepareMont(g *G) *PreparedG {
+// inversion over the accumulated denominators. The cached coefficients stay
+// in Montgomery form so the per-pairing walk needs no conversions beyond Q.
+func (p *Params) Prepare(g *G) *PreparedG {
 	if g.pt.inf {
 		return &PreparedG{p: p, inf: true}
 	}
@@ -452,7 +447,8 @@ func (c *fpContext) tangentStepRecordMont(r *montJac) mPrepStep {
 // chordStepRecordMont is chordStepMont without the line evaluation: it
 // snapshots the chord numerator Rc and the affine anchor, adds a to R in
 // place, and leaves the denominator Z·H for the batch pass. The degenerate
-// R = a case falls back to a tangent record, mirroring chordCoeff.
+// R = a case falls back to a tangent record, as the affine lineChord falls
+// back to the tangent.
 func (c *fpContext) chordStepRecordMont(r *montJac, a *montAffine) mPrepStep {
 	if c.montJacIsInf(r) {
 		r.x = a.x

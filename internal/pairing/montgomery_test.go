@@ -6,18 +6,9 @@ import (
 	"testing"
 )
 
-// allKernels are the two selectable kernels in dispatch order.
-var allKernels = []struct {
-	name   string
-	kernel Kernel
-}{
-	{"montgomery", KernelMontgomery},
-	{"reference", KernelReference},
-}
-
-// kernelOutputs runs every kernel-dispatched operation on p for scalars a
-// and b and returns the marshalled results keyed by operation name.
-func kernelOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
+// fastOutputs runs every fast operation on p for scalars a and b and
+// returns the marshalled results keyed by operation name.
+func fastOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
 	t.Helper()
 	k := new(big.Int).Mul(a, b)
 	ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
@@ -41,84 +32,104 @@ func kernelOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
 	}
 }
 
-// assertKernelsAgree pins every kernel-dispatched operation byte-identical
-// across the Montgomery and reference kernels on independent clones of base.
-func assertKernelsAgree(t *testing.T, base *Params, a, b *big.Int) {
+// referenceOutputs computes what fastOutputs should return with the
+// reference functions alone: PairReference, G.ExpReference and
+// GT.ExpReference.
+func referenceOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
 	t.Helper()
-	mont := kernelOutputs(t, kernelClone(t, base, KernelMontgomery), a, b)
-	ref := kernelOutputs(t, kernelClone(t, base, KernelReference), a, b)
-	for op, want := range ref {
-		if !bytes.Equal(mont[op], want) {
-			t.Fatalf("%s: montgomery differs from reference (a=%v b=%v)", op, a, b)
+	k := new(big.Int).Mul(a, b)
+	g := p.Generator()
+	ga, gb := g.ExpReference(a), g.ExpReference(b)
+	e, err := p.PairReference(ga, gb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped, err := p.PairReference(gb, ga)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string][]byte{
+		"Pair":           e.Marshal(),
+		"PreparedG.Pair": e.Marshal(),
+		"PairProd":       e.Mul(swapped).Marshal(),
+		"G.Exp":          ga.ExpReference(k).Marshal(),
+		"GT.Exp":         e.ExpReference(k).Marshal(),
+		"FixedBaseExp":   g.ExpReference(k).Marshal(),
+		"ExpTable.Exp":   ga.ExpReference(k).Marshal(),
+	}
+}
+
+// assertMatchesReference pins every fast operation byte-identical to the
+// reference functions on p.
+func assertMatchesReference(t *testing.T, p *Params, a, b *big.Int) {
+	t.Helper()
+	fast := fastOutputs(t, p, a, b)
+	for op, want := range referenceOutputs(t, p, a, b) {
+		if !bytes.Equal(fast[op], want) {
+			t.Fatalf("%s differs from the reference (a=%v b=%v)", op, a, b)
 		}
 	}
 }
 
 // TestPairMatchesAllKernels pins reduced pairings, prepared-pairing walks,
 // PairProd, G/GT exponentiation, and both table exponentiations
-// byte-identical across the Montgomery and affine-reference kernels.
+// byte-identical to the affine reference functions.
 func TestPairMatchesAllKernels(t *testing.T) {
 	for _, sc := range [][2]int64{{98765, 43210}, {1, 1}, {2, 3}, {7919, 7919}} {
-		assertKernelsAgree(t, Test(), big.NewInt(sc[0]), big.NewInt(sc[1]))
+		assertMatchesReference(t, Test(), big.NewInt(sc[0]), big.NewInt(sc[1]))
 	}
 }
 
-// TestPairMatchesAllKernelsPaperScale repeats the cross-kernel pin at the
-// 512-bit default field, where the Montgomery context runs eight limbs.
+// TestPairMatchesAllKernelsPaperScale repeats the pin at the 512-bit
+// default field, where the Montgomery context runs eight limbs.
 func TestPairMatchesAllKernelsPaperScale(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paper-scale kernels in -short mode")
+		t.Skip("paper-scale reference in -short mode")
 	}
-	assertKernelsAgree(t, Default(), big.NewInt(31337), big.NewInt(271828))
+	assertMatchesReference(t, Default(), big.NewInt(31337), big.NewInt(271828))
 }
 
 // TestSerializationByteIdenticalAcrossKernels is the wire-format guard: the
-// bytes G.Marshal and GT.Marshal emit, and the elements UnmarshalG /
-// UnmarshalGT accept, are identical whichever kernel produced them — the
-// Montgomery↔canonical conversion at the boundary is exact.
+// bytes G.Marshal and GT.Marshal emit for fast results equal those of the
+// reference results — the Montgomery↔canonical conversion at the boundary
+// is exact — and UnmarshalG / UnmarshalGT accept them, round-trip them, and
+// return elements that pass the reference subgroup predicates
+// (mulScalarAffine for r·P, fp2Exp for v^r).
 func TestSerializationByteIdenticalAcrossKernels(t *testing.T) {
-	base := Test()
-	clones := make(map[string]*Params, len(allKernels))
-	for _, kc := range allKernels {
-		clones[kc.name] = kernelClone(t, base, kc.kernel)
+	p := Test()
+	gtGen, err := p.PairReference(p.Generator(), p.Generator())
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := int64(0); i < 16; i++ {
 		k := new(big.Int).Mul(big.NewInt(i), big.NewInt(999983))
-		var gBytes, gtBytes []byte
-		for _, kc := range allKernels {
-			p := clones[kc.name]
-			gB := p.Generator().Exp(k).Marshal()
-			gtB := p.GTGenerator().Exp(k).Marshal()
-			if kc.kernel == KernelMontgomery {
-				gBytes, gtBytes = gB, gtB
-				continue
-			}
-			if !bytes.Equal(gB, gBytes) {
-				t.Fatalf("k=%v: %s G bytes differ from montgomery", k, kc.name)
-			}
-			if !bytes.Equal(gtB, gtBytes) {
-				t.Fatalf("k=%v: %s GT bytes differ from montgomery", k, kc.name)
-			}
+		gBytes := p.Generator().Exp(k).Marshal()
+		gtBytes := p.GTGenerator().Exp(k).Marshal()
+		if !bytes.Equal(gBytes, p.Generator().ExpReference(k).Marshal()) {
+			t.Fatalf("k=%v: G bytes differ from the reference", k)
 		}
-		// Round trips decode to equal elements under every kernel.
-		for _, kc := range allKernels {
-			p := clones[kc.name]
-			g, err := p.UnmarshalG(gBytes)
-			if err != nil {
-				t.Fatalf("k=%v: %s UnmarshalG: %v", k, kc.name, err)
-			}
-			if !bytes.Equal(g.Marshal(), gBytes) {
-				t.Fatalf("k=%v: %s G round trip drifted", k, kc.name)
-			}
-			if i != 0 { // zero GT exponent marshals to 1, still valid
-				gt, err := p.UnmarshalGT(gtBytes)
-				if err != nil {
-					t.Fatalf("k=%v: %s UnmarshalGT: %v", k, kc.name, err)
-				}
-				if !bytes.Equal(gt.Marshal(), gtBytes) {
-					t.Fatalf("k=%v: %s GT round trip drifted", k, kc.name)
-				}
-			}
+		if !bytes.Equal(gtBytes, gtGen.ExpReference(k).Marshal()) {
+			t.Fatalf("k=%v: GT bytes differ from the reference", k)
+		}
+		g, err := p.UnmarshalG(gBytes)
+		if err != nil {
+			t.Fatalf("k=%v: UnmarshalG: %v", k, err)
+		}
+		if !bytes.Equal(g.Marshal(), gBytes) {
+			t.Fatalf("k=%v: G round trip drifted", k)
+		}
+		if !p.mulScalarAffine(g.pt, p.R).inf {
+			t.Fatalf("k=%v: decoded G fails the reference r·P check", k)
+		}
+		gt, err := p.UnmarshalGT(gtBytes)
+		if err != nil {
+			t.Fatalf("k=%v: UnmarshalGT: %v", k, err)
+		}
+		if !bytes.Equal(gt.Marshal(), gtBytes) {
+			t.Fatalf("k=%v: GT round trip drifted", k)
+		}
+		if !p.fp2Exp(gt.v, p.R).isOne() {
+			t.Fatalf("k=%v: decoded GT fails the reference v^r check", k)
 		}
 	}
 }

@@ -14,11 +14,9 @@ import (
 // benchmarks and are available to API users who want the speed.
 //
 // Both table kinds are limb-native Montgomery combs (affine entries,
-// mixed-addition evaluation, zero heap allocations per exponentiation),
-// built lazily under a sync.Once so concurrent use stays safe. The
-// reference kernel builds no table: it answers FixedBaseExp and
-// ExpTable.Exp with the textbook affine ladder, so a kernel flip under a
-// live table stays correct.
+// mixed-addition evaluation, zero heap allocations per exponentiation).
+// The generator's comb is built lazily under a sync.Once, so concurrent
+// first use stays safe; PrepareExp builds a per-base comb right away.
 
 // PairProd computes Π_i e(a_i, b_i) with a single final exponentiation:
 // the Miller-loop values multiply in F_q² before the (q²−1)/r power, which
@@ -36,9 +34,6 @@ func (p *Params) PairProd(as, bs []*G) (*GT, error) {
 			continue
 		}
 		acc = p.fp2Mul(acc, p.millerLoop(as[i].pt, bs[i].pt))
-	}
-	if p.kernel == KernelReference {
-		return &GT{p: p, v: p.finalExpReference(acc)}, nil
 	}
 	c := p.fpc
 	var m fp2m
@@ -184,13 +179,9 @@ func (t *fixedBaseTable) montRows(p *Params) *montComb {
 // FixedBaseExp computes g^k for the generator g using the precomputed
 // comb: one limb-native mixed addition per nonzero window instead of a
 // double-and-add pass, with a single inversion at the final normalization.
-// The reference kernel runs the affine ladder instead. k is reduced mod R.
-// Both kernels return bit-identical points.
+// k is reduced mod R. The result is bit-identical to Generator().Exp(k).
 func (p *Params) FixedBaseExp(k *big.Int) *G {
 	kk := new(big.Int).Mod(k, p.R)
-	if p.kernel == KernelReference {
-		return &G{p: p, pt: p.mulScalarAffine(p.gen, kk)}
-	}
 	var out montAffine
 	if !p.combExpMont(&out, p.fixedTable().montRows(p), kk) {
 		return p.OneG()
@@ -222,46 +213,31 @@ func extractWindow(words []big.Word, offset int) int {
 // bases (e.g. attribute public keys, which owners exponentiate once per
 // stored ciphertext during a revocation).
 type ExpTable struct {
-	p    *Params
-	inf  bool
-	base point
-
-	once sync.Once
+	p *Params
+	// mont is the base's comb, or nil when the base is the identity.
 	mont *montComb
 }
 
-// PrepareExp builds the exponentiation table for g. Under the reference
-// kernel the comb is left unbuilt until a Montgomery-kernel Exp needs it.
+// PrepareExp builds the exponentiation table for g.
 func (p *Params) PrepareExp(g *G) *ExpTable {
-	t := &ExpTable{p: p, inf: g.pt.inf, base: g.pt}
-	if !t.inf && p.kernel == KernelMontgomery {
-		t.montTable()
+	t := &ExpTable{p: p}
+	if !g.pt.inf {
+		t.mont = p.buildMontComb(g.pt)
 	}
 	return t
 }
 
-func (t *ExpTable) montTable() *montComb {
-	t.once.Do(func() {
-		t.mont = t.p.buildMontComb(t.base)
-	})
-	return t.mont
-}
-
 // Exp computes base^k using the table. k is normalized mod R before any
 // table walk, so zero, negative, and oversized scalars touch at most
-// ⌈|R|/4⌉ comb rows; the result is bit-identical to base.Exp(k) on both
-// kernels.
+// ⌈|R|/4⌉ comb rows; the result is bit-identical to base.Exp(k).
 func (t *ExpTable) Exp(k *big.Int) *G {
 	p := t.p
-	if t.inf {
+	if t.mont == nil {
 		return p.OneG()
 	}
 	kk := new(big.Int).Mod(k, p.R)
-	if p.kernel == KernelReference {
-		return &G{p: p, pt: p.mulScalarAffine(t.base, kk)}
-	}
 	var out montAffine
-	if !p.combExpMont(&out, t.montTable(), kk) {
+	if !p.combExpMont(&out, t.mont, kk) {
 		return p.OneG()
 	}
 	return p.combPointMont(&out)

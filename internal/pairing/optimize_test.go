@@ -92,23 +92,18 @@ func TestFixedBaseExpFullRangeDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p.Generator().Exp(k)
-	if !p.FixedBaseExp(k).Equal(want) {
-		t.Fatal("fixed-base mismatch at paper scale")
+	want := p.Generator().ExpReference(k).Marshal()
+	if !bytes.Equal(p.Generator().Exp(k).Marshal(), want) {
+		t.Fatal("G.Exp disagrees with the reference ladder at paper scale")
 	}
-	// Both kernels must produce byte-identical points through the table
-	// entry point at paper scale.
-	for _, kc := range allKernels {
-		cl := kernelClone(t, p, kc.kernel)
-		if !bytes.Equal(cl.FixedBaseExp(k).Marshal(), want.Marshal()) {
-			t.Fatalf("%s: FixedBaseExp disagrees at paper scale", kc.name)
-		}
+	if !bytes.Equal(p.FixedBaseExp(k).Marshal(), want) {
+		t.Fatal("FixedBaseExp disagrees with the reference ladder at paper scale")
 	}
 }
 
 // TestTableExpAllKernels pins FixedBaseExp and ExpTable.Exp bit-identical
-// across both kernels: the Montgomery comb and the affine reference ladder
-// must agree byte for byte on random and edge-case scalars.
+// to the affine reference ladder: the Montgomery comb and
+// G.ExpReference must agree byte for byte on random and edge-case scalars.
 func TestTableExpAllKernels(t *testing.T) {
 	p := Test()
 	a, _ := p.RandomScalar(rand.Reader)
@@ -125,48 +120,13 @@ func TestTableExpAllKernels(t *testing.T) {
 		k, _ := p.RandomScalar(rand.Reader)
 		scalars = append(scalars, k)
 	}
-	clones := make([]*Params, len(allKernels))
-	tables := make([]*ExpTable, len(allKernels))
-	for i, kc := range allKernels {
-		clones[i] = kernelClone(t, p, kc.kernel)
-		b, err := clones[i].UnmarshalG(base.Marshal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		tables[i] = clones[i].PrepareExp(b)
-	}
+	table := p.PrepareExp(base)
 	for _, k := range scalars {
-		wantFixed := p.Generator().Exp(k).Marshal()
-		wantTable := base.Exp(k).Marshal()
-		for i, kc := range allKernels {
-			if got := clones[i].FixedBaseExp(k).Marshal(); !bytes.Equal(got, wantFixed) {
-				t.Fatalf("%s: FixedBaseExp(%v) disagrees", kc.name, k)
-			}
-			if got := tables[i].Exp(k).Marshal(); !bytes.Equal(got, wantTable) {
-				t.Fatalf("%s: ExpTable.Exp(%v) disagrees", kc.name, k)
-			}
+		if got, want := p.FixedBaseExp(k).Marshal(), p.Generator().ExpReference(k).Marshal(); !bytes.Equal(got, want) {
+			t.Fatalf("FixedBaseExp(%v) disagrees with the reference", k)
 		}
-	}
-}
-
-// TestTableExpKernelFlip flips the kernel under live tables: a table built
-// while the Montgomery kernel was selected must keep answering correctly
-// after SetKernel switches the Params to the reference kernel, and back.
-func TestTableExpKernelFlip(t *testing.T) {
-	p := kernelClone(t, Test(), KernelMontgomery)
-	a, _ := p.RandomScalar(rand.Reader)
-	base := p.Generator().Exp(a)
-	tbl := p.PrepareExp(base)
-	k, _ := p.RandomScalar(rand.Reader)
-	want := base.Exp(k).Marshal()
-	wantFixed := p.Generator().Exp(k).Marshal()
-	for _, kern := range []Kernel{KernelMontgomery, KernelReference, KernelMontgomery} {
-		p.SetKernel(kern)
-		if got := tbl.Exp(k).Marshal(); !bytes.Equal(got, want) {
-			t.Fatalf("kernel %d after flip: ExpTable.Exp disagrees", kern)
-		}
-		if got := p.FixedBaseExp(k).Marshal(); !bytes.Equal(got, wantFixed) {
-			t.Fatalf("kernel %d after flip: FixedBaseExp disagrees", kern)
+		if got, want := table.Exp(k).Marshal(), base.ExpReference(k).Marshal(); !bytes.Equal(got, want) {
+			t.Fatalf("ExpTable.Exp(%v) disagrees with the reference", k)
 		}
 	}
 }
@@ -182,8 +142,7 @@ func TestCombExpMontAllocs(t *testing.T) {
 	kk := new(big.Int).Mod(k, p.R)
 	fixed := p.fixedTable().montRows(p)
 	a, _ := p.RandomScalar(rand.Reader)
-	tbl := p.PrepareExp(p.Generator().Exp(a))
-	comb := tbl.montTable()
+	comb := p.PrepareExp(p.Generator().Exp(a)).mont
 	var out montAffine
 	if a := testing.AllocsPerRun(20, func() { p.combExpMont(&out, fixed, kk) }); a != 0 {
 		t.Fatalf("combExpMont over the generator table allocates %v/op", a)

@@ -3,6 +3,7 @@ package pairing
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 )
@@ -33,6 +34,27 @@ func TestGenerateParamsValid(t *testing.T) {
 	// R is a Solinas prime 2^39 + 2^b ± 1: at most three nonzero NAF digits.
 	if w := nafWeight(p); w > 3 {
 		t.Errorf("R = %v has NAF weight %d, want ≤ 3", p.R, w)
+	}
+}
+
+// TestElementStringShortCoordinates prints elements of a 24-bit-q
+// parameter set, whose coordinates fit in fewer than four bytes: String
+// shows all of them rather than slicing past the end.
+func TestElementStringShortCoordinates(t *testing.T) {
+	p, err := GenerateParams(16, 24, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := p.Generator()
+	if got, want := g.String(), fmt.Sprintf("G(%x…)", g.pt.x.Bytes()); got != want {
+		t.Fatalf("G.String() = %q, want %q", got, want)
+	}
+	if got := p.OneG().String(); got != "G(∞)" {
+		t.Fatalf("identity G.String() = %q", got)
+	}
+	e := p.GTGenerator()
+	if got, want := e.String(), fmt.Sprintf("GT(%x…)", e.v.a.Bytes()); got != want {
+		t.Fatalf("GT.String() = %q, want %q", got, want)
 	}
 }
 

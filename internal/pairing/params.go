@@ -12,7 +12,8 @@ import (
 // field prime Q, the (prime) group order R, the cofactor H with Q+1 = H·R,
 // and a generator of the order-R subgroup G ⊂ E(F_Q).
 //
-// A single Params value is safe for concurrent use once constructed.
+// A Params value has no setter: once constructed it stays read-only and
+// is safe for concurrent use.
 type Params struct {
 	// Q is the base field prime; Q ≡ 3 (mod 4).
 	Q *big.Int
@@ -26,7 +27,6 @@ type Params struct {
 	sqrtExp   *big.Int   // (Q+1)/4, for square roots in F_Q
 	millerWnd []int      // bits of R, most-significant first, for the affine reference Miller loop
 	millerNAF []int8     // NAF digits of R, most-significant first, for the Montgomery Miller loop
-	kernel    Kernel     // which pairing-kernel implementation this Params uses
 	fpc       *fpContext // Montgomery constants for Q
 }
 

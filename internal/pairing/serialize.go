@@ -112,13 +112,9 @@ func (p *Params) UnmarshalGT(data []byte) (*GT, error) {
 	return &GT{p: p, v: v}, nil
 }
 
-// gtSubgroupCheck reports v^R = 1. The Montgomery kernel runs the
-// exponentiation on fixed-width field elements; the predicate is identical
-// across kernels.
+// gtSubgroupCheck reports v^R = 1, with the exponentiation on fixed-width
+// field elements; fp2Exp is its oracle.
 func (p *Params) gtSubgroupCheck(v fp2) bool {
-	if p.kernel == KernelReference {
-		return p.fp2Exp(v, p.R).isOne()
-	}
 	c := p.fpc
 	var m fp2m
 	c.fp2mFromFp2(&m, v)

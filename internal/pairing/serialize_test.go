@@ -73,25 +73,25 @@ func TestUnmarshalGRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestUnmarshalGRejectsWrongSubgroup(t *testing.T) {
-	p := Test()
-	// Find a curve point outside the order-r subgroup: hash to a raw point
-	// without cofactor clearing.
-	x := new(big.Int)
-	var pt point
+// nonSubgroupPoint returns the first curve point over x = 1, 2, … that lies
+// outside the order-r subgroup. It decides membership with the affine
+// reference ladder, so it does not depend on the r·P check UnmarshalG runs.
+func nonSubgroupPoint(p *Params) point {
 	for i := int64(1); ; i++ {
-		x.SetInt64(i)
+		x := big.NewInt(i)
 		y, ok := p.sqrt(p.rhs(x))
 		if !ok {
 			continue
 		}
-		cand := point{x: new(big.Int).Set(x), y: y}
-		if !p.hasOrderDividingR(cand) {
-			pt = cand
-			break
+		if pt := (point{x: x, y: y}); !p.mulScalarAffine(pt, p.R).inf {
+			return pt
 		}
 	}
-	g := &G{p: p, pt: pt}
+}
+
+func TestUnmarshalGRejectsWrongSubgroup(t *testing.T) {
+	p := Test()
+	g := &G{p: p, pt: nonSubgroupPoint(p)}
 	if _, err := p.UnmarshalG(g.Marshal()); err == nil {
 		t.Fatal("UnmarshalG accepted a point outside the order-r subgroup")
 	}
