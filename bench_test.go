@@ -203,11 +203,11 @@ func BenchmarkReEncryptServer(b *testing.B) {
 	}
 }
 
-// ---- Ablation: faithful Eq. 1 decryption vs aggregated multi-pairing ----
+// ---- Ablation: faithful Eq. 1 decryption vs the path users run ----
 
 func BenchmarkAblationDecryptEq1(b *testing.B) { benchmarkDecryptOurs(b, 5, 5) }
 
-func BenchmarkAblationDecryptFast(b *testing.B) {
+func BenchmarkAblationDecrypt(b *testing.B) {
 	w, err := bench.SetupOurs(cfg(b, 5, 5))
 	if err != nil {
 		b.Fatal(err)
@@ -218,24 +218,7 @@ func BenchmarkAblationDecryptFast(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.DecryptFast(ct); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationDecryptPrepared(b *testing.B) {
-	w, err := bench.SetupOurs(cfg(b, 5, 5))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct, _, err := w.Encrypt()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.DecryptPrepared(ct); err != nil {
+		if _, err := w.DecryptAggregated(ct); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -302,8 +302,8 @@ func sweepFig4(spec bench.SweepSpec, _ bool) (*bench.Series, *bench.Series, erro
 	return enc, dec, nil
 }
 
-// ablation compares the faithful Eq. 1 decryption against the aggregated
-// 3-pairing DecryptFast extension.
+// ablation compares the faithful Eq. 1 decryption the figures time with
+// core.Decrypt, the path users run.
 func ablation(out io.Writer, params *pairing.Params, n int) error {
 	cfg := bench.Config{Params: params, Authorities: n, AttrsPerAuthority: n, Rnd: rand.Reader}
 	w, err := bench.SetupOurs(cfg)
@@ -318,18 +318,13 @@ func ablation(out io.Writer, params *pairing.Params, n int) error {
 	if err != nil {
 		return err
 	}
-	prepared, err := w.DecryptPrepared(ct)
-	if err != nil {
-		return err
-	}
-	fast, err := w.DecryptFast(ct)
+	fast, err := w.DecryptAggregated(ct)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "Ablation — decryption with n_A=%d, n_k=%d (l=%d)\n", n, n, n*n)
 	fmt.Fprintf(out, "%-46s %14s\n", "Eq. 1 as printed (2l+n_A pairings)", slow)
-	fmt.Fprintf(out, "%-46s %14s %6.1fx\n", "Eq. 1 + pairing_pp preprocessing (extension)", prepared, float64(slow)/float64(prepared))
-	fmt.Fprintf(out, "%-46s %14s %6.1fx\n", "aggregated multi-pairing (2 Millers, extension)", fast, float64(slow)/float64(fast))
+	fmt.Fprintf(out, "%-46s %14s %6.1fx\n", "Decrypt (multi-exps + prepared 2-loop product)", fast, float64(slow)/float64(fast))
 	fmt.Fprintln(out)
 	return nil
 }

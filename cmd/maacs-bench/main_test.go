@@ -30,7 +30,7 @@ func TestBenchToolSmoke(t *testing.T) {
 	for _, want := range []string{
 		"Table I", "Table II", "Table III", "Table IV", "measured live",
 		"Fig3a", "Fig3b", "Fig4a", "Fig4b", "shape:",
-		"Revocation", "pirretti", "Ablation", "pairing_pp",
+		"Revocation", "pirretti", "Ablation", "prepared 2-loop product",
 		"key-distribution cost vs population",
 	} {
 		if !strings.Contains(out, want) {

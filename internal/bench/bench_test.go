@@ -30,7 +30,7 @@ func TestWorkloadRoundTrips(t *testing.T) {
 	if _, err := ours.Decrypt(ct); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ours.DecryptFast(ct); err != nil {
+	if _, err := ours.DecryptAggregated(ct); err != nil {
 		t.Fatal(err)
 	}
 	lw, err := SetupLewko(cfg)

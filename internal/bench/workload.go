@@ -129,46 +129,29 @@ func (w *OursWorkload) Encrypt() (*core.Ciphertext, time.Duration, error) {
 	return ct, time.Since(start), err
 }
 
-// Decrypt measures one decryption (the faithful Eq. 1 path) and verifies the
-// result.
+// Decrypt measures one decryption with the paper's Eq. 1 as printed
+// (core.DecryptEq1, n_A + 2l pairings), the cost profile Figs. 3(b) and
+// 4(b) report, and verifies the result.
 func (w *OursWorkload) Decrypt(ct *core.Ciphertext) (time.Duration, error) {
+	return w.timeDecrypt(core.DecryptEq1, ct)
+}
+
+// DecryptAggregated measures one decryption on the path users run
+// (core.Decrypt: two multi-exponentiations and one prepared two-loop
+// pairing product) and verifies the result.
+func (w *OursWorkload) DecryptAggregated(ct *core.Ciphertext) (time.Duration, error) {
+	return w.timeDecrypt(core.Decrypt, ct)
+}
+
+func (w *OursWorkload) timeDecrypt(decrypt func(*core.System, *core.Ciphertext, *core.UserPublicKey, map[string]*core.SecretKey) (*pairing.GT, error), ct *core.Ciphertext) (time.Duration, error) {
 	start := time.Now()
-	got, err := core.Decrypt(w.Sys, ct, w.User, w.SKs)
+	got, err := decrypt(w.Sys, ct, w.User, w.SKs)
 	d := time.Since(start)
 	if err != nil {
 		return d, err
 	}
 	if !got.Equal(w.Msg) {
 		return d, fmt.Errorf("bench: decryption mismatch")
-	}
-	return d, nil
-}
-
-// DecryptFast measures the aggregated-pairing extension.
-func (w *OursWorkload) DecryptFast(ct *core.Ciphertext) (time.Duration, error) {
-	start := time.Now()
-	got, err := core.DecryptFast(w.Sys, ct, w.User, w.SKs)
-	d := time.Since(start)
-	if err != nil {
-		return d, err
-	}
-	if !got.Equal(w.Msg) {
-		return d, fmt.Errorf("bench: fast decryption mismatch")
-	}
-	return d, nil
-}
-
-// DecryptPrepared measures the pairing-preprocessing extension (Eq. 1 with
-// PBC-style pairing_pp precomputation).
-func (w *OursWorkload) DecryptPrepared(ct *core.Ciphertext) (time.Duration, error) {
-	start := time.Now()
-	got, err := core.DecryptPrepared(w.Sys, ct, w.User, w.SKs)
-	d := time.Since(start)
-	if err != nil {
-		return d, err
-	}
-	if !got.Equal(w.Msg) {
-		return d, fmt.Errorf("bench: prepared decryption mismatch")
 	}
 	return d, nil
 }

@@ -63,7 +63,7 @@ func BenchmarkEncrypt6Rows(b *testing.B) {
 	}
 }
 
-func benchDecrypt(b *testing.B, fast bool) {
+func benchDecrypt(b *testing.B, decrypt decryptFunc) {
 	sys, ca, owner, aas := benchFixture(b)
 	pk, err := ca.RegisterUser("bu", rand.Reader)
 	if err != nil {
@@ -87,13 +87,7 @@ func benchDecrypt(b *testing.B, fast bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var got *pairing.GT
-		var err error
-		if fast {
-			got, err = DecryptFast(sys, ct, pk, sks)
-		} else {
-			got, err = Decrypt(sys, ct, pk, sks)
-		}
+		got, err := decrypt(sys, ct, pk, sks)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,8 +97,8 @@ func benchDecrypt(b *testing.B, fast bool) {
 	}
 }
 
-func BenchmarkDecryptEq1(b *testing.B)  { benchDecrypt(b, false) }
-func BenchmarkDecryptFast(b *testing.B) { benchDecrypt(b, true) }
+func BenchmarkDecryptEq1(b *testing.B) { benchDecrypt(b, DecryptEq1) }
+func BenchmarkDecrypt(b *testing.B)    { benchDecrypt(b, Decrypt) }
 
 func BenchmarkRekeyAndUpdateKey(b *testing.B) {
 	_, _, owner, aas := benchFixture(b)

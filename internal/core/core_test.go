@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // universes, one owner who has exchanged keys with every AA, and helpers to
 // enrol users.
 type fixture struct {
-	t     *testing.T
+	t     testing.TB
 	sys   *System
 	ca    *CA
 	owner *Owner
@@ -26,9 +27,15 @@ type fixtureUser struct {
 
 // newFixture builds a system over the fast test pairing parameters.
 // authorities maps AID → local attribute names.
-func newFixture(t *testing.T, authorities map[string][]string) *fixture {
+func newFixture(t testing.TB, authorities map[string][]string) *fixture {
 	t.Helper()
-	sys := NewSystem(pairing.Test())
+	return newFixtureOn(t, pairing.Test(), authorities)
+}
+
+// newFixtureOn is newFixture over the given pairing parameters.
+func newFixtureOn(t testing.TB, params *pairing.Params, authorities map[string][]string) *fixture {
+	t.Helper()
+	sys := NewSystem(params)
 	ca := NewCA(sys)
 	owner, err := NewOwner(sys, "owner1", rand.Reader)
 	if err != nil {
@@ -87,7 +94,47 @@ func (f *fixture) encrypt(policy string) (*pairing.GT, *Ciphertext) {
 	return m, ct
 }
 
-func twoAuthorityFixture(t *testing.T) *fixture {
+// decryptFunc is the signature Decrypt and DecryptEq1 share.
+type decryptFunc func(*System, *Ciphertext, *UserPublicKey, map[string]*SecretKey) (*pairing.GT, error)
+
+// decryptPaths lists both decryption paths: the two-loop Decrypt every
+// caller uses and the paper's equation as printed. The security tests run
+// on each, so a property the paper proves for Eq. 1 is checked on the path
+// users actually run.
+var decryptPaths = []struct {
+	name string
+	fn   decryptFunc
+}{
+	{"Decrypt", Decrypt},
+	{"DecryptEq1", DecryptEq1},
+}
+
+// forEachDecryptPath runs body as one subtest per decryption path.
+func forEachDecryptPath(t *testing.T, body func(t *testing.T, decrypt decryptFunc)) {
+	for _, path := range decryptPaths {
+		t.Run(path.name, func(t *testing.T) { body(t, path.fn) })
+	}
+}
+
+// decryptBoth runs Decrypt and DecryptEq1 on the same input and fails
+// unless both return the same G_T bytes or both the same error. It
+// returns Decrypt's result.
+func decryptBoth(t testing.TB, sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*SecretKey) (*pairing.GT, error) {
+	t.Helper()
+	got, err := Decrypt(sys, ct, user, sks)
+	want, errEq1 := DecryptEq1(sys, ct, user, sks)
+	switch {
+	case (err == nil) != (errEq1 == nil):
+		t.Fatalf("Decrypt error %v, DecryptEq1 error %v", err, errEq1)
+	case err != nil && err.Error() != errEq1.Error():
+		t.Fatalf("Decrypt error %q ≠ DecryptEq1 error %q", err, errEq1)
+	case err == nil && !bytes.Equal(got.Marshal(), want.Marshal()):
+		t.Fatal("Decrypt and DecryptEq1 return different G_T elements")
+	}
+	return got, err
+}
+
+func twoAuthorityFixture(t testing.TB) *fixture {
 	return newFixture(t, map[string][]string{
 		"med": {"doctor", "nurse", "surgeon"},
 		"uni": {"researcher", "student", "professor"},
@@ -123,6 +170,9 @@ func TestEncryptDecryptAcrossAuthorities(t *testing.T) {
 	}
 }
 
+// TestDecryptFastMatchesDecrypt checks that the fast path users run,
+// Decrypt, and the paper's Eq. 1 as printed, DecryptEq1, both recover the
+// message, byte for byte the same G_T element.
 func TestDecryptFastMatchesDecrypt(t *testing.T) {
 	f := twoAuthorityFixture(t)
 	alice := f.enrol("alice", map[string][]string{
@@ -130,144 +180,235 @@ func TestDecryptFastMatchesDecrypt(t *testing.T) {
 		"uni": {"researcher"},
 	})
 	m, ct := f.encrypt("(med:doctor OR med:surgeon) AND uni:researcher")
-	slow, err := Decrypt(f.sys, ct, alice.pk, alice.sks)
+	got, err := decryptBoth(t, f.sys, ct, alice.pk, alice.sks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := DecryptFast(f.sys, ct, alice.pk, alice.sks)
-	if err != nil {
-		t.Fatal(err)
+	if !got.Equal(m) {
+		t.Fatal("both decryption paths must recover the message")
 	}
-	prepared, err := DecryptPrepared(f.sys, ct, alice.pk, alice.sks)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestDecryptIdentityElementsMatchEq1 feeds decryption the identity of G,
+// which the G encoding accepts (flag 0x00): as C', as each row of a
+// ciphertext (one row unused by the user), as a key's K and K_x, and as
+// PK_UID. Each identity drops or empties a factor on the Decrypt path
+// (a skipped MultiExp term, a dropped PairMul factor); the result must be
+// byte for byte DecryptEq1's, or both must fail alike.
+func TestDecryptIdentityElementsMatchEq1(t *testing.T) {
+	f := twoAuthorityFixture(t)
+	alice := f.enrol("alice", map[string][]string{
+		"med": {"doctor", "nurse"},
+		"uni": {"researcher"},
+	})
+	p := f.sys.Params
+	m, ct := f.encrypt("(med:doctor AND uni:researcher AND med:nurse) OR med:surgeon")
+	if got, err := decryptBoth(t, f.sys, ct, alice.pk, alice.sks); err != nil || !got.Equal(m) {
+		t.Fatalf("unaltered ciphertext: %v", err)
 	}
-	if !slow.Equal(m) || !fast.Equal(m) || !prepared.Equal(m) {
-		t.Fatal("all three decryption paths must recover the message")
+	check := func(name string, ct *Ciphertext, user *UserPublicKey, sks map[string]*SecretKey) {
+		t.Helper()
+		if _, err := decryptBoth(t, f.sys, ct, user, sks); err != nil {
+			t.Fatalf("identity %s: %v", name, err)
+		}
 	}
+	// Altered ciphertexts travel through the wire encoding, so the
+	// decoder's acceptance of the identity is part of what is checked.
+	withCT := func(edit func(c *Ciphertext)) *Ciphertext {
+		t.Helper()
+		c := ct.Clone()
+		edit(c)
+		out, err := UnmarshalCiphertext(p, c.Marshal())
+		if err != nil {
+			t.Fatalf("identity element rejected by the decoder: %v", err)
+		}
+		return out
+	}
+	withKey := func(aid string, edit func(sk *SecretKey)) map[string]*SecretKey {
+		sks := make(map[string]*SecretKey, len(alice.sks))
+		for k, v := range alice.sks {
+			sks[k] = v
+		}
+		sk := *alice.sks[aid]
+		sk.KAttr = make(map[string]*pairing.G, len(sk.KAttr))
+		for q, k := range alice.sks[aid].KAttr {
+			sk.KAttr[q] = k
+		}
+		edit(&sk)
+		sks[aid] = &sk
+		return sks
+	}
+	check("C'", withCT(func(c *Ciphertext) { c.CPrime = p.OneG() }), alice.pk, alice.sks)
+	for i, attr := range ct.Matrix.Rho {
+		check("row "+attr, withCT(func(c *Ciphertext) { c.Rows[i] = p.OneG() }), alice.pk, alice.sks)
+	}
+	check("med K", ct, alice.pk, withKey("med", func(sk *SecretKey) { sk.K = p.OneG() }))
+	check("uni K", ct, alice.pk, withKey("uni", func(sk *SecretKey) { sk.K = p.OneG() }))
+	check("K_x med:doctor", ct, alice.pk, withKey("med", func(sk *SecretKey) { sk.KAttr["med:doctor"] = p.OneG() }))
+	check("K_x uni:researcher", ct, alice.pk, withKey("uni", func(sk *SecretKey) { sk.KAttr["uni:researcher"] = p.OneG() }))
+	check("PK_UID", ct, &UserPublicKey{UID: alice.pk.UID, PK: p.OneG()}, alice.sks)
 }
 
 func TestDecryptFailsWithoutSatisfyingAttributes(t *testing.T) {
-	f := twoAuthorityFixture(t)
-	bob := f.enrol("bob", map[string][]string{
-		"med": {"nurse"},
-		"uni": {"researcher"},
+	forEachDecryptPath(t, func(t *testing.T, decrypt decryptFunc) {
+		f := twoAuthorityFixture(t)
+		bob := f.enrol("bob", map[string][]string{
+			"med": {"nurse"},
+			"uni": {"researcher"},
+		})
+		_, ct := f.encrypt("med:doctor AND uni:researcher")
+		_, err := decrypt(f.sys, ct, bob.pk, bob.sks)
+		if !errors.Is(err, ErrPolicyNotSatisfied) {
+			t.Fatalf("got %v, want ErrPolicyNotSatisfied", err)
+		}
 	})
-	_, ct := f.encrypt("med:doctor AND uni:researcher")
-	_, err := Decrypt(f.sys, ct, bob.pk, bob.sks)
-	if !errors.Is(err, ErrPolicyNotSatisfied) {
-		t.Fatalf("got %v, want ErrPolicyNotSatisfied", err)
-	}
 }
 
 func TestDecryptRequiresKeyFromEveryInvolvedAuthority(t *testing.T) {
-	f := twoAuthorityFixture(t)
-	// carol satisfies the policy attribute-wise through med only, but the
-	// ciphertext involves uni too, so a uni base key is required.
-	carol := f.enrol("carol", map[string][]string{"med": {"doctor"}})
-	_, ct := f.encrypt("med:doctor OR uni:professor")
-	_, err := Decrypt(f.sys, ct, carol.pk, carol.sks)
-	if !errors.Is(err, ErrMissingSecretKey) {
-		t.Fatalf("got %v, want ErrMissingSecretKey", err)
-	}
-	// With a base (attribute-less) key from uni it must work.
-	sk, err := f.aas["uni"].KeyGen(carol.pk, f.owner.SecretKeyForAAs(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	carol.sks["uni"] = sk
-	m2, ct2 := f.encrypt("med:doctor OR uni:professor")
-	got, err := Decrypt(f.sys, ct2, carol.pk, carol.sks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(m2) {
-		t.Fatal("decryption with base key failed")
-	}
+	forEachDecryptPath(t, func(t *testing.T, decrypt decryptFunc) {
+		f := twoAuthorityFixture(t)
+		// carol satisfies the policy attribute-wise through med only, but the
+		// ciphertext involves uni too, so a uni base key is required.
+		carol := f.enrol("carol", map[string][]string{"med": {"doctor"}})
+		_, ct := f.encrypt("med:doctor OR uni:professor")
+		_, err := decrypt(f.sys, ct, carol.pk, carol.sks)
+		if !errors.Is(err, ErrMissingSecretKey) {
+			t.Fatalf("got %v, want ErrMissingSecretKey", err)
+		}
+		// With a base (attribute-less) key from uni it must work.
+		sk, err := f.aas["uni"].KeyGen(carol.pk, f.owner.SecretKeyForAAs(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		carol.sks["uni"] = sk
+		m2, ct2 := f.encrypt("med:doctor OR uni:professor")
+		got, err := decrypt(f.sys, ct2, carol.pk, carol.sks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(m2) {
+			t.Fatal("decryption with base key failed")
+		}
+	})
+}
+
+// relabel returns a copy of sk issued, by its label, to uid. The key
+// material is untouched: only the UID field newDecryptionPlan checks
+// changes, which is how a colluder would get past that check.
+func relabel(sk *SecretKey, uid string) *SecretKey {
+	c := *sk
+	c.UID = uid
+	return &c
 }
 
 // TestCollusionResistance is the paper's Theorem 1 scenario: two users whose
 // *combined* attributes satisfy the policy must not be able to decrypt by
 // pooling their secret keys, because each key set is blinded by a different
-// UID exponent.
+// UID exponent. The first two attempts stop at the key labels; the last two
+// relabel the borrowed key, so the pairings run and the cryptographic UID
+// binding alone must defeat them.
 func TestCollusionResistance(t *testing.T) {
-	f := twoAuthorityFixture(t)
-	dave := f.enrol("dave", map[string][]string{
-		"med": {"doctor"},
-		"uni": nil,
-	})
-	erin := f.enrol("erin", map[string][]string{
-		"med": nil,
-		"uni": {"researcher"},
-	})
-	m, ct := f.encrypt("med:doctor AND uni:researcher")
+	forEachDecryptPath(t, func(t *testing.T, decrypt decryptFunc) {
+		f := twoAuthorityFixture(t)
+		dave := f.enrol("dave", map[string][]string{
+			"med": {"doctor"},
+			"uni": nil,
+		})
+		erin := f.enrol("erin", map[string][]string{
+			"med": nil,
+			"uni": {"researcher"},
+		})
+		m, ct := f.encrypt("med:doctor AND uni:researcher")
 
-	// Pooling attempt 1: dave uses erin's uni key alongside his med key.
-	pooled := map[string]*SecretKey{"med": dave.sks["med"], "uni": erin.sks["uni"]}
-	if got, err := Decrypt(f.sys, ct, dave.pk, pooled); err == nil && got.Equal(m) {
-		t.Fatal("collusion succeeded: mixed-UID keys decrypted the ciphertext")
-	}
-	// Pooling attempt 2: same keys presented under erin's identity.
-	if got, err := Decrypt(f.sys, ct, erin.pk, pooled); err == nil && got.Equal(m) {
-		t.Fatal("collusion succeeded under the second user's identity")
-	}
+		// Pooling attempt 1: dave uses erin's uni key alongside his med key.
+		pooled := map[string]*SecretKey{"med": dave.sks["med"], "uni": erin.sks["uni"]}
+		if got, err := decrypt(f.sys, ct, dave.pk, pooled); err == nil && got.Equal(m) {
+			t.Fatal("collusion succeeded: mixed-UID keys decrypted the ciphertext")
+		}
+		// Pooling attempt 2: same keys presented under erin's identity.
+		if got, err := decrypt(f.sys, ct, erin.pk, pooled); err == nil && got.Equal(m) {
+			t.Fatal("collusion succeeded under the second user's identity")
+		}
+		// Pooling attempts 3 and 4: the borrowed key relabelled with the
+		// presenting user's UID, under dave's and then erin's identity.
+		for _, attempt := range []struct {
+			user *fixtureUser
+			uid  string
+			sks  map[string]*SecretKey
+		}{
+			{dave, "dave", map[string]*SecretKey{"med": dave.sks["med"], "uni": relabel(erin.sks["uni"], "dave")}},
+			{erin, "erin", map[string]*SecretKey{"med": relabel(dave.sks["med"], "erin"), "uni": erin.sks["uni"]}},
+		} {
+			got, err := decrypt(f.sys, ct, attempt.user.pk, attempt.sks)
+			if err != nil {
+				t.Fatalf("relabelled keys under %s's identity did not reach the pairings: %v", attempt.uid, err)
+			}
+			if got.Equal(m) {
+				t.Fatalf("collusion succeeded: relabelled keys decrypted under %s's identity", attempt.uid)
+			}
+		}
+	})
 }
 
 // TestCrossAuthorityKeySubstitution checks the AID-qualification property:
 // an attribute named "admin" at two authorities yields distinguishable keys,
 // so a key for med:admin cannot stand in for uni:admin.
 func TestCrossAuthorityKeySubstitution(t *testing.T) {
-	f := newFixture(t, map[string][]string{
-		"med": {"admin"},
-		"uni": {"admin"},
+	forEachDecryptPath(t, func(t *testing.T, decrypt decryptFunc) {
+		f := newFixture(t, map[string][]string{
+			"med": {"admin"},
+			"uni": {"admin"},
+		})
+		mallory := f.enrol("mallory", map[string][]string{
+			"med": {"admin"},
+			"uni": nil,
+		})
+		m, ct := f.encrypt("uni:admin")
+		// Graft the med:admin component under the uni:admin label.
+		forged := &SecretKey{
+			UID:     mallory.sks["uni"].UID,
+			AID:     "uni",
+			OwnerID: mallory.sks["uni"].OwnerID,
+			Version: mallory.sks["uni"].Version,
+			K:       mallory.sks["uni"].K,
+			KAttr:   map[string]*pairing.G{"uni:admin": mallory.sks["med"].KAttr["med:admin"]},
+		}
+		sks := map[string]*SecretKey{"uni": forged, "med": mallory.sks["med"]}
+		if got, err := decrypt(f.sys, ct, mallory.pk, sks); err == nil && got.Equal(m) {
+			t.Fatal("attribute substitution across authorities succeeded")
+		}
 	})
-	mallory := f.enrol("mallory", map[string][]string{
-		"med": {"admin"},
-		"uni": nil,
-	})
-	m, ct := f.encrypt("uni:admin")
-	// Graft the med:admin component under the uni:admin label.
-	forged := &SecretKey{
-		UID:     mallory.sks["uni"].UID,
-		AID:     "uni",
-		OwnerID: mallory.sks["uni"].OwnerID,
-		Version: mallory.sks["uni"].Version,
-		K:       mallory.sks["uni"].K,
-		KAttr:   map[string]*pairing.G{"uni:admin": mallory.sks["med"].KAttr["med:admin"]},
-	}
-	sks := map[string]*SecretKey{"uni": forged, "med": mallory.sks["med"]}
-	if got, err := Decrypt(f.sys, ct, mallory.pk, sks); err == nil && got.Equal(m) {
-		t.Fatal("attribute substitution across authorities succeeded")
-	}
 }
 
 func TestDecryptRejectsKeysForOtherOwner(t *testing.T) {
-	f := twoAuthorityFixture(t)
-	alice := f.enrol("alice", map[string][]string{
-		"med": {"doctor"},
-		"uni": {"researcher"},
+	forEachDecryptPath(t, func(t *testing.T, decrypt decryptFunc) {
+		f := twoAuthorityFixture(t)
+		alice := f.enrol("alice", map[string][]string{
+			"med": {"doctor"},
+			"uni": {"researcher"},
+		})
+		owner2, err := NewOwner(f.sys, "owner2", rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, aa := range f.aas {
+			owner2.InstallPublicKeys(aa.PublicKeys())
+		}
+		m2, _, err := f.sys.Params.RandomGT(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct2, err := owner2.Encrypt(m2, "med:doctor AND uni:researcher", rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// alice's keys were issued under owner1's SK_o: they must not decrypt
+		// owner2's data.
+		_, err = decrypt(f.sys, ct2, alice.pk, alice.sks)
+		if !errors.Is(err, ErrWrongOwner) {
+			t.Fatalf("got %v, want ErrWrongOwner", err)
+		}
 	})
-	owner2, err := NewOwner(f.sys, "owner2", rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, aa := range f.aas {
-		owner2.InstallPublicKeys(aa.PublicKeys())
-	}
-	m2, _, err := f.sys.Params.RandomGT(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct2, err := owner2.Encrypt(m2, "med:doctor AND uni:researcher", rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// alice's keys were issued under owner1's SK_o: they must not decrypt
-	// owner2's data.
-	_, err = Decrypt(f.sys, ct2, alice.pk, alice.sks)
-	if !errors.Is(err, ErrWrongOwner) {
-		t.Fatalf("got %v, want ErrWrongOwner", err)
-	}
 }
 
 func TestEncryptUnknownAttributeFails(t *testing.T) {

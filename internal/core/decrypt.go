@@ -11,7 +11,63 @@ import (
 	"maacs/internal/pairing"
 )
 
-// Decrypt implements the paper's decryption equation (Eq. 1) literally:
+// Decrypt recovers the message of ct with the user's secret keys: one from
+// every authority involved in the ciphertext, all issued to user for the
+// ciphertext's owner at the ciphertext's versions. It returns the G_T
+// element of the paper's decryption equation (Eq. 1, see DecryptEq1),
+// computed as
+//
+//	m = C · e(PK_UID, C_agg) · e(C'⁻¹, K_agg)
+//	C_agg = Π_i C_i^(e_i),  K_agg = Π_k K_k · Π_i K_{ρ(i)}^(−e_i),  e_i = w_i·n_A
+//
+// which moves Eq. 1's exponents from G_T into G: e(C_i, PK_UID)^(e_i)
+// multiplies into e(PK_UID, C_agg) and e(C', K_{ρ(i)})^(e_i)/e(C', K_k)
+// into e(C'⁻¹, K_agg), by bilinearity. Two multi-exponentiations build the
+// aggregates, applying each e_i as its residue of least absolute value, so
+// the small signed coefficients of AND gates cost a few doublings each.
+// One pairing product then walks PK_UID's cached Miller lines (a user
+// decrypts many records, so the preparation comes from the engine's LRU)
+// beside C'⁻¹'s full Miller loop, sharing one squaring chain and one final
+// exponentiation. C' is not prepared: it differs for every ciphertext.
+// Decrypt runs serially. Its result and its errors match DecryptEq1's,
+// which the tests and FuzzDecryptMatchesEq1 pin byte for byte.
+func Decrypt(sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*SecretKey) (*pairing.GT, error) {
+	plan, err := newDecryptionPlan(sys, ct, user, sks)
+	if err != nil {
+		return nil, err
+	}
+	p := sys.Params
+	one := big.NewInt(1)
+	rows := make([]*pairing.G, len(plan.used))
+	rowExps := make([]*big.Int, len(plan.used))
+	keys := make([]*pairing.G, 0, len(plan.aids)+len(plan.used))
+	keyExps := make([]*big.Int, 0, len(plan.aids)+len(plan.used))
+	for _, aid := range plan.aids {
+		keys = append(keys, sks[aid].K)
+		keyExps = append(keyExps, one)
+	}
+	for j, i := range plan.used {
+		e := new(big.Int).Mul(plan.w[i], plan.bigNA)
+		rows[j], rowExps[j] = ct.Rows[i], e
+		keys = append(keys, sks[plan.rows[i].aid].KAttr[plan.rows[i].attr])
+		keyExps = append(keyExps, new(big.Int).Neg(e))
+	}
+	cAgg, err := p.MultiExp(rows, rowExps)
+	if err != nil {
+		return nil, err
+	}
+	kAgg, err := p.MultiExp(keys, keyExps)
+	if err != nil {
+		return nil, err
+	}
+	blind, err := engine.Prepared(user.PK).PairMul(cAgg, ct.CPrime.Inv(), kAgg)
+	if err != nil {
+		return nil, err
+	}
+	return ct.C.Mul(blind), nil
+}
+
+// DecryptEq1 implements the paper's decryption equation (Eq. 1) literally:
 //
 //	          Π_{k∈I_A} e(C', K_{UID,AID_k})
 //	B = ───────────────────────────────────────────────────────────────
@@ -20,12 +76,13 @@ import (
 //	m = C / B⁻¹ … concretely  m = C · den / num  with num/den = Π e(g,g)^(α_k s)
 //
 // which costs n_A + 2·Σ_k|I_{AID_k}| pairings — the cost profile the paper's
-// figures report. The pairings are independent, so they run as jobs on the
-// engine pool; partial results combine in index order, which keeps the
-// output bit-identical to the serial loop. The caller must supply a secret
-// key from every authority involved in the ciphertext (all issued for the
-// ciphertext's owner, at the ciphertext's versions).
-func Decrypt(sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*SecretKey) (*pairing.GT, error) {
+// figures report, and the reason it is kept: Figs. 3(b) and 4(b), the
+// engine report and the decryption ablation call it, and the tests use it
+// as the oracle for Decrypt. The pairings are independent, so they run as
+// jobs on the engine pool; partial results combine in index order, which
+// keeps the output bit-identical to the serial loop. It accepts and
+// rejects exactly what Decrypt does.
+func DecryptEq1(sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*SecretKey) (*pairing.GT, error) {
 	plan, err := newDecryptionPlan(sys, ct, user, sks)
 	if err != nil {
 		return nil, err
@@ -75,116 +132,6 @@ func Decrypt(sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*S
 	// num/den = e(g,g)^(u·s·r·n_A) · Π e(g,g)^(α_k s) / e(g,g)^(u·s·r·n_A).
 	blind := num.Div(den)
 	return ct.C.Div(blind), nil
-}
-
-// DecryptFast is an extension over the paper: it computes the same value as
-// Decrypt with exactly three pairings by moving the w_i·n_A exponents into G
-// and aggregating:
-//
-//	num  = e(C',  Π_k K_k · Π_i K_{ρ(i)}^(−w_i·n_A))
-//	den  = e(Π_i C_i^(w_i·n_A), PK_UID)
-//	m    = C · den · num⁻¹ … with the same algebra as Decrypt.
-//
-// The per-row exponentiations run as jobs on the engine pool; the two
-// remaining pairings share one final exponentiation through PairProd. It
-// exists for the decrypt-aggregation ablation benchmark; the figures use
-// Decrypt so that the measured cost profile matches the paper's.
-func DecryptFast(sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*SecretKey) (*pairing.GT, error) {
-	plan, err := newDecryptionPlan(sys, ct, user, sks)
-	if err != nil {
-		return nil, err
-	}
-	p := sys.Params
-
-	cTerms := make([]*pairing.G, len(plan.used))
-	kTerms := make([]*pairing.G, len(plan.used))
-	_ = engine.Default().Run(len(plan.used), func(j int) error {
-		i := plan.used[j]
-		exp := new(big.Int).Mul(plan.w[i], plan.bigNA)
-		cTerms[j] = ct.Rows[i].Exp(exp)
-		kx := sks[plan.rows[i].aid].KAttr[plan.rows[i].attr]
-		kTerms[j] = kx.Exp(new(big.Int).Neg(exp))
-		return nil
-	})
-
-	kAgg := p.OneG()
-	for _, aid := range plan.aids {
-		kAgg = kAgg.Mul(sks[aid].K)
-	}
-	cAgg := p.OneG()
-	for j := range plan.used {
-		cAgg = cAgg.Mul(cTerms[j])
-		kAgg = kAgg.Mul(kTerms[j])
-	}
-	// den/num = e(cAgg, PK_UID) · e(C'⁻¹, kAgg), computed as one
-	// multi-pairing sharing a single final exponentiation.
-	blind, err := p.PairProd(
-		[]*pairing.G{cAgg, ct.CPrime.Inv()},
-		[]*pairing.G{user.PK, kAgg},
-	)
-	if err != nil {
-		return nil, err
-	}
-	return ct.C.Mul(blind), nil
-}
-
-// DecryptPrepared is a second extension over the paper: it performs exactly
-// the pairings of Eq. 1 (2·Σ|I_k| + n_A of them) but precomputes the Miller
-// loops of the two elements that repeat as a first argument — C' (paired
-// with every key component) and PK_UID (paired with every row) — the
-// equivalent of PBC's pairing_pp preprocessing. The preparations come from
-// the engine's LRU cache, so decrypting the same ciphertext (or the same
-// user decrypting anything) repeatedly skips even the preparation; the
-// pairings themselves fan out across the pool. Same operation count as
-// Decrypt, ~4× less work per pairing.
-func DecryptPrepared(sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*SecretKey) (*pairing.GT, error) {
-	plan, err := newDecryptionPlan(sys, ct, user, sks)
-	if err != nil {
-		return nil, err
-	}
-	p := sys.Params
-	preC := engine.Prepared(ct.CPrime)
-	preU := engine.Prepared(user.PK)
-
-	nNum := len(plan.aids)
-	numTerms := make([]*pairing.GT, nNum)
-	denTerms := make([]*pairing.GT, len(plan.used))
-	err = engine.Default().Run(nNum+len(plan.used), func(j int) error {
-		if j < nNum {
-			e, err := preC.Pair(sks[plan.aids[j]].K)
-			if err != nil {
-				return err
-			}
-			numTerms[j] = e
-			return nil
-		}
-		i := plan.used[j-nNum]
-		kx := sks[plan.rows[i].aid].KAttr[plan.rows[i].attr]
-		e1, err := preU.Pair(ct.Rows[i])
-		if err != nil {
-			return err
-		}
-		e2, err := preC.Pair(kx)
-		if err != nil {
-			return err
-		}
-		exp := new(big.Int).Mul(plan.w[i], plan.bigNA)
-		denTerms[j-nNum] = e1.Mul(e2).Exp(exp)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	num := p.OneGT()
-	for _, e := range numTerms {
-		num = num.Mul(e)
-	}
-	den := p.OneGT()
-	for _, e := range denTerms {
-		den = den.Mul(e)
-	}
-	return ct.C.Div(num.Div(den)), nil
 }
 
 type rowAttr struct {

@@ -10,8 +10,9 @@
 //	AAGen      → NewAA
 //	KeyGen     → AA.PublicKeys, AA.KeyGen
 //	Encrypt    → Owner.Encrypt
-//	Decrypt    → Decrypt (Eq. 1, faithful) and DecryptFast (aggregated
-//	             multi-pairing extension used only by the ablation bench)
+//	Decrypt    → Decrypt (Eq. 1's value from two multi-exponentiations and
+//	             one prepared two-loop pairing product; every user path) and
+//	             DecryptEq1 (Eq. 1 as printed; the figures and the ablation)
 //	ReKey      → AA.Rekey, AA.KeyGen (new key for the revoked user),
 //	             UpdateSecretKey (non-revoked users), Owner.ApplyUpdate
 //	ReEncrypt  → ReEncrypt (run by the cloud server; never decrypts)

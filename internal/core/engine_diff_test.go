@@ -91,12 +91,8 @@ func TestDecryptSerialParallelIdentical(t *testing.T) {
 				got, err := Decrypt(f.sys, ct, alice.pk, alice.sks)
 				return err == nil && got.Equal(m), err
 			},
-			"DecryptFast": func() (bool, error) {
-				got, err := DecryptFast(f.sys, ct, alice.pk, alice.sks)
-				return err == nil && got.Equal(m), err
-			},
-			"DecryptPrepared": func() (bool, error) {
-				got, err := DecryptPrepared(f.sys, ct, alice.pk, alice.sks)
+			"DecryptEq1": func() (bool, error) {
+				got, err := DecryptEq1(f.sys, ct, alice.pk, alice.sks)
 				return err == nil && got.Equal(m), err
 			},
 		}

@@ -7,15 +7,33 @@ import (
 	mrand "math/rand"
 	"strings"
 	"testing"
+
+	"maacs/internal/pairing"
 )
 
 // TestPropertyDecryptIffSatisfied is the central correctness property of the
 // scheme: over random policies and random user attribute sets, decryption
 // succeeds exactly when the attribute set satisfies the access structure —
-// and when it succeeds, both decryption paths return the encrypted message.
+// and when it succeeds it returns the encrypted message. On every trial
+// Decrypt and DecryptEq1 must return the same G_T bytes or the same error.
+// Outside -short the same workload runs again at paper scale.
 func TestPropertyDecryptIffSatisfied(t *testing.T) {
+	t.Run("test-curve", func(t *testing.T) {
+		propertyDecryptIffSatisfied(t, pairing.Test())
+	})
+	t.Run("paper-scale", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("paper-scale decryptions in -short mode")
+		}
+		propertyDecryptIffSatisfied(t, pairing.Default())
+	})
+}
+
+// propertyDecryptIffSatisfied runs 12 seeded random policies on params,
+// each against 6 random users.
+func propertyDecryptIffSatisfied(t *testing.T, params *pairing.Params) {
 	rng := mrand.New(mrand.NewSource(20120703)) // deterministic workload
-	f := newFixture(t, map[string][]string{
+	f := newFixtureOn(t, params, map[string][]string{
 		"a1": {"x0", "x1", "x2"},
 		"a2": {"y0", "y1"},
 		"a3": {"z0"},
@@ -47,7 +65,7 @@ func TestPropertyDecryptIffSatisfied(t *testing.T) {
 			user := f.enrol(uid, byAA)
 
 			want := ct.Matrix.Satisfies(held)
-			got, err := Decrypt(f.sys, ct, user.pk, user.sks)
+			got, err := decryptBoth(t, f.sys, ct, user.pk, user.sks)
 			switch {
 			case want && err != nil:
 				t.Fatalf("trial %d/%d policy %q attrs %v: authorized decryption failed: %v",
@@ -59,16 +77,6 @@ func TestPropertyDecryptIffSatisfied(t *testing.T) {
 					trial, sub, policy, held)
 			case !want && !errors.Is(err, ErrPolicyNotSatisfied):
 				t.Fatalf("trial %d/%d: wrong error: %v", trial, sub, err)
-			}
-			if want {
-				fast, err := DecryptFast(f.sys, ct, user.pk, user.sks)
-				if err != nil || !fast.Equal(m) {
-					t.Fatalf("trial %d/%d: DecryptFast disagrees: %v", trial, sub, err)
-				}
-				prepared, err := DecryptPrepared(f.sys, ct, user.pk, user.sks)
-				if err != nil || !prepared.Equal(m) {
-					t.Fatalf("trial %d/%d: DecryptPrepared disagrees: %v", trial, sub, err)
-				}
 			}
 		}
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // preparedCacheCap bounds the prepared-point and exp-table caches. Their
-// hot sets are the bases in current use: C' and PK_UID for a prepared
-// decryption, the attribute public keys an encryption uses (up to 100 in
+// hot sets are the bases in current use: the PK_UID of each user who
+// decrypts (core.Decrypt prepares it; a ciphertext's C' is never
+// prepared), the attribute public keys an encryption uses (up to 100 in
 // the paper's figure sweeps), and one revocation's UK1 and PK_x. They
 // do not grow with the number of revocations because a base leaves both
 // caches through Forget when it retires: the server forgets each UK1 once
@@ -133,9 +134,10 @@ func PreparedExp(g *pairing.G) *pairing.ExpTable {
 
 // Forget drops g's Miller-loop preparation and exponentiation table, if
 // cached. Callers forget a base when it retires, so that each revocation
-// does not leave a dead preparation (about 48 KiB) and a dead table (about
-// 89 KiB at paper scale) behind until the LRU evicts them. Forgetting a base
-// that is still in use costs only a rebuild on its next use.
+// does not leave a dead preparation (about 20 KiB of heap) and a dead table
+// (about 81 KiB at paper scale) behind until the LRU evicts them.
+// Forgetting a base that is still in use costs only a rebuild on its next
+// use.
 func Forget(g *pairing.G) {
 	key := pointKey(g)
 	preparations.forget(key)

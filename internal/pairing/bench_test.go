@@ -51,7 +51,7 @@ func BenchmarkPair(b *testing.B) {
 func BenchmarkMiller(b *testing.B) {
 	benchKernels(b, func(p *Params) (func(), func()) {
 		g := p.gen
-		return func() { p.millerLoop(g, g) }, func() { p.miller(g, g) }
+		return func() { p.millerMont(nil, infinity(), g, g) }, func() { p.miller(g, g) }
 	})
 }
 
@@ -96,7 +96,7 @@ func BenchmarkGTExp(b *testing.B) {
 
 func BenchmarkFinalExp(b *testing.B) {
 	p := benchParams(b)
-	f := p.millerMont(p.gen, p.gen)
+	f := p.millerMont(nil, infinity(), p.gen, p.gen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,23 +104,50 @@ func BenchmarkFinalExp(b *testing.B) {
 	}
 }
 
-func BenchmarkPairProd4(b *testing.B) {
+// BenchmarkPairMul measures e(P, q)·e(a, b) with P prepared: one shared
+// squaring chain walking P's cached lines and running a's Miller loop,
+// and one final exponentiation.
+func BenchmarkPairMul(b *testing.B) {
 	p := benchParams(b)
-	g := p.Generator()
-	as := make([]*G, 4)
-	bs := make([]*G, 4)
-	for i := range as {
-		ka, _ := p.RandomScalar(rand.Reader)
-		kb, _ := p.RandomScalar(rand.Reader)
-		as[i] = g.Exp(ka)
-		bs[i] = g.Exp(kb)
+	var pts [4]*G
+	for i := range pts {
+		k, _ := p.RandomScalar(rand.Reader)
+		pts[i] = p.Generator().Exp(k)
 	}
+	pre := p.Prepare(pts[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.PairProd(as, bs); err != nil {
+		if _, err := pre.PairMul(pts[1], pts[2], pts[3]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkMultiExp measures a six-base product with the read workload's
+// small signed exponents ("read") and with full-width random ones ("full").
+func BenchmarkMultiExp(b *testing.B) {
+	p := benchParams(b)
+	bases := make([]*G, 6)
+	full := make([]*big.Int, 6)
+	for i := range bases {
+		k, _ := p.RandomScalar(rand.Reader)
+		bases[i] = p.Generator().Exp(k)
+		full[i], _ = p.RandomScalar(rand.Reader)
+	}
+	read := []*big.Int{big.NewInt(18), big.NewInt(-45), big.NewInt(60), big.NewInt(-45), big.NewInt(18), big.NewInt(-3)}
+	for _, bc := range []struct {
+		name string
+		ks   []*big.Int
+	}{{"read", read}, {"full", full}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.MultiExp(bases, bc.ks); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -33,10 +33,11 @@ func FuzzUnmarshalG(f *testing.F) {
 
 // FuzzPairKernels cross-checks the pairing kernel (projective NAF Miller
 // loop, Lucas final exponentiation, batch-inverted preparation and its
-// walk) against the affine reference functions on random subgroup points
-// g^a, g^b, plus GT and G exponentiation by a third scalar. The scalars are
-// arbitrary uint64s — including 0 and values ≥ R — so normalization is
-// fuzzed along with the group operations. Chain independence of the
+// walk, the two-loop PairMul) against the affine reference functions on
+// random subgroup points g^a, g^b, g^k, plus GT exponentiation and the
+// signed-residue MultiExp by the same scalars. The scalars are arbitrary
+// uint64s — including 0 and values ≥ R — so normalization and the
+// identity branches are fuzzed along with the group operations. Chain independence of the
 // reduced Tate pairing makes bit-identical output the correct expectation,
 // not just equality up to subgroup structure.
 func FuzzPairKernels(f *testing.F) {
@@ -71,6 +72,27 @@ func FuzzPairKernels(f *testing.F) {
 		}
 		if !opt.Exp(k).Equal(opt.ExpReference(k)) {
 			t.Fatal("Lucas GT exponentiation disagrees with square-and-multiply")
+		}
+		gk := g.Exp(k)
+		mul, err := p.Prepare(ga).PairMul(gb, gk, ga)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref2, err := p.PairReference(gk, ga)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mul.Marshal(), ref.Mul(ref2).Marshal()) {
+			t.Fatal("PairMul disagrees with the product of affine reference pairings")
+		}
+		negA := new(big.Int).Neg(a)
+		multi, err := p.MultiExp([]*G{ga, gb, g}, []*big.Int{k, negA, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ga.ExpReference(k).Mul(gb.ExpReference(negA)).Mul(g.ExpReference(b))
+		if !bytes.Equal(multi.Marshal(), want.Marshal()) {
+			t.Fatal("MultiExp disagrees with the product of affine reference ladders")
 		}
 	})
 }

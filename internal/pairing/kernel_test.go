@@ -31,8 +31,8 @@ func TestPairMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPairKernelDispatch checks that pairing, prepared pairing, PairProd
-// and G arithmetic give the same results as the reference functions on the
+// TestPairKernelDispatch checks that pairing, prepared pairing, PairMul,
+// MultiExp and G arithmetic give the same results as the reference functions on the
 // same Params, byte for byte.
 func TestPairKernelDispatch(t *testing.T) {
 	p := Test()
@@ -53,14 +53,21 @@ func TestPairKernelDispatch(t *testing.T) {
 	if !bytes.Equal(pp.Marshal(), ref.Marshal()) {
 		t.Fatal("prepared pair disagrees with PairReference")
 	}
-	prod, err := p.PairProd([]*G{ga, gb}, []*G{gb, ga})
+	prod, err := p.Prepare(ga).PairMul(gb, gb, ga)
 	if err != nil {
-		t.Fatalf("PairProd: %v", err)
+		t.Fatalf("PairMul: %v", err)
 	}
 	if !bytes.Equal(prod.Marshal(), ref.Mul(ref).Marshal()) {
-		t.Fatal("PairProd ≠ PairReference(a,b)²")
+		t.Fatal("PairMul ≠ PairReference(a,b)²")
 	}
 	g := p.Generator()
+	multi, err := p.MultiExp([]*G{g, g}, []*big.Int{a, new(big.Int).Neg(b)})
+	if err != nil {
+		t.Fatalf("MultiExp: %v", err)
+	}
+	if !bytes.Equal(multi.Marshal(), g.ExpReference(new(big.Int).Sub(a, b)).Marshal()) {
+		t.Fatal("MultiExp disagrees with the reference ladder")
+	}
 	gFast := g.Exp(a).Mul(g.Exp(b).Inv())
 	gRef := g.ExpReference(a).Mul(g.ExpReference(b).Inv())
 	if !bytes.Equal(gFast.Marshal(), gRef.Marshal()) {
@@ -197,11 +204,11 @@ func TestNAFDigits(t *testing.T) {
 }
 
 // TestKernelSharedStateConcurrency hammers one shared *Params and one
-// shared *PreparedG from many goroutines. All temporaries live on the
-// callers' stacks and the lazily built generator comb sits behind
-// sync.Once, so shared state stays read-only; the -race runs in
-// scripts/check.sh turn any aliasing bug into a hard failure, and the
-// determinism check catches silent corruption even without the race
+// shared *PreparedG (through Pair and PairMul) from many goroutines. All
+// temporaries live on the callers' stacks and the lazily built generator
+// comb sits behind sync.Once, so shared state stays read-only; the -race
+// runs in scripts/check.sh turn any aliasing bug into a hard failure, and
+// the determinism check catches silent corruption even without the race
 // detector.
 func TestKernelSharedStateConcurrency(t *testing.T) {
 	p := Test()
@@ -215,11 +222,13 @@ func TestKernelSharedStateConcurrency(t *testing.T) {
 	const iters = 12
 	scalars := make([]*big.Int, workers)
 	wantPair := make([]*GT, workers)
+	wantMul := make([]*GT, workers)
 	wantExp := make([]*G, workers)
 	for w := range scalars {
 		k, _ := p.RandomScalar(rand.Reader)
 		scalars[w] = k
 		wantPair[w] = p.MustPair(ga, g.Exp(k))
+		wantMul[w] = wantPair[w].Mul(p.MustPair(g, g.Exp(k)))
 		wantExp[w] = ga.Exp(k)
 	}
 	var wg sync.WaitGroup
@@ -238,6 +247,15 @@ func TestKernelSharedStateConcurrency(t *testing.T) {
 					return
 				}
 				if !e1.Equal(wantPair[w]) || !e2.Equal(wantPair[w]) {
+					errs <- errMismatch
+					return
+				}
+				e3, err := pre.PairMul(gk, g, gk)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !e3.Equal(wantMul[w]) {
 					errs <- errMismatch
 					return
 				}

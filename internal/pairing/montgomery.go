@@ -277,34 +277,66 @@ func (c *fpContext) chordStepMont(r *montJac, a, q *montAffine, line *fp2m) bool
 	return true
 }
 
-// millerMont runs the NAF Miller loop entirely on fpElements and returns the
-// raw (unreduced) loop value in Montgomery form. Compared with the affine
-// reference loop it pays no inversion at all and about a third fewer chord
-// steps. NAF digit −1 multiplies by the chord through R and −P and steps
-// R ← R−P; the Miller correction f_{−1} = 1/v_P is a vertical line and
-// vanishes under denominator elimination, so −1 costs the same as +1.
-func (p *Params) millerMont(P, Q point) fp2m {
+// millerMont runs one NAF Miller pass for the product of two loop values,
+// f_{r,P}(φ(q)) · f_{r,a}(φ(b)), entirely on fpElements, and returns the
+// raw (unreduced) value in Montgomery form. P's lines come from its
+// preparation pre, evaluated at q; a's lines are computed on the fly by the
+// Jacobian tangent and chord steps, evaluated at b. Both factors share one
+// squaring per iteration. The prepared factor is skipped when pre is nil or
+// P or q is the identity, the computed one when a or b is. Compared with
+// the affine reference loop it pays no inversion at all and about a third
+// fewer chord steps. NAF digit −1 multiplies by the chord through R and −a
+// and steps R ← R−a; the Miller correction f_{−1} = 1/v_a is a vertical
+// line and vanishes under denominator elimination, so −1 costs the same as
+// +1.
+func (p *Params) millerMont(pre *PreparedG, q, a, b point) fp2m {
 	c := p.fpc
-	base := c.montFromPoint(P)
-	nBase := base
-	c.neg(&nBase.y, &base.y)
-	q := c.montFromPoint(Q)
-	r := montJac{x: base.x, y: base.y, z: c.one}
 	f := c.fp2mOne()
+	prepared := pre != nil && !pre.inf && !q.inf
+	var lv fp2m // a cached line evaluated at q
+	var qx fpElement
+	if prepared {
+		qm := c.montFromPoint(q)
+		qx = qm.x
+		lv.b = qm.y // the imaginary part of every cached line is y_q
+	}
+	computed := !a.inf && !b.inf
+	var base, nBase, bm montAffine
+	var r montJac
+	if computed {
+		base = c.montFromPoint(a)
+		nBase = base
+		c.neg(&nBase.y, &base.y)
+		bm = c.montFromPoint(b)
+		r = montJac{x: base.x, y: base.y, z: c.one}
+	}
 	var line fp2m
-	for _, d := range p.millerNAF[1:] {
+	idx := 0
+	for i, d := range p.millerNAF[1:] {
 		c.fp2mSquare(&f, &f)
-		if c.tangentStepMont(&r, &q, &line) {
+		if prepared {
+			for k := byte(0); k < pre.plan[i]; k++ {
+				mc := &pre.msteps[idx]
+				c.mul(&lv.a, &mc.lambda, &qx)
+				c.add(&lv.a, &lv.a, &mc.c)
+				c.fp2mMul(&f, &f, &lv)
+				idx++
+			}
+		}
+		if !computed {
+			continue
+		}
+		if c.tangentStepMont(&r, &bm, &line) {
 			c.fp2mMul(&f, &f, &line)
 		}
 		if d == 0 {
 			continue
 		}
-		a := &base
+		anchor := &base
 		if d < 0 {
-			a = &nBase
+			anchor = &nBase
 		}
-		if c.chordStepMont(&r, a, &q, &line) {
+		if c.chordStepMont(&r, anchor, &bm, &line) {
 			c.fp2mMul(&f, &f, &line)
 		}
 	}
@@ -332,12 +364,15 @@ func (p *Params) finalExpMont(f *fp2m) fp2m {
 }
 
 // mLineCoeff is a line l(x,y) = y − y0 − λ(x − x0) in evaluation-ready
-// form, l(φ(Q)) = (λ·(x0 + x_Q) − y0) + y_Q·i, with Montgomery-form
-// coordinates: the cached-step format the PreparedG walk consumes. A
-// vertical line is skipped entirely, represented by ok = false.
+// form with Montgomery-form coefficients λ and c = λ·x0 − y0, so that
+//
+//	l(φ(Q)) = (λ·x_Q + c) + y_Q·i
+//
+// costs one multiplication and one addition: the cached-step format the
+// prepared walk consumes. Vertical lines are not cached at all
+// (denominator elimination), so every entry is a line to multiply in.
 type mLineCoeff struct {
-	lambda, x0, y0 fpElement
-	ok             bool
+	lambda, c fpElement
 }
 
 // mPrepStep records one Miller step of the Jacobian walk with everything
@@ -345,6 +380,8 @@ type mLineCoeff struct {
 //
 //	tangent: λ = m/den, x0 = x·z⁻², y0 = y·z⁻³   (den = 2YZ, z = Z)
 //	chord:   λ = m/den, (x0, y0) = affine anchor  (den = Z·H, m = Rc)
+//
+// ok is false for a vertical line.
 type mPrepStep struct {
 	ok      bool
 	tangent bool
@@ -359,37 +396,48 @@ type mPrepStep struct {
 // and recovers all the cached affine line coefficients with one batch
 // inversion over the accumulated denominators. The cached coefficients stay
 // in Montgomery form so the per-pairing walk needs no conversions beyond Q.
+// At paper scale a preparation caches 160 lines of 128 B (the loop's last
+// chord, through P and −P, is vertical).
 func (p *Params) Prepare(g *G) *PreparedG {
 	if g.pt.inf {
 		return &PreparedG{p: p, inf: true}
 	}
 	c := p.fpc
-	pre := &PreparedG{p: p}
+	digits := p.millerNAF[1:]
+	lines := len(digits) // one tangent per iteration, one chord per nonzero digit
+	for _, d := range digits {
+		if d != 0 {
+			lines++
+		}
+	}
+	pre := &PreparedG{p: p, plan: make([]byte, 0, len(digits))}
 	base := c.montFromPoint(g.pt)
 	nBase := base
 	c.neg(&nBase.y, &base.y)
 	r := montJac{x: base.x, y: base.y, z: c.one}
-	var steps []mPrepStep
-	for _, d := range p.millerNAF[1:] {
-		steps = append(steps, c.tangentStepRecordMont(&r))
-		n := byte(1)
+	steps := make([]mPrepStep, 0, lines)
+	for _, d := range digits {
+		n := byte(0)
+		if st := c.tangentStepRecordMont(&r); st.ok {
+			steps = append(steps, st)
+			n++
+		}
 		if d != 0 {
 			a := &base
 			if d < 0 {
 				a = &nBase
 			}
-			steps = append(steps, c.chordStepRecordMont(&r, a))
-			n = 2
+			if st := c.chordStepRecordMont(&r, a); st.ok {
+				steps = append(steps, st)
+				n++
+			}
 		}
 		pre.plan = append(pre.plan, n)
 	}
 	// One inversion for the whole preparation.
-	var dens []*fpElement
+	dens := make([]*fpElement, 0, 2*len(steps))
 	for i := range steps {
 		st := &steps[i]
-		if !st.ok {
-			continue
-		}
 		dens = append(dens, &st.den)
 		if st.tangent {
 			dens = append(dens, &st.z)
@@ -399,22 +447,18 @@ func (p *Params) Prepare(g *G) *PreparedG {
 	pre.msteps = make([]mLineCoeff, len(steps))
 	for i := range steps {
 		st := &steps[i]
-		if !st.ok {
-			continue
-		}
-		mc := mLineCoeff{ok: true}
+		mc := &pre.msteps[i]
 		c.mul(&mc.lambda, &st.m, &st.den) // den already inverted
+		x0, y0 := st.ax, st.ay
 		if st.tangent {
 			var zi2, zi3 fpElement
 			c.mul(&zi2, &st.z, &st.z) // z holds Z⁻¹ now
-			c.mul(&mc.x0, &st.x, &zi2)
+			c.mul(&x0, &st.x, &zi2)
 			c.mul(&zi3, &zi2, &st.z)
-			c.mul(&mc.y0, &st.y, &zi3)
-		} else {
-			mc.x0 = st.ax
-			mc.y0 = st.ay
+			c.mul(&y0, &st.y, &zi3)
 		}
-		pre.msteps[i] = mc
+		c.mul(&mc.c, &mc.lambda, &x0)
+		c.sub(&mc.c, &mc.c, &y0)
 	}
 	return pre
 }
@@ -486,32 +530,4 @@ func (c *fpContext) chordStepRecordMont(r *montJac, a *montAffine) mPrepStep {
 	c.sub(&r.y, &r.y, &t)
 	st.den = r.z // Z·H of the pre-addition point
 	return st
-}
-
-// pairPreparedMont walks the Montgomery line cache against q: one fpElement
-// multiplication per line plus the shared squaring chain, no math/big until
-// the final boundary conversion inside finalExpMont's caller.
-func (pre *PreparedG) pairPreparedMont(q point) fp2 {
-	p := pre.p
-	c := p.fpc
-	qm := c.montFromPoint(q)
-	f := c.fp2mOne()
-	var lv fp2m
-	lv.b = qm.y // the imaginary part of every cached line is y_Q
-	var re fpElement
-	idx := 0
-	for _, n := range pre.plan {
-		c.fp2mSquare(&f, &f)
-		for k := byte(0); k < n; k++ {
-			if mc := &pre.msteps[idx]; mc.ok {
-				c.add(&re, &mc.x0, &qm.x)
-				c.mul(&re, &re, &mc.lambda)
-				c.sub(&lv.a, &re, &mc.y0)
-				c.fp2mMul(&f, &f, &lv)
-			}
-			idx++
-		}
-	}
-	u := p.finalExpMont(&f)
-	return c.fp2mToFp2(&u)
 }

@@ -17,18 +17,23 @@ func fastOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
 	if err != nil {
 		t.Fatalf("prepared pair: %v", err)
 	}
-	prod, err := p.PairProd([]*G{ga, gb}, []*G{gb, ga})
+	prod, err := p.Prepare(ga).PairMul(gb, gb, ga)
 	if err != nil {
-		t.Fatalf("PairProd: %v", err)
+		t.Fatalf("PairMul: %v", err)
+	}
+	multi, err := p.MultiExp([]*G{ga, gb}, []*big.Int{k, new(big.Int).Neg(a)})
+	if err != nil {
+		t.Fatalf("MultiExp: %v", err)
 	}
 	return map[string][]byte{
-		"Pair":           e.Marshal(),
-		"PreparedG.Pair": pp.Marshal(),
-		"PairProd":       prod.Marshal(),
-		"G.Exp":          ga.Exp(k).Marshal(),
-		"GT.Exp":         e.Exp(k).Marshal(),
-		"FixedBaseExp":   p.FixedBaseExp(k).Marshal(),
-		"ExpTable.Exp":   p.PrepareExp(ga).Exp(k).Marshal(),
+		"Pair":              e.Marshal(),
+		"PreparedG.Pair":    pp.Marshal(),
+		"PreparedG.PairMul": prod.Marshal(),
+		"MultiExp":          multi.Marshal(),
+		"G.Exp":             ga.Exp(k).Marshal(),
+		"GT.Exp":            e.Exp(k).Marshal(),
+		"FixedBaseExp":      p.FixedBaseExp(k).Marshal(),
+		"ExpTable.Exp":      p.PrepareExp(ga).Exp(k).Marshal(),
 	}
 }
 
@@ -49,13 +54,14 @@ func referenceOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte 
 		t.Fatal(err)
 	}
 	return map[string][]byte{
-		"Pair":           e.Marshal(),
-		"PreparedG.Pair": e.Marshal(),
-		"PairProd":       e.Mul(swapped).Marshal(),
-		"G.Exp":          ga.ExpReference(k).Marshal(),
-		"GT.Exp":         e.ExpReference(k).Marshal(),
-		"FixedBaseExp":   g.ExpReference(k).Marshal(),
-		"ExpTable.Exp":   ga.ExpReference(k).Marshal(),
+		"Pair":              e.Marshal(),
+		"PreparedG.Pair":    e.Marshal(),
+		"PreparedG.PairMul": e.Mul(swapped).Marshal(),
+		"MultiExp":          ga.ExpReference(k).Mul(gb.ExpReference(new(big.Int).Neg(a))).Marshal(),
+		"G.Exp":             ga.ExpReference(k).Marshal(),
+		"GT.Exp":            e.ExpReference(k).Marshal(),
+		"FixedBaseExp":      g.ExpReference(k).Marshal(),
+		"ExpTable.Exp":      ga.ExpReference(k).Marshal(),
 	}
 }
 
@@ -72,7 +78,7 @@ func assertMatchesReference(t *testing.T, p *Params, a, b *big.Int) {
 }
 
 // TestPairMatchesAllKernels pins reduced pairings, prepared-pairing walks,
-// PairProd, G/GT exponentiation, and both table exponentiations
+// PairMul, MultiExp, G/GT exponentiation, and both table exponentiations
 // byte-identical to the affine reference functions.
 func TestPairMatchesAllKernels(t *testing.T) {
 	for _, sc := range [][2]int64{{98765, 43210}, {1, 1}, {2, 3}, {7919, 7919}} {

@@ -5,41 +5,83 @@ import (
 	"sync"
 )
 
-// This file holds performance extensions that go beyond what the paper's
-// evaluation used: a multi-pairing product that shares one final
-// exponentiation across Miller loops, and precomputed-table exponentiation
-// (a fixed-base comb for the generator, and per-base tables for hot public
-// keys). The scheme implementations use the plain operations so their cost
-// profiles match the paper; these variants are exercised by the ablation
-// benchmarks and are available to API users who want the speed.
+// This file holds the exponentiation paths that go beyond one plain ladder:
+// a multi-exponentiation that shares one doubling chain across bases and
+// applies each exponent as its signed residue (decryption aggregates its
+// ciphertext rows and key components with it), and precomputed-table
+// exponentiation (a fixed-base comb for the generator, and per-base tables
+// for hot public keys, which encryption and revocation use). Each result is
+// bit-identical to the plain operation it replaces.
 //
 // Both table kinds are limb-native Montgomery combs (affine entries,
 // mixed-addition evaluation, zero heap allocations per exponentiation).
 // The generator's comb is built lazily under a sync.Once, so concurrent
 // first use stays safe; PrepareExp builds a per-base comb right away.
 
-// PairProd computes Π_i e(a_i, b_i) with a single final exponentiation:
-// the Miller-loop values multiply in F_q² before the (q²−1)/r power, which
-// is sound because the final exponentiation is a group homomorphism.
-func (p *Params) PairProd(as, bs []*G) (*GT, error) {
-	if len(as) != len(bs) {
+// MultiExp computes Π_i bases[i]^ks[i] with one interleaved NAF ladder in
+// Montgomery Jacobian coordinates and a single normalization (one field
+// inversion). Each exponent is reduced mod R and applied as its residue of
+// least absolute value: a residue above R/2 becomes R − k on the negated
+// base, which costs nothing. A small exponent of either sign therefore
+// costs a few doublings, not |R| of them, and the ladder runs only as long
+// as the widest residue. Identity bases and zero residues are skipped;
+// every other term costs one mixed addition per nonzero NAF digit, an
+// exponent of 1 included. montJacAddAffine handles doubling and
+// cancellation, so no sum needs a special case. Mismatched lengths and nil
+// entries are ErrBadEncoding, an element of another parameter set
+// ErrMixedParams.
+func (p *Params) MultiExp(bases []*G, ks []*big.Int) (*G, error) {
+	if len(bases) != len(ks) {
 		return nil, ErrBadEncoding
 	}
-	acc := fp2One()
-	for i := range as {
-		if as[i].p != p || bs[i].p != p {
-			return nil, ErrMixedParams
-		}
-		if as[i].pt.inf || bs[i].pt.inf {
-			continue
-		}
-		acc = p.fp2Mul(acc, p.millerLoop(as[i].pt, bs[i].pt))
+	type term struct {
+		pos, neg montAffine // the base and its negation, for digits +1 and −1
+		digits   []int8     // NAF of the signed residue's magnitude, most significant first
 	}
 	c := p.fpc
-	var m fp2m
-	c.fp2mFromFp2(&m, acc)
-	u := p.finalExpMont(&m)
-	return &GT{p: p, v: c.fp2mToFp2(&u)}, nil
+	halfR := new(big.Int).Rsh(p.R, 1) // (R−1)/2: R is an odd prime
+	terms := make([]term, 0, len(bases))
+	width := 0
+	for i, g := range bases {
+		if g == nil || ks[i] == nil {
+			return nil, ErrBadEncoding
+		}
+		if g.p != p {
+			return nil, ErrMixedParams
+		}
+		k := new(big.Int).Mod(ks[i], p.R)
+		if g.pt.inf || k.Sign() == 0 {
+			continue
+		}
+		t := term{pos: c.montFromPoint(g.pt)}
+		t.neg.x = t.pos.x
+		c.neg(&t.neg.y, &t.pos.y)
+		if k.Cmp(halfR) > 0 {
+			k.Sub(p.R, k)
+			t.pos, t.neg = t.neg, t.pos
+		}
+		t.digits = nafDigits(k)
+		width = max(width, len(t.digits))
+		terms = append(terms, t)
+	}
+	var acc montJac
+	for j := width - 1; j >= 0; j-- {
+		c.montJacDouble(&acc)
+		for i := range terms {
+			t := &terms[i]
+			n := len(t.digits)
+			if j >= n {
+				continue
+			}
+			switch t.digits[n-1-j] {
+			case 1:
+				c.montJacAddAffine(&acc, &t.pos)
+			case -1:
+				c.montJacAddAffine(&acc, &t.neg)
+			}
+		}
+	}
+	return &G{p: p, pt: c.montJacToPoint(&acc)}, nil
 }
 
 // fixedBaseWindow is the window width in bits for precomputed tables.

@@ -10,15 +10,7 @@ func (p *Params) pair(P, Q point) fp2 {
 	if P.inf || Q.inf {
 		return fp2One()
 	}
-	f := p.millerMont(P, Q)
+	f := p.millerMont(nil, infinity(), P, Q)
 	u := p.finalExpMont(&f)
 	return p.fpc.fp2mToFp2(&u)
-}
-
-// millerLoop returns the raw Miller-loop value of (P, Q) as an fp2, for
-// PairProd to multiply before its one final exponentiation. Raw values
-// depend on the addition chain; only reduced pairings are comparable.
-func (p *Params) millerLoop(P, Q point) fp2 {
-	f := p.millerMont(P, Q)
-	return p.fpc.fp2mToFp2(&f)
 }

@@ -7,9 +7,10 @@ import "math/big"
 // and paper scale.
 //
 //   - PairReference (affine binary Miller loop, square-and-multiply final
-//     exponentiation) pins Pair, PreparedG.Pair and PairProd.
-//   - G.ExpReference (mulScalarAffine, curve.go) pins G.Exp, FixedBaseExp
-//     and ExpTable.Exp; mulScalarAffine alone pins UnmarshalG's r·P check.
+//     exponentiation) pins Pair, PreparedG.Pair and PreparedG.PairMul.
+//   - G.ExpReference (mulScalarAffine, curve.go) pins G.Exp, MultiExp,
+//     FixedBaseExp and ExpTable.Exp; mulScalarAffine alone pins
+//     UnmarshalG's r·P check.
 //   - GT.ExpReference (fp2ExpUnitary, fp2.go) pins GT.Exp and the Lucas
 //     ladder of the final exponentiation.
 //   - fp2Exp (fp2.go) pins fp2mExp and with it UnmarshalGT's v^r check.

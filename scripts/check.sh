@@ -64,9 +64,12 @@ go test -run=NoTests -fuzz=FuzzFpMontgomery -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: Lehmer inversion vs Fermat and ModInverse"
 need ./internal/pairing FuzzFpInvLehmer
 go test -run=NoTests -fuzz=FuzzFpInvLehmer -fuzztime=5s ./internal/pairing
-echo "== fuzz smoke: pairing, prepared walk and ladders vs the affine reference"
+echo "== fuzz smoke: pairing, prepared walk, PairMul, MultiExp and ladders vs the affine reference"
 need ./internal/pairing FuzzPairKernels
 go test -run=NoTests -fuzz=FuzzPairKernels -fuzztime=5s ./internal/pairing
+echo "== fuzz smoke: Decrypt vs Eq. 1 over random policies and attribute sets"
+need ./internal/core FuzzDecryptMatchesEq1
+go test -run=NoTests -fuzz=FuzzDecryptMatchesEq1 -fuzztime=5s ./internal/core
 echo "== fuzz smoke: ciphertext decoder, cached elements vs direct decode"
 need ./internal/core FuzzUnmarshalCiphertext
 go test -run=NoTests -fuzz=FuzzUnmarshalCiphertext -fuzztime=5s ./internal/core
