@@ -11,9 +11,12 @@ import (
 )
 
 // Point is one x-position of a figure series: the fastest of Trials runs.
+// For decryption it also carries the pairings one decryption of each
+// scheme ran, counted.
 type Point struct {
-	X           int
-	Ours, Lewko time.Duration
+	X                 int
+	Ours, Lewko       time.Duration
+	OursOps, LewkoOps pairing.OpCounts
 }
 
 // Series is a rendered figure: points along a sweep axis.
@@ -121,14 +124,18 @@ func measurePoint(cfg Config, trials int, op operation) (Point, error) {
 			keepBest(&pt.Ours, encD)
 			keepBest(&pt.Lewko, lEncD)
 		case OpDecrypt:
+			before := pairing.SnapshotOpCounts()
 			decD, err := ours.Decrypt(ct)
 			if err != nil {
 				return Point{}, err
 			}
+			mid := pairing.SnapshotOpCounts()
 			lDecD, err := lw.Decrypt(lct)
 			if err != nil {
 				return Point{}, err
 			}
+			pt.OursOps = mid.Delta(before)
+			pt.LewkoOps = pairing.SnapshotOpCounts().Delta(mid)
 			keepBest(&pt.Ours, decD)
 			keepBest(&pt.Lewko, lDecD)
 		}

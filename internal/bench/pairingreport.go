@@ -14,7 +14,8 @@ import (
 // same Params and operands.
 type PairingPoint struct {
 	// Op names the operation: "pair" (Pair vs PairReference), "g-exp"
-	// (G.Exp vs G.ExpReference) or "gt-exp" (GT.Exp vs GT.ExpReference).
+	// (G.Exp vs G.ExpReference), "gt-exp" (GT.Exp vs GT.ExpReference) or
+	// "g-decode" (UnmarshalG vs UnmarshalGReference).
 	Op string `json:"op"`
 	// Reps is the number of back-to-back executions inside one timed trial;
 	// the recorded times are already divided down to per-operation cost.
@@ -127,7 +128,8 @@ func (r *PairingReport) measureFields(p *pairing.Params) {
 // MeasurePairing produces the comparison behind BENCH_pairing.json: the
 // field primitives (Montgomery limbs vs math/big), then each group
 // operation against its reference function on the same Params — Pair vs
-// PairReference, G.Exp vs G.ExpReference and GT.Exp vs GT.ExpReference.
+// PairReference, G.Exp vs G.ExpReference, GT.Exp vs GT.ExpReference, and
+// UnmarshalG vs UnmarshalGReference on one encoding of an element of G.
 func MeasurePairing(params *pairing.Params, rnd io.Reader, trials int) (*PairingReport, error) {
 	report := &PairingReport{
 		Header: newHeader(params),
@@ -145,6 +147,7 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, trials int) (*Pairing
 	g := params.Generator()
 	ga, gb := g.Exp(ka), g.Exp(kb)
 	e := params.GTGenerator()
+	enc := ga.Marshal()
 	rows := []struct {
 		op        string
 		reps      int
@@ -153,6 +156,7 @@ func MeasurePairing(params *pairing.Params, rnd io.Reader, trials int) (*Pairing
 		{"pair", 2, func() { params.MustPair(ga, gb) }, func() { params.PairReference(ga, gb) }},
 		{"g-exp", 8, func() { g.Exp(ka) }, func() { g.ExpReference(ka) }},
 		{"gt-exp", 8, func() { e.Exp(kb) }, func() { e.ExpReference(kb) }},
+		{"g-decode", 8, func() { params.UnmarshalG(enc) }, func() { params.UnmarshalGReference(enc) }},
 	}
 	for _, row := range rows {
 		m := timeBestPerOp(trials, row.reps, row.fast)

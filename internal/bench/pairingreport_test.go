@@ -31,7 +31,7 @@ func TestMeasurePairingShapes(t *testing.T) {
 			t.Fatalf("field row %q ran %d reps, floor is %d", f.Op, f.Reps, minFieldReps)
 		}
 	}
-	wantOps := []string{"pair", "g-exp", "gt-exp"}
+	wantOps := []string{"pair", "g-exp", "gt-exp", "g-decode"}
 	if len(r.Points) != len(wantOps) {
 		t.Fatalf("got %d points, want %d", len(r.Points), len(wantOps))
 	}

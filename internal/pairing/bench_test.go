@@ -182,15 +182,27 @@ func BenchmarkHashToScalar(b *testing.B) {
 	}
 }
 
-func BenchmarkGMarshalUnmarshal(b *testing.B) {
+// BenchmarkUnmarshalG decodes one element of G: the x-only subgroup test
+// against UnmarshalGReference's r·P = O by the affine ladder, on the same
+// encoding.
+func BenchmarkUnmarshalG(b *testing.B) {
+	benchKernels(b, func(p *Params) (fast, ref func()) {
+		k, _ := p.RandomScalar(rand.Reader)
+		data := p.Generator().Exp(k).Marshal()
+		return func() { p.UnmarshalG(data) }, func() { p.UnmarshalGReference(data) }
+	})
+}
+
+// BenchmarkSubgroupCheck times UnmarshalG's order test alone: the x-only
+// doublings, the summation polynomial and the m·P = O check.
+func BenchmarkSubgroupCheck(b *testing.B) {
 	p := benchParams(b)
 	k, _ := p.RandomScalar(rand.Reader)
-	g := p.Generator().Exp(k)
-	data := g.Marshal()
-	b.ResetTimer()
+	pt := p.Generator().Exp(k).pt
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.UnmarshalG(data); err != nil {
-			b.Fatal(err)
+		if !p.inG(pt) {
+			b.Fatal("element of G rejected")
 		}
 	}
 }

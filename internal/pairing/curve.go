@@ -129,15 +129,9 @@ func (p *Params) mulScalar(pt point, k *big.Int) point {
 	return p.mulScalarMont(pt, kk)
 }
 
-// hasOrderDividingR reports whether r·pt = ∞ computed with the UNREDUCED
-// group order — mulScalar reduces exponents mod R (correct for elements of
-// G, where it is a no-op), which would make this check vacuous.
-func (p *Params) hasOrderDividingR(pt point) bool {
-	return p.mulScalarMont(pt, p.R).inf
-}
-
 // mulScalarAffine is the textbook affine double-and-add: the oracle for
-// mulScalarMont and G.ExpReference's ladder.
+// mulScalarMont and G.ExpReference's ladder, and, with the unreduced k = R,
+// for the subgroup test inG (UnmarshalGReference).
 func (p *Params) mulScalarAffine(pt point, k *big.Int) point {
 	acc := infinity()
 	if pt.inf || k.Sign() == 0 {

@@ -23,8 +23,7 @@ func NewParams(qStr, rStr, hStr, gxStr, gyStr string) (*Params, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.gen = point{x: gx, y: gy}
-	if err := p.Validate(); err != nil {
+	if err := p.setGenerator(point{x: gx, y: gy}); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -45,13 +44,15 @@ const (
 // Decimal constants for small test parameters (48-bit order, 96-bit field):
 // cryptographically worthless but two orders of magnitude faster, used by
 // unit and property tests that need many iterations. Generated with
-// cmd/maacs-paramgen -test.
+// `maacs-paramgen -r 48 -q 96`. r = 2^47 + 2^35 + 1, so the test curve runs
+// the same subgroup test as a.param; h = 2⁴·3³·7·14557·6417263 and the
+// exclusion order is m = 63, from gcd(h, 2^47 + 2^35 − 1).
 const (
-	testQ  = "55408601198092020700205721511"
-	testR  = "214482268068571"
-	testH  = "258336512836472"
-	testGX = "50932307366807450567244062659"
-	testGY = "23977693753224805952382436830"
+	testQ  = "39766678616979341358753422447"
+	testR  = "140771848093697"
+	testH  = "282490278812784"
+	testGX = "2781777527233875899542318263"
+	testGY = "29720633252866911429674627010"
 )
 
 var (

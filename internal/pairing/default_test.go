@@ -2,7 +2,10 @@ package pairing
 
 import (
 	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 )
 
@@ -74,5 +77,54 @@ func TestDefaultPairingBilinear(t *testing.T) {
 	}
 	if lhs.IsOne() {
 		t.Fatal("default params: degenerate pairing value")
+	}
+}
+
+// TestGTGeneratorPairedOnce pins e(g, g), now paired once when the
+// generator is installed: at both scales GTGenerator equals the affine
+// reference pairing, costs no pairing, and hands out a fresh copy; and a
+// seeded RandomGT is the reference e(g, g)^k. At paper scale its bytes are
+// those of the code that paired e(g, g) on every call (seed 20).
+func TestGTGeneratorPairedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		p      *Params
+		golden string // SHA-256 of the seeded RandomGT's encoding, "" for none
+	}{
+		{"a.param", Default(), "46700faf2806c9f39d518c04c173e9718af8277bef7d3d18d536efbd0926d47a"},
+		{"test", Test(), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.p
+			g := p.Generator()
+			ref, err := p.PairReference(g, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := SnapshotOpCounts()
+			e1, e2 := p.GTGenerator(), p.GTGenerator()
+			if got := SnapshotOpCounts().Delta(before); got != (OpCounts{}) {
+				t.Fatalf("GTGenerator paired: %+v", got)
+			}
+			if !e1.Equal(ref) || !e2.Equal(ref) {
+				t.Fatal("GTGenerator ≠ PairReference(g, g)")
+			}
+			if e1.v.a == e2.v.a || e1.v.a == p.gtGen.a {
+				t.Fatal("GTGenerator shares its coordinates between calls")
+			}
+			v, k, err := p.RandomGT(mrand.New(mrand.NewSource(20)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !v.Equal(ref.ExpReference(k)) {
+				t.Fatal("seeded RandomGT ≠ e(g, g)^k by the reference")
+			}
+			if tc.golden != "" {
+				sum := sha256.Sum256(v.Marshal())
+				if got := hex.EncodeToString(sum[:]); got != tc.golden {
+					t.Fatalf("seeded RandomGT bytes changed: SHA-256 %s, want %s", got, tc.golden)
+				}
+			}
+		})
 	}
 }

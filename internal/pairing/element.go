@@ -43,9 +43,10 @@ func (p *Params) OneGT() *GT {
 	return &GT{p: p, v: fp2One()}
 }
 
-// GTGenerator returns e(g, g), a generator of G_T.
+// GTGenerator returns e(g, g), a generator of G_T. The pairing runs once,
+// when the generator is installed; each call returns a fresh copy.
 func (p *Params) GTGenerator() *GT {
-	return &GT{p: p, v: p.pair(p.gen, p.gen)}
+	return &GT{p: p, v: p.gtGen.clone()}
 }
 
 // HashToG hashes arbitrary data onto G (try-and-increment + cofactor

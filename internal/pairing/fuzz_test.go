@@ -6,23 +6,36 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshalG asserts the point decoder never panics, never accepts an
-// element outside the order-r subgroup, and round-trips what it accepts.
+// FuzzUnmarshalG asserts UnmarshalG ≡ UnmarshalGReference: the x-only
+// subgroup test accepts exactly what r·P = O by the affine ladder accepts,
+// with the same error and the same point, and what it accepts round-trips.
+// The seeds cover elements of G, an element of G plus a point of each
+// small order of the test curve's h (the exclusion order's divisors
+// included), a point outside G, and −x(g), a twist x-coordinate the x-only
+// chain alone would accept.
 func FuzzUnmarshalG(f *testing.F) {
 	p := Test()
-	f.Add(p.Generator().Marshal())
+	g := p.Generator()
+	f.Add(g.Marshal())
 	f.Add(p.OneG().Marshal())
 	f.Add([]byte{})
 	f.Add([]byte{0x02})
 	f.Add(bytes.Repeat([]byte{0xFF}, p.GByteLen()))
 	f.Add((&G{p: p, pt: nonSubgroupPoint(p)}).Marshal())
+	gk := g.Exp(big.NewInt(0x5EED))
+	f.Add(gk.Marshal())
+	for _, d := range []int64{2, 4, 8, 16, 3, 7, 9, 21, 63, 27} {
+		tp := pointOfOrder(f, p, d)
+		f.Add((&G{p: p, pt: tp}).Marshal())
+		f.Add((&G{p: p, pt: p.add(gk.pt, tp)}).Marshal())
+	}
+	twist := g.Marshal()
+	new(big.Int).Sub(p.Q, g.pt.x).FillBytes(twist[1:])
+	f.Add(twist)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := p.UnmarshalG(data)
-		if err != nil {
+		g := checkDecodersAgree(t, p, data)
+		if g == nil {
 			return
-		}
-		if !p.mulScalarAffine(g.pt, p.R).inf {
-			t.Fatal("accepted point outside the subgroup")
 		}
 		back, err := p.UnmarshalG(g.Marshal())
 		if err != nil || !back.Equal(g) {

@@ -133,9 +133,9 @@ func (c *fpContext) montJacAddAffine(j *montJac, a *montAffine) {
 
 // mulScalarMont computes k·pt for k ≥ 0 with the NAF double-and-add ladder
 // over Montgomery-form Jacobian points. It does not reduce k, which
-// cofactor clearing (k = H > R) and the order-R checks need. One field
-// inversion at the final normalization; the result is the same group
-// element as mulScalarAffine for every k, only the addition chain differs.
+// cofactor clearing (k = H > R) needs. One field inversion at the final
+// normalization; the result is the same group element as mulScalarAffine
+// for every k, only the addition chain differs.
 func (p *Params) mulScalarMont(pt point, k *big.Int) point {
 	if pt.inf || k.Sign() == 0 {
 		return infinity()
@@ -293,6 +293,10 @@ func (p *Params) millerMont(pre *PreparedG, q, a, b point) fp2m {
 	c := p.fpc
 	f := c.fp2mOne()
 	prepared := pre != nil && !pre.inf && !q.inf
+	millerPasses.Add(1)
+	if prepared {
+		preparedWalks.Add(1)
+	}
 	var lv fp2m // a cached line evaluated at q
 	var qx fpElement
 	if prepared {
@@ -349,6 +353,7 @@ func (p *Params) millerMont(pre *PreparedG, q, a, b point) fp2m {
 // ladder in place of square-and-multiply.
 func (p *Params) finalExpMont(f *fp2m) fp2m {
 	c := p.fpc
+	finalExps.Add(1)
 	if c.fp2mIsZero(f) {
 		// Degenerate tiny-field case (a line passed exactly through φ(Q));
 		// defined as 1, matching finalExpReference.

@@ -24,10 +24,16 @@ type Params struct {
 	H *big.Int
 
 	gen       point      // generator of G
+	gtGen     fp2        // e(gen, gen), the generator of G_T
 	sqrtExp   *big.Int   // (Q+1)/4, for square roots in F_Q
 	millerWnd []int      // bits of R, most-significant first, for the affine reference Miller loop
 	millerNAF []int8     // NAF digits of R, most-significant first, for the Montgomery Miller loop
 	fpc       *fpContext // Montgomery constants for Q
+
+	// R = 2^solA ± 2^solB ± 1, and excl is the exclusion order m (nil when
+	// m = 1). inG (subgroup.go) uses all three.
+	solA, solB int
+	excl       *big.Int
 }
 
 var (
@@ -40,12 +46,13 @@ var (
 
 // GenerateParams constructs fresh Type-A parameters in the shape of PBC's
 // a.param: a Solinas group order R = 2^(rBits−1) + 2^b ± 1, whose NAF has at
-// most three nonzero digits (so a Miller loop or an order-R check takes at
-// most two addition steps), and a base field prime Q = H·R − 1 of exactly
-// qBits bits with cofactor H = 4m. Since H ≡ 0 (mod 4), Q ≡ 3 (mod 4)
-// automatically, which makes −1 a quadratic non-residue and F_Q² = F_Q[i] a
-// field. It tries every (b, sign) once, starting at a random one, and fails
-// only when no Solinas prime R of rBits bits has a prime Q of qBits bits.
+// most three nonzero digits (so a Miller loop takes at most two addition
+// steps, and the subgroup test of subgroup.go only doublings), and a base
+// field prime Q = H·R − 1 of exactly qBits bits with cofactor H = 4m.
+// Since H ≡ 0 (mod 4), Q ≡ 3 (mod 4) automatically, which makes −1 a
+// quadratic non-residue and F_Q² = F_Q[i] a field. It tries every
+// (b, sign) once, starting at a random one, and fails only when no
+// Solinas prime R of rBits bits has a prime Q of qBits bits.
 // qBits may not exceed the 512-bit fixed width of the Montgomery field
 // arithmetic.
 func GenerateParams(rBits, qBits int, rnd io.Reader) (*Params, error) {
@@ -88,7 +95,9 @@ func GenerateParams(rBits, qBits int, rnd io.Reader) (*Params, error) {
 // findCofactor searches for H = 4m with Q = H·R − 1 prime and exactly qBits
 // bits: that holds for 2^(qBits−1) < 4m·R ≤ 2^qBits, so m runs over
 // [⌊2^(qBits−1)/4R⌋ + 1, ⌊2^qBits/4R⌋] from a random start, wrapping at the
-// top, for at most 2^20 candidates. It returns nil, nil when none is prime.
+// top, for at most 2^20 candidates. It skips every m that R divides, which
+// newParams rejects (the subgroup test needs R ∤ H); such an m exists once
+// qBits ≥ about 2·rBits + 2. It returns nil, nil when no candidate is left.
 func findCofactor(r *big.Int, qBits int, rnd io.Reader) (q, h *big.Int, err error) {
 	r4 := new(big.Int).Lsh(r, 2)
 	lo := new(big.Int).Lsh(one, uint(qBits-1))
@@ -109,12 +118,12 @@ func findCofactor(r *big.Int, qBits int, rnd io.Reader) (q, h *big.Int, err erro
 	if span.IsInt64() && span.Int64() < tries {
 		tries = span.Int64()
 	}
-	h, q = new(big.Int), new(big.Int)
+	h, q, rem := new(big.Int), new(big.Int), new(big.Int)
 	for i := int64(0); i < tries; i++ {
 		h.Lsh(m, 2)
 		q.Mul(h, r)
 		q.Sub(q, one)
-		if q.ProbablyPrime(32) {
+		if rem.Rem(m, r).Sign() != 0 && q.ProbablyPrime(32) {
 			return q, h, nil
 		}
 		if m.Add(m, one).Cmp(hi) > 0 {
@@ -127,7 +136,8 @@ func findCofactor(r *big.Int, qBits int, rnd io.Reader) (q, h *big.Int, err erro
 // newParams validates (q, r, h) and builds the derived values. The generator
 // must still be installed (pickGenerator or setGenerator). q must fit the
 // fpMaxLimbs-limb fixed width, so every valid Params has a Montgomery
-// context.
+// context. r must have the form 2^a ± 2^b ± 1 (a > b ≥ 1) and must not
+// divide h, which the subgroup test (subgroup.go) relies on.
 func newParams(q, r, h *big.Int) (*Params, error) {
 	check := new(big.Int).Mul(h, r)
 	check.Sub(check, one)
@@ -142,12 +152,23 @@ func newParams(q, r, h *big.Int) (*Params, error) {
 		return nil, fmt.Errorf("%w: q is not prime", ErrInvalidParams)
 	case !r.ProbablyPrime(32):
 		return nil, fmt.Errorf("%w: r is not prime", ErrInvalidParams)
+	case new(big.Int).Mod(h, r).Sign() == 0:
+		return nil, fmt.Errorf("%w: r divides h", ErrInvalidParams)
+	}
+	a, b, ok := solinasForm(r)
+	if !ok {
+		return nil, fmt.Errorf("%w: r is not of the form 2^a ± 2^b ± 1", ErrInvalidParams)
 	}
 	p := &Params{
 		Q:       new(big.Int).Set(q),
 		R:       new(big.Int).Set(r),
 		H:       new(big.Int).Set(h),
 		sqrtExp: new(big.Int).Rsh(new(big.Int).Add(q, one), 2),
+		solA:    a,
+		solB:    b,
+	}
+	if m := exclusionOrder(r, h, a, b); m.Cmp(one) != 0 {
+		p.excl = m
 	}
 	p.millerWnd = make([]int, 0, r.BitLen())
 	for i := r.BitLen() - 2; i >= 0; i-- {
@@ -159,7 +180,7 @@ func newParams(q, r, h *big.Int) (*Params, error) {
 }
 
 // pickGenerator finds a generator of the order-R subgroup by hashing to a
-// curve point and clearing the cofactor.
+// curve point and clearing the cofactor, and installs it.
 func (p *Params) pickGenerator(rnd io.Reader) error {
 	seed := make([]byte, 32)
 	for attempt := 0; attempt < 256; attempt++ {
@@ -170,13 +191,33 @@ func (p *Params) pickGenerator(rnd io.Reader) error {
 		if !ok || pt.inf {
 			continue
 		}
-		if !p.hasOrderDividingR(pt) {
-			return fmt.Errorf("%w: generated point has wrong order", ErrInvalidParams)
-		}
-		p.gen = pt
-		return nil
+		return p.setGenerator(pt)
 	}
 	return fmt.Errorf("%w: could not find generator", ErrInvalidParams)
+}
+
+// setGenerator checks pt like Validate and installs it as the generator of
+// G, together with e(g, g): NewParams and GenerateParams both end here, so
+// every Params pairs the generator exactly once.
+func (p *Params) setGenerator(pt point) error {
+	if err := p.checkGenerator(pt); err != nil {
+		return err
+	}
+	p.gen = pt
+	p.gtGen = p.pair(pt, pt)
+	return nil
+}
+
+// checkGenerator reports whether pt lies on the curve and has order
+// exactly R.
+func (p *Params) checkGenerator(pt point) error {
+	if pt.inf || !p.onCurve(pt) {
+		return fmt.Errorf("%w: generator not on curve", ErrInvalidParams)
+	}
+	if !p.inG(pt) {
+		return fmt.Errorf("%w: generator order ≠ r", ErrInvalidParams)
+	}
+	return nil
 }
 
 // Validate checks the internal consistency of the parameters, including that
@@ -185,13 +226,7 @@ func (p *Params) Validate() error {
 	if _, err := newParams(p.Q, p.R, p.H); err != nil {
 		return err
 	}
-	if p.gen.inf || !p.onCurve(p.gen) {
-		return fmt.Errorf("%w: generator not on curve", ErrInvalidParams)
-	}
-	if !p.hasOrderDividingR(p.gen) {
-		return fmt.Errorf("%w: generator order ≠ r", ErrInvalidParams)
-	}
-	return nil
+	return p.checkGenerator(p.gen)
 }
 
 // Export returns the defining integers of the parameter set in decimal:

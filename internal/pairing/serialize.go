@@ -46,8 +46,16 @@ func (g *G) Marshal() []byte {
 }
 
 // UnmarshalG decodes a compressed G element, verifying that the point is on
-// the curve and in the order-R subgroup.
+// the curve and in the order-R subgroup. The subgroup test is inG's x-only
+// chain (subgroup.go); it runs after the square root of x³ + x, which is
+// what rejects an x-coordinate of the quadratic twist.
 func (p *Params) UnmarshalG(data []byte) (*G, error) {
+	return p.unmarshalG(data, p.inG)
+}
+
+// unmarshalG is the decoder behind UnmarshalG and UnmarshalGReference:
+// every check but the order test, which inSubgroup supplies.
+func (p *Params) unmarshalG(data []byte, inSubgroup func(point) bool) (*G, error) {
 	if len(data) != p.GByteLen() {
 		return nil, fmt.Errorf("%w: G element must be %d bytes, got %d", ErrBadEncoding, p.GByteLen(), len(data))
 	}
@@ -75,7 +83,7 @@ func (p *Params) UnmarshalG(data []byte) (*G, error) {
 		y.Sub(p.Q, y)
 	}
 	pt := point{x: x, y: y}
-	if !p.hasOrderDividingR(pt) {
+	if !inSubgroup(pt) {
 		return nil, fmt.Errorf("%w: point not in order-r subgroup", ErrBadEncoding)
 	}
 	return &G{p: p, pt: pt}, nil

@@ -64,6 +64,9 @@ go test -run=NoTests -fuzz=FuzzFpMontgomery -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: Lehmer inversion vs Fermat and ModInverse"
 need ./internal/pairing FuzzFpInvLehmer
 go test -run=NoTests -fuzz=FuzzFpInvLehmer -fuzztime=5s ./internal/pairing
+echo "== fuzz smoke: UnmarshalG's x-only subgroup test vs r·P = O by the affine ladder"
+need ./internal/pairing FuzzUnmarshalG
+go test -run=NoTests -fuzz='^FuzzUnmarshalG$' -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: pairing, prepared walk, PairMul, MultiExp and ladders vs the affine reference"
 need ./internal/pairing FuzzPairKernels
 go test -run=NoTests -fuzz=FuzzPairKernels -fuzztime=5s ./internal/pairing
