@@ -160,8 +160,12 @@ func TestMixedTrafficMetricsNoRace(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	// started is done once every hammer has finished one iteration, so the
+	// final counters cannot be empty however fast the foreground runs.
+	var started sync.WaitGroup
 	hammer := func(f func(i int)) {
 		wg.Add(1)
+		started.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
@@ -170,6 +174,9 @@ func TestMixedTrafficMetricsNoRace(t *testing.T) {
 					return
 				default:
 					f(i)
+				}
+				if i == 0 {
+					started.Done()
 				}
 			}
 		}()
@@ -202,6 +209,7 @@ func TestMixedTrafficMetricsNoRace(t *testing.T) {
 
 	// Foreground: streamed re-encryptions with small windows, racing the
 	// readers above for the same slots and counters.
+	started.Wait()
 	env.Server.SetBatchWindow(2)
 	for round := 0; round < 3; round++ {
 		uk, uis := revocationInputs(t, env, owner)

@@ -23,23 +23,23 @@ import (
 // component set) and serves the cached immutable bytes until a mutation
 // invalidates them.
 //
-// Correctness rests on a per-record monotonic generation:
+// Correctness rests on the identity of the stored record. A stored *Record
+// is never written after it is stored: every mutation installs a new pointer
+// (Put, the copy-on-write clones of ReplaceIfUnchanged, Restore). So:
 //
-//   - Every mutation path (Store, Delete, re-encrypt commits, Restore) bumps
-//     the record's generation AFTER the store commit and BEFORE the mutation
-//     returns to its caller.
-//   - A fetch reads the generation FIRST, then consults or renders. A cached
-//     entry is served only when its tagged generation equals the current one.
-//   - A miss renders from the store and installs the result tagged with the
-//     generation read BEFORE the store read. If a mutation raced the render,
-//     the entry is tagged with the pre-mutation generation and can never be
-//     served once the mutation's bump lands — a stale body is unreachable.
+//   - A fetch reads the record from the store FIRST; a missing record is
+//     ErrRecordNotFound before the cache is consulted.
+//   - Each entry keeps the *Record it was rendered from, and is served only
+//     to a fetch whose store read returned that same pointer.
+//   - An entry keeps its record reachable, so no later record can reuse the
+//     address while the entry exists: a matching pointer is the very
+//     snapshot the bytes were rendered from.
 //
-// A fetch that overlaps a mutation (between the store commit and the bump)
-// may serve either body; that is a legal linearization, not staleness: the
-// mutation has not returned yet. Generations are never removed, so a
-// delete+re-store of the same ID continues the old counter and cached
-// entries from the previous incarnation stay invalid.
+// A fetch that overlaps a mutation may serve either body; that is a legal
+// linearization, not staleness: the mutation has not returned yet. Every
+// mutation path calls Bump after its commit, which drops the record's
+// entries at once instead of leaving them to LRU eviction. The cache keeps
+// no other state per record ID, so a deleted record leaves nothing behind.
 //
 // The cache is byte-bounded with LRU eviction, and misses are single-flight:
 // N concurrent first fetches of a record perform one render.
@@ -73,8 +73,8 @@ type respKey struct {
 // respEntry is one rendered response. All fields except elem are immutable
 // after install; callers share the payload and must never write into it.
 type respEntry struct {
-	gen  uint64
-	size int // metered payload size (CT.Size + sealed bytes), mirrors FetchAs
+	rec  *Record // the stored record this was rendered from
+	size int     // metered payload size (CT.Size + sealed bytes), mirrors FetchAs
 
 	body    []byte         // JSON kinds: full HTTP body including trailing newline
 	comps   []RPCComponent // wire kinds: marshaled components, shared across replies
@@ -111,8 +111,6 @@ type ResponseCacheStats struct {
 // label), bounded by bytes with LRU eviction. The zero value is unusable;
 // construct with NewResponseCache.
 type ResponseCache struct {
-	gens sync.Map // record ID → *atomic.Uint64; cells are never removed
-
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
@@ -168,24 +166,11 @@ func (c *ResponseCache) Stats() ResponseCacheStats {
 	}
 }
 
-// genOf reads the record's current generation (0 before the first bump).
-func (c *ResponseCache) genOf(id string) uint64 {
-	if cell, ok := c.gens.Load(id); ok {
-		return cell.(*atomic.Uint64).Load()
-	}
-	return 0
-}
-
-// Bump advances the record's generation and drops its cached responses. Every
-// mutation path calls it after the store commit succeeds and before
-// returning, so no fetch that starts after the mutation completes can see
-// pre-mutation bytes.
+// Bump drops the record's cached responses. Every mutation path calls it
+// after the store commit succeeds and before returning. Lookups already
+// refuse those entries, since the store holds a new record or none; Bump
+// frees their memory.
 func (c *ResponseCache) Bump(id string) {
-	cell, ok := c.gens.Load(id)
-	if !ok {
-		cell, _ = c.gens.LoadOrStore(id, new(atomic.Uint64))
-	}
-	cell.(*atomic.Uint64).Add(1)
 	c.mu.Lock()
 	for key := range c.byID[id] {
 		c.removeLocked(key, c.entries[key])
@@ -193,14 +178,12 @@ func (c *ResponseCache) Bump(id string) {
 	c.mu.Unlock()
 }
 
-// lookup serves a cached entry if one exists at the record's current
-// generation, refreshing its LRU position. The hit path performs no
-// allocation.
-func (c *ResponseCache) lookup(key respKey) (*respEntry, bool) {
-	g := c.genOf(key.id) // before the entry read: see the generation protocol
+// lookup serves a cached entry rendered from rec, the record the store holds
+// now, refreshing its LRU position. The hit path performs no allocation.
+func (c *ResponseCache) lookup(key respKey, rec *Record) (*respEntry, bool) {
 	c.mu.Lock()
 	e := c.entries[key]
-	if e == nil || e.gen != g {
+	if e == nil || e.rec != rec {
 		c.mu.Unlock()
 		return nil, false
 	}
@@ -210,19 +193,17 @@ func (c *ResponseCache) lookup(key respKey) (*respEntry, bool) {
 	return e, true
 }
 
-// fill renders the entry for key, coalescing concurrent misses into one
-// render. The generation is read before render runs, so an entry can never
-// be tagged newer than the state it was rendered from.
-func (c *ResponseCache) fill(key respKey, render func() (*respEntry, error)) (*respEntry, error) {
+// fill renders the entry for key from rec, coalescing concurrent misses into
+// one render, and installs it tagged with rec.
+func (c *ResponseCache) fill(key respKey, rec *Record, render func(*Record) (*respEntry, error)) (*respEntry, error) {
 	for {
-		g := c.genOf(key.id)
 		c.mu.Lock()
 		if c.cap <= 0 {
 			// Caching disabled: render without installing or counting.
 			c.mu.Unlock()
-			return render()
+			return render(rec)
 		}
-		if e := c.entries[key]; e != nil && e.gen == g {
+		if e := c.entries[key]; e != nil && e.rec == rec {
 			c.lru.MoveToFront(e.elem)
 			c.mu.Unlock()
 			c.hits.Add(1)
@@ -238,7 +219,7 @@ func (c *ResponseCache) fill(key respKey, render func() (*respEntry, error)) (*r
 		c.flights[key] = fl
 		c.mu.Unlock()
 
-		e, err := render()
+		e, err := render(rec)
 		c.mu.Lock()
 		delete(c.flights, key)
 		close(fl.done)
@@ -246,7 +227,7 @@ func (c *ResponseCache) fill(key respKey, render func() (*respEntry, error)) (*r
 			c.mu.Unlock()
 			return nil, err
 		}
-		e.gen = g
+		e.rec = rec
 		c.misses.Add(1)
 		c.installLocked(key, e)
 		c.mu.Unlock()
@@ -254,17 +235,16 @@ func (c *ResponseCache) fill(key respKey, render func() (*respEntry, error)) (*r
 	}
 }
 
-// installLocked inserts a rendered entry, replacing any older rendering of
+// installLocked inserts a rendered entry, replacing any other rendering of
 // the same key and evicting from the LRU tail past the byte bound. Entries
-// larger than the whole capacity are served but not cached.
+// larger than the whole capacity are served but not cached. Renders of one
+// key never overlap (fill is single-flight), so the entry replaced is one
+// that a fetch found stale before this render began.
 func (c *ResponseCache) installLocked(key respKey, e *respEntry) {
 	if e.bytes > c.cap {
 		return
 	}
 	if old := c.entries[key]; old != nil {
-		if old.gen > e.gen {
-			return // a fresher render won the race; keep it
-		}
 		c.removeLocked(key, old)
 	}
 	e.elem = c.lru.PushFront(key)
@@ -365,20 +345,28 @@ func (s *Server) SetResponseCacheBytes(n int64) { s.resp.SetCapacity(n) }
 // ResponseCacheStats snapshots the encoded-response cache counters.
 func (s *Server) ResponseCacheStats() ResponseCacheStats { return s.resp.Stats() }
 
+// cachedResponse serves key's rendering of the record the store holds now,
+// rendering it on a miss; a missing record is ErrRecordNotFound.
+func (s *Server) cachedResponse(key respKey, render func(*Record) (*respEntry, error)) (*respEntry, error) {
+	rec, ok := s.store.Get(key.id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrRecordNotFound, key.id)
+	}
+	if e, ok := s.resp.lookup(key, rec); ok {
+		return e, nil
+	}
+	return s.resp.fill(key, rec, render)
+}
+
 // FetchRecordJSON serves a whole record as its canonical HTTP/JSON body
 // (trailing newline included), metered and attributed exactly like FetchAs.
 // The returned bytes are shared and immutable: a cache hit performs zero
 // copies, zero marshals and zero heap allocations.
 func (s *Server) FetchRecordJSON(recordID, userID string) ([]byte, error) {
 	defer s.observe(opFetch, time.Now())
-	key := respKey{kind: kindRecordJSON, id: recordID}
-	e, ok := s.resp.lookup(key)
-	if !ok {
-		var err error
-		e, err = s.resp.fill(key, func() (*respEntry, error) { return s.renderRecordJSON(recordID) })
-		if err != nil {
-			return nil, err
-		}
+	e, err := s.cachedResponse(respKey{kind: kindRecordJSON, id: recordID}, s.renderRecordJSON)
+	if err != nil {
+		return nil, err
 	}
 	s.acct.Add(ChanServerUser, e.size)
 	s.noteDownload(userID, e.size, false)
@@ -389,14 +377,10 @@ func (s *Server) FetchRecordJSON(recordID, userID string) ([]byte, error) {
 // metered like FetchComponentAs. The bytes are shared and immutable.
 func (s *Server) FetchComponentJSON(recordID, label, userID string) ([]byte, error) {
 	defer s.observe(opFetchComponent, time.Now())
-	key := respKey{kind: kindComponentJSON, id: recordID, label: label}
-	e, ok := s.resp.lookup(key)
-	if !ok {
-		var err error
-		e, err = s.resp.fill(key, func() (*respEntry, error) { return s.renderComponentJSON(recordID, label) })
-		if err != nil {
-			return nil, err
-		}
+	e, err := s.cachedResponse(respKey{kind: kindComponentJSON, id: recordID, label: label},
+		func(rec *Record) (*respEntry, error) { return s.renderComponentJSON(rec, label) })
+	if err != nil {
+		return nil, err
 	}
 	s.acct.Add(ChanServerUser, e.size)
 	s.noteDownload(userID, e.size, true)
@@ -417,14 +401,9 @@ func (s *Server) FetchWire(recordID, label, userID string) (string, []RPCCompone
 
 func (s *Server) fetchRecordWire(recordID, userID string) (string, []RPCComponent, error) {
 	defer s.observe(opFetch, time.Now())
-	key := respKey{kind: kindRecordWire, id: recordID}
-	e, ok := s.resp.lookup(key)
-	if !ok {
-		var err error
-		e, err = s.resp.fill(key, func() (*respEntry, error) { return s.renderRecordWire(recordID) })
-		if err != nil {
-			return "", nil, err
-		}
+	e, err := s.cachedResponse(respKey{kind: kindRecordWire, id: recordID}, s.renderRecordWire)
+	if err != nil {
+		return "", nil, err
 	}
 	s.acct.Add(ChanServerUser, e.size)
 	s.noteDownload(userID, e.size, false)
@@ -433,14 +412,10 @@ func (s *Server) fetchRecordWire(recordID, userID string) (string, []RPCComponen
 
 func (s *Server) fetchComponentWire(recordID, label, userID string) (string, []RPCComponent, error) {
 	defer s.observe(opFetchComponent, time.Now())
-	key := respKey{kind: kindComponentWire, id: recordID, label: label}
-	e, ok := s.resp.lookup(key)
-	if !ok {
-		var err error
-		e, err = s.resp.fill(key, func() (*respEntry, error) { return s.renderComponentWire(recordID, label) })
-		if err != nil {
-			return "", nil, err
-		}
+	e, err := s.cachedResponse(respKey{kind: kindComponentWire, id: recordID, label: label},
+		func(rec *Record) (*respEntry, error) { return s.renderComponentWire(rec, label) })
+	if err != nil {
+		return "", nil, err
 	}
 	s.acct.Add(ChanServerUser, e.size)
 	s.noteDownload(userID, e.size, true)
@@ -462,11 +437,7 @@ func appendJSONBody(v any) ([]byte, error) {
 
 // renderRecordJSON builds the HTTP body for a whole record straight from the
 // immutable stored record — render only reads, so no deep copy is taken.
-func (s *Server) renderRecordJSON(recordID string) (*respEntry, error) {
-	rec, ok := s.store.Get(recordID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRecordNotFound, recordID)
-	}
+func (s *Server) renderRecordJSON(rec *Record) (*respEntry, error) {
 	body, err := appendJSONBody(toHTTPRecord(rec))
 	if err != nil {
 		return nil, err
@@ -479,11 +450,7 @@ func (s *Server) renderRecordJSON(recordID string) (*respEntry, error) {
 }
 
 // renderComponentJSON builds the HTTP body for one component.
-func (s *Server) renderComponentJSON(recordID, label string) (*respEntry, error) {
-	rec, ok := s.store.Get(recordID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRecordNotFound, recordID)
-	}
+func (s *Server) renderComponentJSON(rec *Record, label string) (*respEntry, error) {
 	for i := range rec.Components {
 		c := &rec.Components[i]
 		if c.Label != label {
@@ -500,17 +467,13 @@ func (s *Server) renderComponentJSON(recordID, label string) (*respEntry, error)
 		size := c.CT.Size(s.sys.Params) + len(c.Sealed)
 		return &respEntry{size: size, body: body, bytes: int64(len(body)) + respEntryOverhead}, nil
 	}
-	return nil, fmt.Errorf("%w: %q/%q", ErrComponentNotFound, recordID, label)
+	return nil, fmt.Errorf("%w: %q/%q", ErrComponentNotFound, rec.ID, label)
 }
 
 // renderRecordWire builds the RPC reply components for a whole record. The
 // sealed payloads are copied once so the cache owns its memory and no caller
 // of the stored record and no holder of the reply can alias each other.
-func (s *Server) renderRecordWire(recordID string) (*respEntry, error) {
-	rec, ok := s.store.Get(recordID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRecordNotFound, recordID)
-	}
+func (s *Server) renderRecordWire(rec *Record) (*respEntry, error) {
 	comps := make([]RPCComponent, len(rec.Components))
 	size := 0
 	footprint := int64(respEntryOverhead)
@@ -529,11 +492,7 @@ func (s *Server) renderRecordWire(recordID string) (*respEntry, error) {
 
 // renderComponentWire builds the RPC reply for one component. OwnerID comes
 // from the ciphertext, matching the historical component-fetch reply shape.
-func (s *Server) renderComponentWire(recordID, label string) (*respEntry, error) {
-	rec, ok := s.store.Get(recordID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRecordNotFound, recordID)
-	}
+func (s *Server) renderComponentWire(rec *Record, label string) (*respEntry, error) {
 	for i := range rec.Components {
 		c := &rec.Components[i]
 		if c.Label != label {
@@ -548,5 +507,5 @@ func (s *Server) renderComponentWire(recordID, label string) (*respEntry, error)
 		footprint := int64(respEntryOverhead + len(comps[0].Label) + len(comps[0].CT) + len(comps[0].Sealed))
 		return &respEntry{size: size, comps: comps, ownerID: c.CT.OwnerID, bytes: footprint}, nil
 	}
-	return nil, fmt.Errorf("%w: %q/%q", ErrComponentNotFound, recordID, label)
+	return nil, fmt.Errorf("%w: %q/%q", ErrComponentNotFound, rec.ID, label)
 }

@@ -3,6 +3,7 @@ package cloud
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -32,6 +33,21 @@ func snapshotWire(t *testing.T, s *Server, recordID, label string) fetchWireSnap
 		}
 	}
 	return out
+}
+
+// renderStored renders the record the store holds now as its HTTP body,
+// bypassing the cache: the ground truth a cached fetch must match.
+func renderStored(t *testing.T, s *Server, recordID string) []byte {
+	t.Helper()
+	rec, ok := s.store.Get(recordID)
+	if !ok {
+		t.Fatalf("record %s is not stored", recordID)
+	}
+	e, err := s.renderRecordJSON(rec)
+	if err != nil {
+		t.Fatalf("fresh render %s: %v", recordID, err)
+	}
+	return e.body
 }
 
 func wireEqual(a, b fetchWireSnapshot) bool {
@@ -126,9 +142,7 @@ func TestResponseCacheInvalidation(t *testing.T) {
 	if bytes.Equal(before, after) {
 		t.Fatal("re-encrypt did not invalidate the cached record body")
 	}
-	if fresh, err := env.Server.renderRecordJSON("patient-7"); err != nil {
-		t.Fatal(err)
-	} else if !bytes.Equal(after, fresh.body) {
+	if fresh := renderStored(t, env.Server, "patient-7"); !bytes.Equal(after, fresh) {
 		t.Fatal("post-re-encrypt fetch does not match a fresh render")
 	}
 
@@ -143,8 +157,8 @@ func TestResponseCacheInvalidation(t *testing.T) {
 		t.Fatalf("component fetch after delete: got %v, want ErrRecordNotFound", err)
 	}
 
-	// Re-store under the same ID: the generation counter continues, so the
-	// pre-delete rendering stays unreachable.
+	// Re-store under the same ID: a new stored record, so the pre-delete
+	// rendering stays unreachable.
 	uploadPatientRecord(t, owner)
 	restored, err := env.Server.FetchRecordJSON("patient-7", "alice")
 	if err != nil {
@@ -153,9 +167,7 @@ func TestResponseCacheInvalidation(t *testing.T) {
 	if bytes.Equal(restored, before) || bytes.Equal(restored, after) {
 		t.Fatal("fetch after delete+re-store served a previous incarnation")
 	}
-	if fresh, err := env.Server.renderRecordJSON("patient-7"); err != nil {
-		t.Fatal(err)
-	} else if !bytes.Equal(restored, fresh.body) {
+	if fresh := renderStored(t, env.Server, "patient-7"); !bytes.Equal(restored, fresh) {
 		t.Fatal("post-re-store fetch does not match a fresh render")
 	}
 }
@@ -214,11 +226,7 @@ func TestResponseCacheStaleGenerationHammer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fetch %s after mutation: %v", id, err)
 		}
-		fresh, err := env.Server.renderRecordJSON(id)
-		if err != nil {
-			t.Fatalf("fresh render %s: %v", id, err)
-		}
-		if !bytes.Equal(got, fresh.body) {
+		if !bytes.Equal(got, renderStored(t, env.Server, id)) {
 			t.Fatalf("record %s: cached fetch diverged from the stored record after a mutation", id)
 		}
 	}
@@ -417,5 +425,49 @@ func TestResponseCacheStatsInMetrics(t *testing.T) {
 		if !strings.Contains(w.Body.String(), want) {
 			t.Errorf("prometheus exposition missing %q", want)
 		}
+	}
+}
+
+// TestResponseCacheKeepsNothingAfterDelete stores, fetches in every
+// representation and deletes 1,000 records, then finds no cache state keyed
+// by their IDs: the cache's memory follows the live records, not every ID
+// ever stored.
+func TestResponseCacheKeepsNothingAfterDelete(t *testing.T) {
+	env, owner := hospitalEnv(t)
+	proto := uploadPatientRecord(t, owner)
+	if _, err := env.Server.Delete(proto.ID, proto.OwnerID); err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("churn-%04d", i)
+		if err := env.Server.Store(&Record{ID: id, OwnerID: proto.OwnerID, Components: proto.Components}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.Server.FetchRecordJSON(id, "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.Server.FetchComponentJSON(id, "name", "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := env.Server.FetchWire(id, "", "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := env.Server.FetchWire(id, "name", "alice"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.Server.Delete(id, proto.OwnerID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := env.Server.resp
+	if st := c.Stats(); st.Misses != 4*n || st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("after %d store/fetch/delete cycles: %+v, want %d misses and nothing cached", n, st, 4*n)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.entries) != 0 || c.lru.Len() != 0 || len(c.byID) != 0 || len(c.flights) != 0 {
+		t.Fatalf("cache state left for deleted records: %d entries, %d LRU, %d IDs, %d flights",
+			len(c.entries), c.lru.Len(), len(c.byID), len(c.flights))
 	}
 }

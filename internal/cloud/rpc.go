@@ -105,7 +105,7 @@ func (s *ServerRPC) Store(args *RPCStoreArgs, _ *struct{}) error {
 }
 
 // Fetch handles record and component downloads through the encoded-response
-// cache: the component payloads are rendered once per record generation and
+// cache: the component payloads are rendered once per stored record and
 // shared across replies. They are immutable — net/rpc only gob-encodes them
 // onto the connection; in-process callers must not write into the reply.
 func (s *ServerRPC) Fetch(args *RPCFetchArgs, reply *RPCFetchReply) error {

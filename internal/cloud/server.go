@@ -209,8 +209,8 @@ type Server struct {
 	// in NewServerWithStore and never written again, so lookups are lock-free.
 	durs map[string]*LatencyHistogram
 
-	// resp caches rendered fetch responses per record generation; every
-	// mutation path bumps the record's generation through it (see
+	// resp caches rendered fetch responses per stored record; every
+	// mutation path drops the record's entries through it (see
 	// respcache.go for the protocol).
 	resp *ResponseCache
 

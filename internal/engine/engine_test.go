@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -54,21 +56,27 @@ func TestRunReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
+// TestRunCancelsAfterFailure makes every job fail, so each worker stores
+// the failure before it claims again: whatever the schedule, each worker
+// runs at most one job, and Run returns the error of the lowest-indexed job
+// that ran.
 func TestRunCancelsAfterFailure(t *testing.T) {
-	p := New(2)
-	var ran atomic.Int32
-	err := p.Run(10_000, func(i int) error {
-		ran.Add(1)
-		if i == 0 {
-			return fmt.Errorf("boom")
-		}
-		return nil
+	const workers, n = 4, 10_000
+	p := New(workers)
+	var mu sync.Mutex
+	var ran []int
+	err := p.Run(n, func(i int) error {
+		mu.Lock()
+		ran = append(ran, i)
+		mu.Unlock()
+		return fmt.Errorf("job %d", i)
 	})
-	if err == nil {
-		t.Fatal("expected error")
+	if len(ran) < 1 || len(ran) > workers {
+		t.Fatalf("%d of %d jobs ran, want 1 to %d (one per worker)", len(ran), n, workers)
 	}
-	if n := ran.Load(); n == 10_000 {
-		t.Fatal("no jobs were skipped after the failure")
+	lowest := slices.Min(ran)
+	if want := fmt.Sprintf("job %d", lowest); err == nil || err.Error() != want {
+		t.Fatalf("Run returned %v, want the lowest-indexed failure %q (ran %v)", err, want, ran)
 	}
 }
 

@@ -219,9 +219,11 @@ func benchFieldOperands(b *testing.B) (p *Params, xb, yb *big.Int, xm, ym fpElem
 	return
 }
 
-// BenchmarkFpMul compares one base-field multiplication: fixed-width CIOS
-// Montgomery vs big.Int Mul+Mod. This is the innermost hot-path operation —
-// a Miller loop at paper scale runs hundreds of thousands of these.
+// BenchmarkFpMul compares one base-field multiplication: fixed-width
+// Montgomery (mulMont8 at paper scale on a CPU with BMI2 and ADX), the CIOS
+// loop mulGeneric, and big.Int Mul+Mod. This is the innermost hot-path
+// operation — a Miller loop at paper scale runs hundreds of thousands of
+// these.
 func BenchmarkFpMul(b *testing.B) {
 	p, xb, yb, xm, ym := benchFieldOperands(b)
 	b.Run("montgomery", func(b *testing.B) {
@@ -229,6 +231,13 @@ func BenchmarkFpMul(b *testing.B) {
 		var z fpElement
 		for i := 0; i < b.N; i++ {
 			p.fpc.mul(&z, &xm, &ym)
+		}
+	})
+	b.Run("generic", func(b *testing.B) {
+		b.ReportAllocs()
+		var z fpElement
+		for i := 0; i < b.N; i++ {
+			p.fpc.mulGeneric(&z, &xm, &ym)
 		}
 	})
 	b.Run("bigint", func(b *testing.B) {

@@ -150,3 +150,27 @@ func TestSqrtRejectsNonResidue(t *testing.T) {
 		t.Fatal("sqrt(−1) succeeded; q ≢ 3 mod 4?")
 	}
 }
+
+// TestSqrtMatchesReference pins the kernel square root to the math/big one
+// at both scales: the same verdict and the same root for 0, 1, q−1 (a
+// non-residue), and random squares and random elements, about half of them
+// non-residues.
+func TestSqrtMatchesReference(t *testing.T) {
+	for name, p := range map[string]*Params{"test": Test(), "default": Default()} {
+		t.Run(name, func(t *testing.T) {
+			rnd := rand.New(rand.NewSource(17))
+			vals := []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(p.Q, one)}
+			for i := 0; i < 32; i++ {
+				x := new(big.Int).Rand(rnd, p.Q)
+				vals = append(vals, x, new(big.Int).Mod(new(big.Int).Mul(x, x), p.Q))
+			}
+			for _, v := range vals {
+				got, ok := p.sqrt(v)
+				want, wantOK := p.sqrtReference(v)
+				if ok != wantOK || (ok && got.Cmp(want) != 0) {
+					t.Fatalf("sqrt(%v) = %v, %v; sqrtReference = %v, %v", v, got, ok, want, wantOK)
+				}
+			}
+		})
+	}
+}

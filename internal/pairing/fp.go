@@ -12,10 +12,16 @@ import (
 // fpElement is a little-endian array of 64-bit limbs holding a field element
 // in Montgomery form: the element x is stored as x·R mod q with R = 2^(64n),
 // where n = ⌈bits(q)/64⌉ is the active limb count of the parameter set. All
-// hot-path operations (add, sub, CIOS multiply, exponentiation, binary-EGCD
-// and batch inversion) work on fpElement values and never touch math/big;
-// conversion to and from big.Int happens only at the serialization and API
-// boundary.
+// hot-path operations (add, sub, Montgomery multiply, exponentiation, the
+// square root behind point decoding, Lehmer and batch inversion) work on
+// fpElement values and never touch math/big; conversion to and from big.Int
+// happens only at the serialization and API boundary.
+//
+// The multiply has two implementations. An 8-limb field (a.param's 512-bit
+// q) on an amd64 CPU with BMI2 and ADX runs mulMont8 (fp_amd64.s), the CIOS
+// loop unrolled on MULX, ADCX and ADOX; every other field, CPU and
+// architecture runs mulGeneric, the portable CIOS loop on math/bits, which
+// is also the assembly's test oracle. newFpContext picks one per context.
 //
 // The array is sized for the shipped Type-A parameters: the default base
 // field prime is PBC's 512-bit a.param q, which fills exactly eight 64-bit
@@ -44,6 +50,7 @@ type fpContext struct {
 	rr   fpElement // R² mod q: fromBig multiplies by this to enter the domain
 	half fpElement // Montgomery form of 2⁻¹ = (q+1)/2, for Lucas recovery
 	raw1 fpElement // plain 1 (NOT Montgomery form), for the exit conversion
+	mulx bool      // mul runs mulMont8: n = 8 on a CPU with BMI2 and ADX
 
 	qBig    *big.Int // q, for the boundary conversions
 	qMinus2 *big.Int // q−2, the Fermat inversion exponent
@@ -62,6 +69,7 @@ func newFpContext(q *big.Int) *fpContext {
 		qMinus2: new(big.Int).Sub(q, two),
 	}
 	c.setLimbs(&c.mod, q)
+	c.mulx = c.n == fpMaxLimbs && hasMulxAdx
 	// inv0 = −q⁻¹ mod 2⁶⁴ by Newton iteration: x ← x(2 − q₀x) doubles the
 	// number of correct low bits each round, and x₀ = q₀ is correct mod 8.
 	q0 := c.mod[0]
@@ -170,11 +178,22 @@ func (c *fpContext) neg(z, x *fpElement) {
 // dbl sets z = 2x mod q. z may alias x.
 func (c *fpContext) dbl(z, x *fpElement) { c.add(z, x, x) }
 
-// mul sets z = x·y·R⁻¹ mod q — CIOS (coarsely integrated operand scanning)
-// Montgomery multiplication. Both inputs in Montgomery form yield a result
-// in Montgomery form. z may alias x and/or y: all reads complete into the
-// local accumulator before z is written. No heap allocation.
+// mul sets z = x·y·R⁻¹ mod q. Both inputs in Montgomery form yield a result
+// in Montgomery form. z may alias x and/or y. No heap allocation. An 8-limb
+// field on a CPU with BMI2 and ADX runs the assembly mulMont8; every other
+// context runs mulGeneric, which is also the assembly's test oracle.
 func (c *fpContext) mul(z, x, y *fpElement) {
+	if c.mulx {
+		mulMont8(z, x, y, &c.mod, c.inv0)
+		return
+	}
+	c.mulGeneric(z, x, y)
+}
+
+// mulGeneric is mul as CIOS (coarsely integrated operand scanning) Montgomery
+// multiplication over the n active limbs. All reads complete into the local
+// accumulator before z is written, so z may alias x and/or y.
+func (c *fpContext) mulGeneric(z, x, y *fpElement) {
 	n := c.n
 	var t [fpMaxLimbs + 2]uint64
 	for i := 0; i < n; i++ {

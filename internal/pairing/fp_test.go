@@ -1,6 +1,7 @@
 package pairing
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -404,27 +405,143 @@ func TestFp2mLucasMatchesUnitaryExp(t *testing.T) {
 	}
 }
 
+// primeBelow returns the largest prime below 2^bits.
+func primeBelow(bits uint) *big.Int {
+	q := new(big.Int).Lsh(one, bits)
+	q.Sub(q, one)
+	for !q.ProbablyPrime(20) {
+		q.Sub(q, two)
+	}
+	return q
+}
+
 // FuzzFpMontgomery cross-checks the fixed-width base-field kernel against
-// math/big on fuzzer-chosen inputs. Byte slices of any length are reduced
-// mod q, so the fuzzer reaches 0, 1, q−1, and ≥ q states organically on top
-// of the seeded edges.
+// math/big on fuzzer-chosen inputs, on the 2-limb test field, on a.param's
+// 512-bit field and on an 8-limb field with 32 spare top bits: the last two
+// multiply with mulMont8 where the CPU has it. Byte slices of any length are
+// reduced mod q, so the fuzzer reaches 0, 1, q−1, and ≥ q states organically
+// on top of the seeded edges.
 func FuzzFpMontgomery(f *testing.F) {
-	p := Test()
-	c := p.fpc
-	qm1 := new(big.Int).Sub(c.qBig, one).Bytes()
-	f.Add([]byte{}, []byte{}, uint64(0))
-	f.Add([]byte{1}, []byte{1}, uint64(1))
-	f.Add(qm1, qm1, uint64(2))
-	f.Add(c.qBig.Bytes(), []byte{7}, uint64(65537))
-	f.Add(new(big.Int).Lsh(c.qBig, 1).Bytes(), qm1, uint64(3))
+	fields := []*fpContext{Test().fpc, Default().fpc, newFpContext(primeBelow(480))}
+	for _, c := range fields {
+		qm1 := new(big.Int).Sub(c.qBig, one).Bytes()
+		f.Add([]byte{}, []byte{}, uint64(0))
+		f.Add([]byte{1}, []byte{1}, uint64(1))
+		f.Add(qm1, qm1, uint64(2))
+		f.Add(c.qBig.Bytes(), []byte{7}, uint64(65537))
+		f.Add(new(big.Int).Lsh(c.qBig, 1).Bytes(), qm1, uint64(3))
+	}
 	f.Fuzz(func(t *testing.T, aRaw, bRaw []byte, e uint64) {
-		if len(aRaw) > 64 || len(bRaw) > 64 {
+		if len(aRaw) > 80 || len(bRaw) > 80 {
 			return // keep math/big oracle time bounded
 		}
 		a := new(big.Int).SetBytes(aRaw)
 		b := new(big.Int).SetBytes(bRaw)
-		fpCheckOps(t, c, a, b, e%(1<<16))
+		for _, c := range fields {
+			fpCheckOps(t, c, a, b, e%(1<<16))
+		}
 	})
+}
+
+// TestMulMont8MatchesGeneric pins the assembly multiply to the CIOS loop,
+// word for word, on 8-limb fields of 449, 480, 511 and 512 bits (the
+// largest primes below those powers of two, whose top limbs are all ones)
+// and on a.param's q: over 0, 1, 2, q−1, q−2, R mod q, values below q built
+// from all-ones limbs, the aliased forms z = x, z = y and z = x = y, and
+// 10⁵ seeded random pairs per field. The table values are also checked
+// against x·y·R⁻¹ mod q in math/big.
+func TestMulMont8MatchesGeneric(t *testing.T) {
+	if !hasMulxAdx {
+		t.Skip("no BMI2 and ADX on this CPU: mul always runs mulGeneric")
+	}
+	qs := map[string]*big.Int{"a.param": Default().Q}
+	for _, bits := range []uint{449, 480, 511, 512} {
+		qs[fmt.Sprintf("%d-bit", bits)] = primeBelow(bits)
+	}
+	for name, q := range qs {
+		t.Run(name, func(t *testing.T) {
+			c := newFpContext(q)
+			if !c.mulx {
+				t.Fatal("an 8-limb context on a BMI2+ADX CPU does not use mulMont8")
+			}
+			rInv := new(big.Int).Lsh(one, 64*fpMaxLimbs)
+			rInv.ModInverse(rInv, q)
+			raw := func(v *big.Int) fpElement {
+				var x fpElement
+				c.setLimbs(&x, v)
+				return x
+			}
+			limbsToBig := func(x *fpElement) *big.Int {
+				v := new(big.Int)
+				for i := fpMaxLimbs - 1; i >= 0; i-- {
+					v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(x[i]))
+				}
+				return v
+			}
+			check := func(x, y fpElement) fpElement {
+				t.Helper()
+				var got, want, sq fpElement
+				c.mul(&got, &x, &y)
+				c.mulGeneric(&want, &x, &y)
+				zx, zy, zxx := x, y, x
+				c.mul(&zx, &zx, &y)
+				c.mul(&zy, &x, &zy)
+				c.mul(&zxx, &zxx, &zxx)
+				c.mulGeneric(&sq, &x, &x)
+				if got != want || zx != want || zy != want || zxx != sq {
+					t.Fatalf("x = %x, y = %x: mulMont8 %x, z = x %x, z = y %x, loop %x; z = x = y %x, loop %x",
+						x, y, got, zx, zy, want, zxx, sq)
+				}
+				return got
+			}
+
+			table := []*big.Int{
+				new(big.Int), big.NewInt(1), big.NewInt(2),
+				new(big.Int).Sub(q, one), new(big.Int).Sub(q, two),
+				new(big.Int).Mod(new(big.Int).Lsh(one, 64*fpMaxLimbs), q), // R mod q
+			}
+			qm1 := new(big.Int).Sub(q, one)
+			for k := 64; k < q.BitLen(); k += 64 {
+				ones := new(big.Int).Sub(new(big.Int).Lsh(one, uint(k)), one)
+				table = append(table, ones, new(big.Int).Or(qm1, ones))
+			}
+			table = append(table, new(big.Int).Sub(new(big.Int).Lsh(one, uint(q.BitLen()-1)), one))
+			for _, a := range table {
+				if a.Cmp(q) >= 0 {
+					continue
+				}
+				for _, b := range table {
+					if b.Cmp(q) >= 0 {
+						continue
+					}
+					z := check(raw(a), raw(b))
+					want := new(big.Int).Mul(a, b)
+					want.Mul(want, rInv).Mod(want, q)
+					if got := limbsToBig(&z); got.Cmp(want) != 0 {
+						t.Fatalf("mulMont8(%v, %v) = %v, want x·y·R⁻¹ mod q = %v", a, b, got, want)
+					}
+				}
+			}
+
+			rnd := rand.New(rand.NewSource(int64(q.BitLen())))
+			top := uint(q.BitLen() - 64*(fpMaxLimbs-1))
+			below := func() fpElement {
+				for {
+					var x fpElement
+					for i := range x {
+						x[i] = rnd.Uint64()
+					}
+					x[fpMaxLimbs-1] &= 1<<top - 1
+					if !fpGE(&x, &c.mod, fpMaxLimbs) {
+						return x
+					}
+				}
+			}
+			for i := 0; i < 100_000; i++ {
+				check(below(), below())
+			}
+		})
+	}
 }
 
 // FuzzFp2Montgomery is the F_q² variant: tower operations plus the unitary

@@ -65,8 +65,23 @@ func (p *Params) hashToPoint(data []byte) (point, bool) {
 }
 
 // sqrt computes a square root of a mod q when one exists, using the
-// q ≡ 3 (mod 4) shortcut y = a^((q+1)/4).
+// q ≡ 3 (mod 4) shortcut y = a^((q+1)/4), exponentiated on the Montgomery
+// kernel. The root is the same canonical value sqrtReference returns.
 func (p *Params) sqrt(a *big.Int) (*big.Int, bool) {
+	c := p.fpc
+	var am, y, check fpElement
+	c.fromBig(&am, a)
+	c.exp(&y, &am, p.sqrtExp)
+	c.square(&check, &y)
+	if check != am {
+		return nil, false
+	}
+	return c.toBig(&y), true
+}
+
+// sqrtReference is sqrt in math/big: the square root behind
+// UnmarshalGReference, so that FuzzUnmarshalG checks sqrt too.
+func (p *Params) sqrtReference(a *big.Int) (*big.Int, bool) {
 	if a.Sign() == 0 {
 		return new(big.Int), true
 	}

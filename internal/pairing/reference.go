@@ -10,8 +10,9 @@ import "math/big"
 //     exponentiation) pins Pair, PreparedG.Pair and PreparedG.PairMul.
 //   - G.ExpReference (mulScalarAffine, curve.go) pins G.Exp, MultiExp,
 //     FixedBaseExp and ExpTable.Exp.
-//   - UnmarshalGReference (mulScalarAffine(pt, R).inf as the order test)
-//     pins UnmarshalG and with it the x-only subgroup test inG.
+//   - UnmarshalGReference (the math/big square root sqrtReference, and
+//     mulScalarAffine(pt, R).inf as the order test) pins UnmarshalG and with
+//     it sqrt and the x-only subgroup test inG.
 //   - GT.ExpReference (fp2ExpUnitary, fp2.go) pins GT.Exp and the Lucas
 //     ladder of the final exponentiation.
 //   - fp2Exp (fp2.go) pins fp2mExp and with it UnmarshalGT's v^r check.
@@ -32,12 +33,13 @@ func (p *Params) PairReference(a, b *G) (*GT, error) {
 	return &GT{p: p, v: p.pairReference(a.pt, b.pt)}, nil
 }
 
-// UnmarshalGReference is UnmarshalG with the textbook order test: the same
-// decode, then r·P = O by the affine ladder over the unreduced R. It is the
-// oracle the tests and FuzzUnmarshalG compare UnmarshalG against and the
-// baseline of the "g-decode" row of BENCH_pairing.json.
+// UnmarshalGReference is UnmarshalG with the square root in math/big and the
+// textbook order test: the same decode, then r·P = O by the affine ladder
+// over the unreduced R. It is the oracle the tests and FuzzUnmarshalG
+// compare UnmarshalG against and the baseline of the "g-decode" row of
+// BENCH_pairing.json.
 func (p *Params) UnmarshalGReference(data []byte) (*G, error) {
-	return p.unmarshalG(data, func(pt point) bool { return p.mulScalarAffine(pt, p.R).inf })
+	return p.unmarshalG(data, p.sqrtReference, func(pt point) bool { return p.mulScalarAffine(pt, p.R).inf })
 }
 
 // ExpReference computes g^k with the textbook affine double-and-add ladder

@@ -50,12 +50,13 @@ func (g *G) Marshal() []byte {
 // chain (subgroup.go); it runs after the square root of x³ + x, which is
 // what rejects an x-coordinate of the quadratic twist.
 func (p *Params) UnmarshalG(data []byte) (*G, error) {
-	return p.unmarshalG(data, p.inG)
+	return p.unmarshalG(data, p.sqrt, p.inG)
 }
 
 // unmarshalG is the decoder behind UnmarshalG and UnmarshalGReference:
-// every check but the order test, which inSubgroup supplies.
-func (p *Params) unmarshalG(data []byte, inSubgroup func(point) bool) (*G, error) {
+// every check but the square root and the order test, which sqrt and
+// inSubgroup supply.
+func (p *Params) unmarshalG(data []byte, sqrt func(*big.Int) (*big.Int, bool), inSubgroup func(point) bool) (*G, error) {
 	if len(data) != p.GByteLen() {
 		return nil, fmt.Errorf("%w: G element must be %d bytes, got %d", ErrBadEncoding, p.GByteLen(), len(data))
 	}
@@ -75,7 +76,7 @@ func (p *Params) unmarshalG(data []byte, inSubgroup func(point) bool) (*G, error
 	if x.Cmp(p.Q) >= 0 {
 		return nil, fmt.Errorf("%w: x ≥ q", ErrBadEncoding)
 	}
-	y, ok := p.sqrt(p.rhs(x))
+	y, ok := sqrt(p.rhs(x))
 	if !ok {
 		return nil, fmt.Errorf("%w: x not on curve", ErrBadEncoding)
 	}

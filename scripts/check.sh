@@ -33,6 +33,9 @@ echo "== go vet ./..."
 go vet ./...
 echo "== go build ./..."
 go build ./...
+echo "== portable field kernel: GOARCH=arm64 go vet ./... and go build ./..."
+GOARCH=arm64 go vet ./...
+GOARCH=arm64 go build ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
 echo "== streaming-batch race gate"
@@ -58,7 +61,7 @@ gate ./internal/pairing 'TestCombExpMontAllocs|TestHotPathZeroBigIntAllocs' -cou
 echo "== bench smoke: pairing kernels"
 need ./internal/pairing BenchmarkPair
 go test -run=NoTests -bench=Pair -benchtime=1x ./internal/pairing
-echo "== fuzz smoke: Montgomery field vs math/big"
+echo "== fuzz smoke: Montgomery field vs math/big, 2 limbs and paper-scale 8 limbs (mulMont8)"
 need ./internal/pairing FuzzFpMontgomery
 go test -run=NoTests -fuzz=FuzzFpMontgomery -fuzztime=5s ./internal/pairing
 echo "== fuzz smoke: Lehmer inversion vs Fermat and ModInverse"
