@@ -9,9 +9,6 @@
 //	maacs-server -addr 127.0.0.1:7744                        # net/rpc only
 //	maacs-server -addr 127.0.0.1:7744 -http 127.0.0.1:7745   # + HTTP/JSON gateway
 //	maacs-server -addr 127.0.0.1:7744 -fast                  # small test curve
-//	maacs-server -addr 127.0.0.1:7744 -workers 8             # engine pool width
-//	maacs-server -addr 127.0.0.1:7744 -batch-window 32       # streaming window
-//	maacs-server -batch-window 32 -batch-window-target 50ms  # adaptive windows
 //	maacs-server -store file -data-dir /var/lib/maacs        # durable records
 //	maacs-server -response-cache-bytes 134217728             # read-path cache cap
 //	maacs-server -pprof-addr 127.0.0.1:6060                  # profiling endpoints
@@ -22,11 +19,8 @@
 //	file  crash-safe file store in -data-dir: segmented append-only WAL
 //	      (group commit coalesces concurrent writers into one fsync),
 //	      replay on start, background compaction into a snapshot file; a
-//	      restarted server serves every previously committed record.
-//	      -wal-segment-bytes tunes how large a segment grows before the log
-//	      rotates to a fresh wal-%08d.maacs file; -compact-threshold tunes
-//	      the total WAL size that wakes the background compactor (both
-//	      default to the engine's built-ins: 1 MiB and 4 MiB)
+//	      restarted server serves every previously committed record. A
+//	      segment rotates at 1 MiB and the compactor wakes at 4 MiB of WAL.
 //
 // On SIGINT the server stops listening and closes the store, flushing the
 // WAL before exit. GET /healthz reports the backend, WAL size and records
@@ -34,17 +28,16 @@
 //
 // Re-encryption has one entry point per transport: HTTP
 // POST /owners/{id}/reencrypt/batch and RPC CloudServer.ReEncrypt, both
-// streaming the request's update-info sets through bounded engine runs.
-// -batch-window caps how many fuse into one run, so huge batches never pin
-// the store lock, and -batch-window-target resizes later windows toward a
-// wall time; requests cannot override either. A batch that fails mid-way
-// reports its committed prefix and the index of the first uncommitted
-// item, and the client resumes by resubmitting the items from there. The
-// gateway also serves GET /metrics (Prometheus text exposition of the
-// cumulative and per-owner counters; ?format=json for the JSON body, RPC
-// CloudServer.Metrics for the same struct) and sets explicit
-// read/write/idle timeouts so one slow client cannot pin a connection
-// forever.
+// streaming the request's update-info sets through engine runs of at most
+// 64 items, so huge batches never pin the store lock; a request cannot
+// change the window. A batch that fails mid-way reports its committed
+// prefix and the index of the first uncommitted item, and the client
+// resumes by resubmitting the items from there. The engine pool is
+// GOMAXPROCS workers wide. The gateway also serves GET /metrics
+// (Prometheus text exposition of the cumulative and per-owner counters;
+// ?format=json for the JSON body, RPC CloudServer.Metrics for the same
+// struct) and sets explicit read/write/idle timeouts so one slow client
+// cannot pin a connection forever.
 //
 // Clients must be configured with the same pairing parameters (the built-in
 // defaults on both sides match).
@@ -62,7 +55,6 @@ import (
 
 	"maacs/internal/cloud"
 	"maacs/internal/core"
-	"maacs/internal/engine"
 	"maacs/internal/pairing"
 )
 
@@ -70,12 +62,8 @@ import (
 type config struct {
 	addr, httpAddr    string
 	fast              bool
-	batchWindow       int
-	batchWindowTarget time.Duration
 	store             string
 	dataDir           string
-	walSegmentBytes   int64
-	compactThreshold  int64
 	responseCache     int64
 	pprofAddr         string
 	readHeaderTimeout time.Duration
@@ -84,38 +72,33 @@ type config struct {
 	idleTimeout       time.Duration
 }
 
+// registerFlags defines every maacs-server flag on fs, bound to cfg.
+func registerFlags(fs *flag.FlagSet, cfg *config) {
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:7744", "net/rpc address to listen on")
+	fs.StringVar(&cfg.httpAddr, "http", "", "optional HTTP/JSON gateway address (e.g. 127.0.0.1:7745)")
+	fs.BoolVar(&cfg.fast, "fast", false, "use the small test curve")
+	fs.StringVar(&cfg.store, "store", "mem",
+		"storage backend: mem (process-lifetime maps) or file (WAL-backed, crash-safe)")
+	fs.StringVar(&cfg.dataDir, "data-dir", "",
+		"data directory for -store=file (required)")
+	fs.Int64Var(&cfg.responseCache, "response-cache-bytes", cloud.DefaultResponseCacheBytes,
+		"encoded-response cache capacity in bytes; fetches are served from cached renderings until a mutation invalidates them (0 disables)")
+	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "",
+		"optional net/http/pprof listen address (e.g. 127.0.0.1:6060); off when empty")
+	fs.DurationVar(&cfg.readHeaderTimeout, "read-header-timeout", 5*time.Second,
+		"http: max time to read a request's headers")
+	fs.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute,
+		"http: max time to read a whole request")
+	fs.DurationVar(&cfg.writeTimeout, "write-timeout", 10*time.Minute,
+		"http: max time from end of header read to end of response write (covers long re-encryptions)")
+	fs.DurationVar(&cfg.idleTimeout, "idle-timeout", 2*time.Minute,
+		"http: max keep-alive idle time")
+}
+
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:7744", "net/rpc address to listen on")
-	flag.StringVar(&cfg.httpAddr, "http", "", "optional HTTP/JSON gateway address (e.g. 127.0.0.1:7745)")
-	flag.BoolVar(&cfg.fast, "fast", false, "use the small test curve")
-	workers := flag.Int("workers", 0, "engine pool width (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.batchWindow, "batch-window", 64,
-		"max update-info sets fused into one engine run per batch window (0 = whole batch)")
-	flag.DurationVar(&cfg.batchWindowTarget, "batch-window-target", 0,
-		"adaptive windowing: grow/shrink windows after the first toward this wall time per window (0 = fixed windows)")
-	flag.StringVar(&cfg.store, "store", "mem",
-		"storage backend: mem (process-lifetime maps) or file (WAL-backed, crash-safe)")
-	flag.StringVar(&cfg.dataDir, "data-dir", "",
-		"data directory for -store=file (required)")
-	flag.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", 0,
-		"file store: WAL segment rotation threshold in bytes (0 = engine default)")
-	flag.Int64Var(&cfg.compactThreshold, "compact-threshold", 0,
-		"file store: total WAL bytes that wake the background compactor (0 = engine default)")
-	flag.Int64Var(&cfg.responseCache, "response-cache-bytes", cloud.DefaultResponseCacheBytes,
-		"encoded-response cache capacity in bytes; fetches are served from cached renderings until a mutation invalidates them (0 disables)")
-	flag.StringVar(&cfg.pprofAddr, "pprof-addr", "",
-		"optional net/http/pprof listen address (e.g. 127.0.0.1:6060); off when empty")
-	flag.DurationVar(&cfg.readHeaderTimeout, "read-header-timeout", 5*time.Second,
-		"http: max time to read a request's headers")
-	flag.DurationVar(&cfg.readTimeout, "read-timeout", 2*time.Minute,
-		"http: max time to read a whole request")
-	flag.DurationVar(&cfg.writeTimeout, "write-timeout", 10*time.Minute,
-		"http: max time from end of header read to end of response write (covers long re-encryptions)")
-	flag.DurationVar(&cfg.idleTimeout, "idle-timeout", 2*time.Minute,
-		"http: max keep-alive idle time")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
-	engine.SetWorkers(*workers)
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "maacs-server:", err)
 		os.Exit(1)
@@ -133,10 +116,8 @@ func openStore(cfg config, sys *core.System) (cloud.Store, error) {
 		}
 		fstore, err := cloud.OpenFileStore(sys, cfg.dataDir)
 		if err != nil {
-			return nil, err
+			return nil, err // not a typed-nil Store
 		}
-		fstore.SetSegmentBytes(cfg.walSegmentBytes)
-		fstore.SetCompactThreshold(cfg.compactThreshold)
 		return fstore, nil
 	default:
 		return nil, fmt.Errorf("unknown -store %q (want mem or file)", cfg.store)
@@ -154,8 +135,6 @@ func run(cfg config) error {
 		return err
 	}
 	server := cloud.NewServerWithStore(sys, cloud.NewAccounting(), store)
-	server.SetBatchWindow(cfg.batchWindow)
-	server.SetBatchWindowTarget(cfg.batchWindowTarget)
 	server.SetResponseCacheBytes(cfg.responseCache)
 	if cfg.pprofAddr != "" {
 		// The pprof endpoints register on http.DefaultServeMux at import; a
@@ -189,7 +168,7 @@ func run(cfg config) error {
 			IdleTimeout:       cfg.idleTimeout,
 		}
 		go func() {
-			fmt.Printf("maacs-server: http gateway on %s (batch window %d)\n", cfg.httpAddr, cfg.batchWindow)
+			fmt.Printf("maacs-server: http gateway on %s\n", cfg.httpAddr)
 			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "maacs-server: http:", err)
 			}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"crypto/rand"
+	"flag"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,5 +91,23 @@ func TestOpenStore(t *testing.T) {
 			defer st.Close()
 			tc.check(t, st)
 		})
+	}
+}
+
+// TestFlagSet pins the server's configuration surface: exactly these flags
+// and no others. The engine pool width, the re-encryption window and the
+// file store's WAL thresholds are fixed by the code, not by flags.
+func TestFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("maacs-server", flag.ContinueOnError)
+	registerFlags(fs, &config{})
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"addr", "data-dir", "fast", "http", "idle-timeout", "pprof-addr",
+		"read-header-timeout", "read-timeout", "response-cache-bytes", "store",
+		"write-timeout",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flags %v, want %v", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"syscall"
 	"time"
 
 	"maacs/internal/cloud"
@@ -23,6 +24,14 @@ type EnginePoint struct {
 	ParallelNs int64 `json:"parallel_ns"`
 	// Speedup is SerialNs / ParallelNs.
 	Speedup float64 `json:"speedup"`
+	// SerialCPU and ParallelCPU are the process CPU seconds (user plus
+	// system) per wall second over each side's trials. The parallel side
+	// reads near its worker count only when the work keeps every worker busy
+	// and the host gives the process that many CPUs; near 1 on a row whose
+	// work does fan out, it ran without its second CPU, and its speedup
+	// measures the host, not the pool.
+	SerialCPU   float64 `json:"serial_cpu"`
+	ParallelCPU float64 `json:"parallel_cpu"`
 }
 
 // EngineReport is the machine-readable result of MeasureEngine, written to
@@ -54,29 +63,55 @@ func timeBest(workers, trials int, f func() error) (time.Duration, error) {
 	return best, nil
 }
 
+// engineSide is one side of a serial-vs-parallel pair: its best wall time,
+// and the process CPU and wall time summed over its trials.
+type engineSide struct{ best, cpu, wall time.Duration }
+
+// trial runs f once on a pool of the given width and folds it into the side.
+func (s *engineSide) trial(workers int, f func() error) error {
+	start, cpu := time.Now(), processCPU()
+	d, err := timeBest(workers, 1, f)
+	if err != nil {
+		return err
+	}
+	s.cpu += processCPU() - cpu
+	s.wall += time.Since(start)
+	keepBest(&s.best, d)
+	return nil
+}
+
+// cpuPerWall is the side's process CPU seconds per wall second.
+func (s *engineSide) cpuPerWall() float64 { return s.cpu.Seconds() / s.wall.Seconds() }
+
+// processCPU returns the user plus system CPU time the process has used.
+func processCPU() time.Duration {
+	var ru syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // cannot fail for RUSAGE_SELF
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
 // measurePair times f serially (workers=1) and on the default-width pool,
 // and appends the resulting point. The two sides alternate trial by trial,
 // so a noisy stretch of a shared host lands on both instead of on whichever
 // side happened to run during it.
 func (r *EngineReport) measurePair(attrs int, op string, trials int, f func() error) error {
-	var serial, parallel time.Duration
+	var serial, parallel engineSide
 	for t := 0; t < trials; t++ {
-		d, err := timeBest(1, 1, f)
-		if err != nil {
+		if err := serial.trial(1, f); err != nil {
 			return fmt.Errorf("%s/%d serial: %w", op, attrs, err)
 		}
-		keepBest(&serial, d)
-		if d, err = timeBest(0, 1, f); err != nil {
+		if err := parallel.trial(0, f); err != nil {
 			return fmt.Errorf("%s/%d parallel: %w", op, attrs, err)
 		}
-		keepBest(&parallel, d)
 	}
 	r.Points = append(r.Points, EnginePoint{
-		Attrs:      attrs,
-		Op:         op,
-		SerialNs:   serial.Nanoseconds(),
-		ParallelNs: parallel.Nanoseconds(),
-		Speedup:    float64(serial.Nanoseconds()) / float64(parallel.Nanoseconds()),
+		Attrs:       attrs,
+		Op:          op,
+		SerialNs:    serial.best.Nanoseconds(),
+		ParallelNs:  parallel.best.Nanoseconds(),
+		Speedup:     float64(serial.best.Nanoseconds()) / float64(parallel.best.Nanoseconds()),
+		SerialCPU:   serial.cpuPerWall(),
+		ParallelCPU: parallel.cpuPerWall(),
 	})
 	return nil
 }
@@ -153,12 +188,14 @@ func MeasureEngine(params *pairing.Params, rnd io.Reader, attrCounts []int, tria
 
 // Render prints a human-readable table of the report.
 func (r *EngineReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "Engine serial vs parallel — GOMAXPROCS=%d, workers=%d, |r|=%d bits (%d trials, best-of)\n",
+	fmt.Fprintf(w, "Engine serial vs parallel — GOMAXPROCS=%d, workers=%d, |r|=%d bits (%d trials, best-of; cpu = process CPU s per wall s)\n",
 		r.GOMAXPROCS, r.Workers, r.RBits, r.Trials)
-	fmt.Fprintf(w, "%6s %-10s %14s %14s %8s\n", "attrs", "op", "serial", "parallel", "speedup")
+	fmt.Fprintf(w, "%6s %-10s %14s %14s %8s %10s %12s\n",
+		"attrs", "op", "serial", "parallel", "speedup", "serial cpu", "parallel cpu")
 	for _, pt := range r.Points {
-		fmt.Fprintf(w, "%6d %-10s %14s %14s %7.2fx\n",
+		fmt.Fprintf(w, "%6d %-10s %14s %14s %7.2fx %10.2f %12.2f\n",
 			pt.Attrs, pt.Op,
-			time.Duration(pt.SerialNs), time.Duration(pt.ParallelNs), pt.Speedup)
+			time.Duration(pt.SerialNs), time.Duration(pt.ParallelNs), pt.Speedup,
+			pt.SerialCPU, pt.ParallelCPU)
 	}
 }

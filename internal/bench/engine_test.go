@@ -20,7 +20,7 @@ func TestMeasureEngineProducesValidJSON(t *testing.T) {
 	ops := map[string]int{}
 	for _, pt := range report.Points {
 		ops[pt.Op]++
-		if pt.SerialNs <= 0 || pt.ParallelNs <= 0 || pt.Speedup <= 0 {
+		if pt.SerialNs <= 0 || pt.ParallelNs <= 0 || pt.Speedup <= 0 || pt.SerialCPU <= 0 || pt.ParallelCPU <= 0 {
 			t.Fatalf("point %+v has non-positive measurement", pt)
 		}
 	}

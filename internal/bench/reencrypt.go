@@ -80,9 +80,10 @@ func (sc *reencryptScenario) freshServer() (*cloud.Server, error) {
 
 // ReEncryptPoint is one measured corpus size of the submission-pattern
 // comparison: the same revocation applied through N per-ciphertext requests
-// (one lock acquisition and engine run each), one unwindowed batched request
-// (everything fused into a single engine run), and one windowed batched
-// request (bounded slices, lock held per window).
+// (one lock acquisition and engine run each), one batched request on a
+// default server (one fused engine run while N is at most its 64-item
+// window), and one windowed batched request (bounded slices, lock held per
+// window).
 type ReEncryptPoint struct {
 	Ciphertexts  int     `json:"ciphertexts"`
 	PerRequestNs int64   `json:"per_request_ns"`
@@ -113,15 +114,15 @@ type ReEncryptBatchReport struct {
 	Points []ReEncryptPoint `json:"points"`
 }
 
-// MeasureReEncryptBatch compares per-ciphertext, unwindowed-batched, and
-// windowed-batched re-encryption submission at each corpus size: the
-// per-request pattern issues one single-item Server.ReEncrypt call per
-// ciphertext, the batched pattern one call with an item per ciphertext on an
-// unwindowed server (everything fused into one engine run), and the windowed
-// pattern the same call on a server whose SetBatchWindow is `window`
-// (0 = unwindowed). All run on the default engine pool; the differences
-// isolate the submission pattern. The windowed run also records the
-// per-owner counter row the server accumulated.
+// MeasureReEncryptBatch compares per-ciphertext, batched and windowed
+// re-encryption submission at each corpus size: the per-request pattern
+// issues one single-item Server.ReEncrypt call per ciphertext, the batched
+// pattern one call with an item per ciphertext on a server with the default
+// 64-item window (one fused engine run at up to 64 ciphertexts), and the
+// windowed pattern the same call on a server whose SetBatchWindow is
+// `window` (0 = the default). All run on the default engine pool; the
+// differences isolate the submission pattern. The windowed run also records
+// the per-owner counter row the server accumulated.
 func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int, attrs, trials, window int) (*ReEncryptBatchReport, error) {
 	report := &ReEncryptBatchReport{
 		Header:  newHeader(params),

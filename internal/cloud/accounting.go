@@ -128,8 +128,10 @@ type OwnerStats struct {
 	// ReEncryptedCiphertexts / ReEncryptedRows total the committed proxy work.
 	ReEncryptedCiphertexts uint64 `json:"reencrypted_ciphertexts"`
 	ReEncryptedRows        uint64 `json:"reencrypted_rows"`
-	// Engine sums the engine.Stats deltas of the owner's committed windows;
-	// Engine.WallNs is the owner's total fan-out wall time.
+	// Engine sums the engine.Stats deltas of the owner's committed windows.
+	// Engine.WallNs is the owner's total fan-out wall time; the job and cache
+	// counters are process-wide deltas, so other engine users in the process
+	// during a window count in them (see BatchReport.Engine).
 	Engine engine.Stats `json:"engine"`
 }
 

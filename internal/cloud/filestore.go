@@ -182,8 +182,8 @@ func parseWALSegment(name string) (uint64, bool) {
 // OpenFileStore opens (creating if needed) a file store in dir. It loads the
 // snapshot file, replays the WAL segments in order — truncating a torn tail
 // entry left by a crash mid-append on the last segment — starts the
-// background compactor, and is then ready to serve. A legacy single-file
-// wal.maacs layout is migrated to the first segment in place.
+// background compactor, and is then ready to serve. A directory holding the
+// retired single-file wal.maacs layout is refused with ErrWALCorrupt.
 func OpenFileStore(sys *core.System, dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cloud: create data dir: %w", err)
@@ -286,24 +286,12 @@ func listWALSegments(dir string) ([]uint64, error) {
 // checksum anywhere else is an error — silently dropping interior entries
 // would resurrect deleted records or lose committed ones.
 func (f *FileStore) openAndReplayWAL() error {
-	// Migrate the pre-segmentation layout: a single wal.maacs becomes the
-	// first segment. Both layouts present at once means two processes or a
-	// damaged directory — refuse rather than guess an order.
+	// A single wal.maacs is the pre-segmentation layout, written under
+	// parameter sets no current build decodes. Refuse it: opening without it
+	// would serve an empty store over the old records.
 	legacy := filepath.Join(f.dir, legacyWALFileName)
 	if _, err := os.Stat(legacy); err == nil {
-		seqs, err := listWALSegments(f.dir)
-		if err != nil {
-			return err
-		}
-		if len(seqs) > 0 {
-			return fmt.Errorf("%w: both %s and wal segments present", ErrWALCorrupt, legacyWALFileName)
-		}
-		if err := os.Rename(legacy, filepath.Join(f.dir, walSegmentName(1))); err != nil {
-			return fmt.Errorf("cloud: migrate legacy wal: %w", err)
-		}
-		if err := syncDir(f.dir); err != nil {
-			return fmt.Errorf("cloud: sync data dir: %w", err)
-		}
+		return fmt.Errorf("%w: %s is the retired single-file layout, whose records no current parameter set decodes; recreate the store", ErrWALCorrupt, legacy)
 	}
 
 	seqs, err := listWALSegments(f.dir)

@@ -418,42 +418,34 @@ func TestFileStoreSegmentRotation(t *testing.T) {
 	}
 }
 
-// TestFileStoreLegacyWALMigration: a data directory written by the
-// single-file engine (one wal.maacs) opens cleanly — the log becomes the
-// first segment and the records survive.
-func TestFileStoreLegacyWALMigration(t *testing.T) {
-	sys, recs := storeFixture(t, 3)
-	dir := t.TempDir()
-	fs := mustOpenFileStore(t, sys, dir)
-	for _, rec := range recs {
-		if err := fs.Put(rec.snapshot()); err != nil {
+// TestFileStoreRefusesLegacyWAL: a data directory holding the retired
+// single-file log (wal.maacs), alone or beside segments, is refused with
+// ErrWALCorrupt naming the file, and is left as it was — never opened as an
+// empty store over the old log.
+func TestFileStoreRefusesLegacyWAL(t *testing.T) {
+	sys, recs := storeFixture(t, 1)
+	alone, mixed := t.TempDir(), t.TempDir()
+	fs := mustOpenFileStore(t, sys, mixed)
+	if err := fs.Put(recs[0].snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	fs.Close()
+	for _, dir := range []string{alone, mixed} {
+		legacy := filepath.Join(dir, legacyWALFileName)
+		if err := os.WriteFile(legacy, []byte("old log"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		_, err := OpenFileStore(sys, dir)
+		if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), legacy) ||
+			!strings.Contains(err.Error(), "recreate the store") {
+			t.Fatalf("got %v, want ErrWALCorrupt naming %s", err, legacy)
+		}
+		if data, err := os.ReadFile(legacy); err != nil || string(data) != "old log" {
+			t.Fatalf("legacy wal changed: %q, %v", data, err)
+		}
 	}
-	want := fs.Records()
-	fs.Close()
-	// Rewind the layout to PR 6: the single segment was called wal.maacs.
-	if err := os.Rename(filepath.Join(dir, walSegmentName(1)), filepath.Join(dir, legacyWALFileName)); err != nil {
-		t.Fatal(err)
-	}
-
-	re := mustOpenFileStore(t, sys, dir)
-	defer re.Close()
-	sameRecords(t, want, re.Records())
-	if _, err := os.Stat(filepath.Join(dir, legacyWALFileName)); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("legacy wal.maacs still present after migration (stat: %v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, walSegmentName(1))); err != nil {
-		t.Fatalf("migrated segment missing: %v", err)
-	}
-
-	// Both layouts at once is ambiguous and must be refused.
-	re.Close()
-	if err := os.WriteFile(filepath.Join(dir, legacyWALFileName), nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenFileStore(sys, dir); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("mixed layouts: got %v, want ErrWALCorrupt", err)
+	if _, err := os.Stat(filepath.Join(alone, walSegmentName(1))); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused open created a segment (stat: %v)", err)
 	}
 }
 

@@ -216,36 +216,6 @@ func (h *httpGateway) listCiphertexts(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string][]string{"ciphertexts": out})
 }
 
-// decodeReEncryptItem decodes one update-info set, rejecting duplicate
-// ciphertext IDs (silent overwrites in the map would drop update info on the
-// floor and report success).
-func decodeReEncryptItem(sys *core.System, in HTTPReEncryptRequest) (ReEncryptItem, error) {
-	ukRaw, err := base64.StdEncoding.DecodeString(in.UpdateKey)
-	if err != nil {
-		return ReEncryptItem{}, errors.New("bad update key encoding")
-	}
-	uk, err := core.UnmarshalUpdateKey(sys.Params, ukRaw)
-	if err != nil {
-		return ReEncryptItem{}, err
-	}
-	uis := make(map[string]*core.UpdateInfo, len(in.UpdateInfos))
-	for i, s := range in.UpdateInfos {
-		raw, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return ReEncryptItem{}, fmt.Errorf("bad update info %d", i)
-		}
-		ui, err := core.UnmarshalUpdateInfo(sys.Params, raw)
-		if err != nil {
-			return ReEncryptItem{}, err
-		}
-		if _, dup := uis[ui.CiphertextID]; dup {
-			return ReEncryptItem{}, fmt.Errorf("%w: ciphertext %q listed twice", ErrDuplicateUpdateInfo, ui.CiphertextID)
-		}
-		uis[ui.CiphertextID] = ui
-	}
-	return ReEncryptItem{UK: uk, UIs: uis}, nil
-}
-
 func (h *httpGateway) reencrypt(w http.ResponseWriter, r *http.Request) {
 	var in HTTPBatchReEncryptRequest
 	if !decodeBody(w, r, &in) {
@@ -253,12 +223,22 @@ func (h *httpGateway) reencrypt(w http.ResponseWriter, r *http.Request) {
 	}
 	items := make([]ReEncryptItem, len(in.Items))
 	for i, hin := range in.Items {
-		item, err := decodeReEncryptItem(h.sys, hin)
+		uk, err := base64.StdEncoding.DecodeString(hin.UpdateKey)
 		if err != nil {
+			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("item %d: bad update key encoding", i)})
+			return
+		}
+		uis := make([][]byte, len(hin.UpdateInfos))
+		for j, s := range hin.UpdateInfos {
+			if uis[j], err = base64.StdEncoding.DecodeString(s); err != nil {
+				writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("item %d: bad update info %d", i, j)})
+				return
+			}
+		}
+		if items[i], err = decodeReEncryptItem(h.sys, uk, uis); err != nil {
 			writeJSON(w, statusFor(err), httpError{Error: fmt.Sprintf("item %d: %v", i, err)})
 			return
 		}
-		items[i] = item
 	}
 	report, err := h.server.ReEncrypt(r.PathValue("id"), items)
 	if err != nil {

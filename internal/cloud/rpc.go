@@ -138,16 +138,18 @@ func (s *ServerRPC) Ciphertexts(args *RPCCiphertextsArgs, reply *RPCCiphertextsR
 	return nil
 }
 
-// decodeRPCItem decodes one update-info set, rejecting duplicate ciphertext
-// IDs (they would silently overwrite each other in the map).
-func (s *ServerRPC) decodeRPCItem(updateKey []byte, updateInfos [][]byte) (ReEncryptItem, error) {
-	uk, err := core.UnmarshalUpdateKey(s.sys.Params, updateKey)
+// decodeReEncryptItem decodes one update-info set from its wire encodings,
+// rejecting duplicate ciphertext IDs (silent overwrites in the map would drop
+// update info on the floor and report success). Both transports call it:
+// RPC with the raw bytes, HTTP once it has base64-decoded them.
+func decodeReEncryptItem(sys *core.System, updateKey []byte, updateInfos [][]byte) (ReEncryptItem, error) {
+	uk, err := core.UnmarshalUpdateKey(sys.Params, updateKey)
 	if err != nil {
 		return ReEncryptItem{}, fmt.Errorf("re-encrypt: %w", err)
 	}
 	uis := make(map[string]*core.UpdateInfo, len(updateInfos))
 	for i, raw := range updateInfos {
-		ui, err := core.UnmarshalUpdateInfo(s.sys.Params, raw)
+		ui, err := core.UnmarshalUpdateInfo(sys.Params, raw)
 		if err != nil {
 			return ReEncryptItem{}, fmt.Errorf("re-encrypt info %d: %w", i, err)
 		}
@@ -163,7 +165,7 @@ func (s *ServerRPC) decodeRPCItem(updateKey []byte, updateInfos [][]byte) (ReEnc
 func (s *ServerRPC) ReEncrypt(args *RPCReEncryptArgs, reply *RPCReEncryptReply) error {
 	items := make([]ReEncryptItem, len(args.Items))
 	for i, it := range args.Items {
-		item, err := s.decodeRPCItem(it.UpdateKey, it.UpdateInfos)
+		item, err := decodeReEncryptItem(s.sys, it.UpdateKey, it.UpdateInfos)
 		if err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}

@@ -149,6 +149,16 @@ func TestRPCRevocationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The same ciphertext listed twice inside one item is rejected before
+	// anything runs, so the well-formed request below still applies.
+	raw := uis[0].Marshal()
+	dup := &RPCReEncryptArgs{OwnerID: "hospital", Items: []RPCReEncryptItem{
+		{UpdateKey: uk.Marshal(), UpdateInfos: [][]byte{raw, raw}},
+	}}
+	if err := remote.client.Call("CloudServer.ReEncrypt", dup, &RPCReEncryptReply{}); err == nil ||
+		!strings.Contains(err.Error(), ErrDuplicateUpdateInfo.Error()) {
+		t.Fatalf("ciphertext listed twice: got %v, want %v", err, ErrDuplicateUpdateInfo)
+	}
 	uiMap := map[string]*core.UpdateInfo{uis[0].CiphertextID: uis[0]}
 	reencReport, err := remote.ReEncrypt("hospital", []ReEncryptItem{{UK: uk, UIs: uiMap}})
 	if err != nil {

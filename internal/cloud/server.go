@@ -104,17 +104,12 @@ type BatchReport struct {
 	// Ciphertexts and Rows total the committed work.
 	Ciphertexts int `json:"ciphertexts"`
 	Rows        int `json:"rows"`
-	// Window is the item cap per engine run this batch started with (the
-	// whole batch when the server is unwindowed). Under adaptive sizing later
-	// windows may differ; WindowSizes holds what actually ran.
+	// Window is the item cap per engine run: the server's SetBatchWindow
+	// size, or the whole batch when that is smaller.
 	Window int `json:"window"`
 	// Windows counts the engine runs performed (committed windows plus, on
 	// failure, none for the failing window).
 	Windows int `json:"windows"`
-	// WindowSizes lists the item count of each committed window in order —
-	// under adaptive sizing (SetBatchWindowTarget) this is the evidence of
-	// how the server rescaled the batch.
-	WindowSizes []int `json:"window_sizes,omitempty"`
 	// NextItem is the index of the first item whose window did not commit:
 	// len(Items) after a fully committed batch, the failing window's first
 	// item after a mid-batch failure. A client on any transport resumes by
@@ -123,6 +118,11 @@ type BatchReport struct {
 	// Committed lists the record IDs whose components were replaced, sorted.
 	Committed []string `json:"committed"`
 	// Engine sums the engine activity of every committed window's run.
+	// WallNs is this request's own fan-out wall time. The job and cache
+	// counters are process-wide deltas over those runs, so every other
+	// engine user in the process during a run lands in them too: the
+	// benchmark's readers, which decrypt in the server's process, show up in
+	// a revocation's counts.
 	Engine engine.Stats `json:"engine"`
 }
 
@@ -152,7 +152,10 @@ type Metrics struct {
 	// matching the meter-on-success contract.
 	ReEncryptFailures uint64 `json:"reencrypt_failures"`
 	// Engine accumulates the engine.Stats deltas of every re-encryption run
-	// on this server (WallNs is the summed fan-out wall time).
+	// on this server. WallNs is the summed fan-out wall time of those runs;
+	// the job and cache counters are process-wide deltas, so other engine
+	// users in the process during a run count in them (see
+	// BatchReport.Engine).
 	Engine engine.Stats `json:"engine"`
 	// Owners breaks the counters down per data owner.
 	Owners map[string]OwnerStats `json:"owners,omitempty"`
@@ -222,9 +225,12 @@ type Server struct {
 	metrics       Metrics
 	owners        map[string]*OwnerStats
 	window        int
-	windowTarget  time.Duration
 	snapshotLimit int64
 }
+
+// defaultBatchWindow is the re-encryption window a server starts with: at
+// most this many update-info sets fuse into one engine run and commit.
+const defaultBatchWindow = 64
 
 // userCounters is one user's lock-free download counter row.
 type userCounters struct {
@@ -264,6 +270,7 @@ func NewServerWithStore(sys *core.System, acct *Accounting, store Store) *Server
 		durs:   durs,
 		resp:   NewResponseCache(DefaultResponseCacheBytes),
 		owners: make(map[string]*OwnerStats),
+		window: defaultBatchWindow,
 	}
 }
 
@@ -284,29 +291,14 @@ func (s *Server) StoreInfo() StoreInfo { return s.store.Info() }
 
 // SetBatchWindow configures the window of ReEncrypt: at most n update-info
 // sets are fused into one engine run, with the commit applied per window.
-// n <= 0 restores the unwindowed default (the whole batch in one run).
+// n <= 0 restores the default window of 64.
 func (s *Server) SetBatchWindow(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n < 0 {
-		n = 0
+	if n <= 0 {
+		n = defaultBatchWindow
 	}
 	s.window = n
-}
-
-// SetBatchWindowTarget enables adaptive window sizing: after each committed
-// window the server rescales the next window so one engine run takes roughly
-// d of wall time, using the previous window's measured per-item cost. d <= 0
-// disables adaptation (windows stay at the SetBatchWindow size). The target
-// only applies to a windowed server — an unwindowed one still fuses every
-// batch into one run.
-func (s *Server) SetBatchWindowTarget(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	s.windowTarget = d
 }
 
 // ownerStatsLocked returns the mutable per-owner counter row, creating it on
@@ -540,13 +532,11 @@ func (s *Server) Metrics() Metrics {
 // POST /owners/{id}/reencrypt/batch all call it.
 //
 // The items stream through bounded engine runs of at most SetBatchWindow
-// items each (unwindowed by default: the whole batch in one run), resized
-// after every window when SetBatchWindowTarget is set. Each window snapshots
-// its slots from the store, fans out with no lock held — so downloads and
-// uploads proceed while the expensive group arithmetic runs — and commits its
-// swaps atomically through Store.ReplaceIfUnchanged, which re-validates that
-// every slot still holds the snapshot it was computed from
-// (ErrReEncryptConflict otherwise).
+// items each (64 by default). Each window snapshots its slots from the
+// store, fans out with no lock held — so downloads and uploads proceed while
+// the expensive group arithmetic runs — and commits its swaps atomically
+// through Store.ReplaceIfUnchanged, which re-validates that every slot still
+// holds the snapshot it was computed from (ErrReEncryptConflict otherwise).
 //
 // Items must target disjoint ciphertexts — chained version updates of the
 // same ciphertext need sequential requests. An empty batch, overlapping items
@@ -590,27 +580,17 @@ func (s *Server) ReEncrypt(ownerID string, items []ReEncryptItem) (*BatchReport,
 	}
 
 	s.mu.Lock()
-	window, target := s.window, s.windowTarget
+	window := min(s.window, len(items))
 	s.mu.Unlock()
-	// An unwindowed server runs the whole batch as one window, which leaves
-	// no later window for the adaptive target to resize.
-	if window <= 0 || window > len(items) {
-		window = len(items)
-	}
 	report := &BatchReport{
 		Items:     make([]ReEncryptResult, len(items)),
 		Window:    window,
 		Committed: []string{},
 	}
 	committed := make(map[string]bool)
-	size := window
-	for start := 0; start < len(items); {
-		end := start + size
-		if end > len(items) {
-			end = len(items)
-		}
-		stats, err := s.reencryptWindow(ownerID, items, start, end, claimed, report, committed)
-		if err != nil {
+	for start := 0; start < len(items); start += window {
+		end := min(start+window, len(items))
+		if err := s.reencryptWindow(ownerID, items, start, end, claimed, report, committed); err != nil {
 			s.mu.Lock()
 			s.metrics.ReEncryptFailures++
 			s.ownerStatsLocked(ownerID).ReEncryptFailures++
@@ -619,11 +599,6 @@ func (s *Server) ReEncrypt(ownerID string, items []ReEncryptItem) (*BatchReport,
 			report.NextItem = start
 			return report, err
 		}
-		report.WindowSizes = append(report.WindowSizes, end-start)
-		if target > 0 && end < len(items) {
-			size = nextWindowSize(size, end-start, stats.WallNs, target)
-		}
-		start = end
 	}
 	report.Committed = sortedKeys(committed)
 	report.NextItem = len(items)
@@ -632,30 +607,6 @@ func (s *Server) ReEncrypt(ownerID string, items []ReEncryptItem) (*BatchReport,
 	s.ownerStatsLocked(ownerID).ReEncryptRequests++
 	s.mu.Unlock()
 	return report, nil
-}
-
-// nextWindowSize rescales an adaptive window from the previous window's
-// measured engine wall time: the next window aims for target wall time at the
-// observed per-item cost. Growth is capped at 4× per step so one anomalously
-// fast window cannot balloon the next commit, and the result never drops
-// below one item.
-func nextWindowSize(prev, did int, wallNs int64, target time.Duration) int {
-	if prev < 1 {
-		prev = 1
-	}
-	next := prev * 4
-	if did > 0 {
-		if perItem := wallNs / int64(did); perItem > 0 {
-			next = int(int64(target) / perItem)
-		}
-	}
-	if next > prev*4 {
-		next = prev * 4
-	}
-	if next < 1 {
-		next = 1
-	}
-	return next
 }
 
 // windowWork is one slot of a window's snapshot: where the result commits
@@ -673,10 +624,8 @@ type windowWork struct {
 // snapshot from the store, compute with no lock held, commit-or-reject
 // through ReplaceIfUnchanged. On success the window's work is folded into
 // report, the committed set, the accounting meter and the cumulative +
-// per-owner metrics, and the run's engine stats are returned so adaptive
-// sizing can rescale the next window; on error nothing from this window is
-// applied.
-func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, end int, claimed map[string]int, report *BatchReport, committed map[string]bool) (engine.Stats, error) {
+// per-owner metrics; on error nothing from this window is applied.
+func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, end int, claimed map[string]int, report *BatchReport, committed map[string]bool) error {
 	// Snapshot the window's affected slots in stable record order. Stored
 	// records and their ciphertexts are immutable, so the captured pointers
 	// stay valid without any lock.
@@ -714,7 +663,7 @@ func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, e
 		})
 	})
 	if err != nil {
-		return engine.Stats{}, err
+		return err
 	}
 
 	// Commit only if every slot still holds the ciphertext this window was
@@ -729,7 +678,7 @@ func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, e
 		swaps[j] = CTSwap{RecordID: w.recID, Index: w.idx, Expect: w.ct, New: reencs[j]}
 	}
 	if err := s.store.ReplaceIfUnchanged(ownerID, swaps); err != nil {
-		return engine.Stats{}, err
+		return err
 	}
 	// The window committed: invalidate each replaced record's cached
 	// responses before the batch (and so the caller) can observe the commit.
@@ -775,7 +724,7 @@ func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, e
 	os.ReEncryptedCiphertexts += uint64(winCts)
 	os.ReEncryptedRows += uint64(winRows)
 	os.Engine = os.Engine.Add(stats)
-	return stats, nil
+	return nil
 }
 
 // sortedKeys returns the map's keys in sorted order.

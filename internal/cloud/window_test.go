@@ -3,11 +3,11 @@ package cloud
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"maacs/internal/core"
 )
@@ -41,8 +41,8 @@ func uploadSecondRecord(t *testing.T, owner *OwnerClient) {
 
 // TestReEncryptBatchWindowedMatchesUnwindowed is the differential test for
 // the streaming mode: a window smaller than the batch must produce exactly
-// the stored state the unwindowed fused run produces — windowing changes
-// locking and scheduling, never ciphertexts.
+// the stored state one fused run produces (the default window holds all five
+// items) — windowing changes locking and scheduling, never ciphertexts.
 func TestReEncryptBatchWindowedMatchesUnwindowed(t *testing.T) {
 	env, owner := hospitalEnv(t)
 	uploadPatientRecord(t, owner)
@@ -113,101 +113,32 @@ func TestReEncryptBatchWindowedMatchesUnwindowed(t *testing.T) {
 	}
 }
 
-// TestReEncryptBatchAdaptiveMatchesFixed is the differential test for
-// adaptive window sizing: with a wall-time target set, the server rescales
-// each window from the previous window's measured engine wall time — but the
-// stored ciphertexts must come out bit-identical to a fixed-window run and to
-// the unwindowed fused run. Sizing changes scheduling, never output.
-func TestReEncryptBatchAdaptiveMatchesFixed(t *testing.T) {
+// TestReEncryptDefaultWindow: a server nobody configured runs the deployed
+// window — a 65-item batch fuses its first 64 items into one engine run and
+// commit and the last item into a second.
+func TestReEncryptDefaultWindow(t *testing.T) {
 	env, owner := hospitalEnv(t)
-	uploadPatientRecord(t, owner)
-	uploadSecondRecord(t, owner)
-	ownerID := owner.Owner.ID()
-
+	comps := make([]UploadComponent, 65)
+	for i := range comps {
+		comps[i] = UploadComponent{Label: fmt.Sprintf("c%02d", i), Data: []byte{byte(i)}, Policy: "med:doctor"}
+	}
+	if _, err := owner.Upload("bulk", comps); err != nil {
+		t.Fatal(err)
+	}
 	uk, uis := revocationInputs(t, env, owner)
 	items := perCiphertextItems(uk, uis)
-
-	seed, fresh := restorer(t, env)
-	fixed, adaptive, unwin := fresh(), fresh(), fresh()
-	fixed.SetBatchWindow(2)
-	adaptive.SetBatchWindow(2)
-
-	repF, err := fixed.ReEncrypt(ownerID, items)
+	if len(items) != 65 {
+		t.Fatalf("corpus has %d update infos, want 65", len(items))
+	}
+	rep, err := env.Server.ReEncrypt(owner.Owner.ID(), items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A generous target lets the adaptive run grow past the initial window; a
-	// tiny target would shrink back to 1-item windows. Either way the output
-	// must not change. The unwindowed server gets the same target, which it
-	// must ignore.
-	adaptive.SetBatchWindowTarget(time.Minute)
-	unwin.SetBatchWindowTarget(time.Minute)
-	repA, err := adaptive.ReEncrypt(ownerID, items)
-	if err != nil {
-		t.Fatal(err)
+	if rep.Windows != 2 || rep.Window != 64 {
+		t.Fatalf("%d windows of %d, want 2 of 64", rep.Windows, rep.Window)
 	}
-	repU, err := unwin.ReEncrypt(ownerID, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, rep := range map[string]*BatchReport{"fixed": repF, "adaptive": repA, "unwindowed": repU} {
-		total := 0
-		for _, sz := range rep.WindowSizes {
-			total += sz
-		}
-		if total != len(items) || len(rep.WindowSizes) != rep.Windows {
-			t.Fatalf("%s run: window sizes %v across %d windows do not cover %d items",
-				name, rep.WindowSizes, rep.Windows, len(items))
-		}
-		if rep.NextItem != len(items) {
-			t.Fatalf("%s run: NextItem %d, want %d", name, rep.NextItem, len(items))
-		}
-	}
-	if repF.WindowSizes[0] != 2 || repA.WindowSizes[0] != 2 {
-		t.Fatalf("first window must honour the configured cap: fixed %v, adaptive %v",
-			repF.WindowSizes, repA.WindowSizes)
-	}
-	// The unwindowed run ignores the target entirely.
-	if repU.Windows != 1 {
-		t.Fatalf("unwindowed run split into %d windows", repU.Windows)
-	}
-
-	sf := snapshotBytes(t, fixed)
-	if !bytes.Equal(sf, snapshotBytes(t, adaptive)) {
-		t.Fatal("adaptive windowing diverged from fixed windowing")
-	}
-	if !bytes.Equal(sf, snapshotBytes(t, unwin)) {
-		t.Fatal("windowed runs diverged from the unwindowed run")
-	}
-	if bytes.Equal(sf, seed) {
-		t.Fatal("re-encryption did not change the stored ciphertexts")
-	}
-}
-
-// TestNextWindowSize pins the adaptive resizing rule: scale to the target at
-// the observed per-item cost, grow at most 4x per step, never below one item.
-func TestNextWindowSize(t *testing.T) {
-	cases := []struct {
-		prev   int
-		did    int
-		wallNs int64
-		target time.Duration
-		want   int
-	}{
-		{2, 2, int64(20 * time.Millisecond), 100 * time.Millisecond, 8},  // 10ms/item → 10 items, capped at 4x
-		{4, 4, int64(4 * time.Millisecond), 100 * time.Millisecond, 16},  // 1ms/item → 100, capped at 16
-		{8, 8, int64(800 * time.Millisecond), 100 * time.Millisecond, 1}, // 100ms/item → 1
-		{8, 8, int64(400 * time.Millisecond), 100 * time.Millisecond, 2}, // 50ms/item → 2
-		{3, 3, 0, 100 * time.Millisecond, 12},                            // no measurement → grow 4x
-		{0, 0, 0, 100 * time.Millisecond, 4},                             // degenerate prev clamps to 1, then 4x
-		{5, 5, int64(50 * time.Millisecond), 50 * time.Millisecond, 5},   // on target → hold
-	}
-	for _, c := range cases {
-		if got := nextWindowSize(c.prev, c.did, c.wallNs, c.target); got != c.want {
-			t.Errorf("nextWindowSize(%d, %d, %d, %v) = %d, want %d",
-				c.prev, c.did, c.wallNs, c.target, got, c.want)
-		}
+	if rep.Ciphertexts != 65 || rep.NextItem != 65 {
+		t.Fatalf("committed %d ciphertexts, next item %d; want 65 and 65", rep.Ciphertexts, rep.NextItem)
 	}
 }
 

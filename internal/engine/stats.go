@@ -73,9 +73,11 @@ func (s Stats) Add(o Stats) Stats {
 }
 
 // Measure runs f and returns the engine activity it caused, with WallNs set
-// to f's wall time. The attribution is exact when f is the only engine user
-// during the call (the cloud server guarantees this by measuring under its
-// own lock) and an over-count otherwise.
+// to f's wall time. The job and cache counters are process-wide deltas: exact
+// when f is the only engine user during the call, an over-count otherwise.
+// Nothing serializes engine use — the cloud server measures each
+// re-encryption window with no lock held — so concurrent engine users in the
+// process (readers decrypting, other re-encryptions) land in the counts.
 func Measure(f func() error) (Stats, error) {
 	pre := SnapshotStats()
 	start := time.Now()
