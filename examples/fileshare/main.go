@@ -93,7 +93,7 @@ func runExample() error {
 	fmt.Println("owner uploaded design.pdf (ciphertext + sealed payload)")
 
 	// --- user client: download over RPC + decrypt locally ---
-	comp, err := remote.FetchComponent("design.pdf", "body")
+	comp, err := remote.FetchComponentAs("design.pdf", "body", "alice")
 	if err != nil {
 		return err
 	}

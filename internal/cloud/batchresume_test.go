@@ -45,7 +45,7 @@ func midBatchConflict(t *testing.T, env *Env, owner *OwnerClient) ([]ReEncryptIt
 			return
 		}
 		for _, id := range []string{"patient-7", "patient-8"} {
-			rec, err := env.Server.FetchAs(id, "")
+			rec, err := fetchRecord(env.Server, id)
 			if err != nil {
 				t.Errorf("hook fetch %s: %v", id, err)
 				return

@@ -60,6 +60,23 @@ func uploadPatientRecord(t *testing.T, owner *OwnerClient) *Record {
 	return rec
 }
 
+// fetchRecord downloads a whole record, unattributed, through FetchWire and
+// decodes it as every client does.
+func fetchRecord(s *Server, id string) (*Record, error) {
+	ownerID, raw, err := s.FetchWire(id, "", "")
+	if err != nil {
+		return nil, err
+	}
+	comps, err := decodeComponents(s.sys, id, raw)
+	if err != nil {
+		return nil, err
+	}
+	return &Record{ID: id, OwnerID: ownerID, Components: comps}, nil
+}
+
+// recordCount is the number of records the server's store holds.
+func recordCount(s *Server) int { return len(s.store.Records()) }
+
 func TestEndToEndUploadDownload(t *testing.T) {
 	env, owner := hospitalEnv(t)
 	uploadPatientRecord(t, owner)
@@ -229,11 +246,16 @@ func TestRevokeUnheldAttributeFails(t *testing.T) {
 func TestServerErrors(t *testing.T) {
 	env, owner := hospitalEnv(t)
 	uploadPatientRecord(t, owner)
-	if _, err := env.Server.Fetch("ghost"); !errors.Is(err, ErrRecordNotFound) {
+	if _, _, err := env.Server.FetchWire("ghost", "", ""); !errors.Is(err, ErrRecordNotFound) {
 		t.Fatalf("got %v, want ErrRecordNotFound", err)
 	}
-	if _, err := env.Server.FetchComponent("patient-7", "ghost"); !errors.Is(err, ErrComponentNotFound) {
+	if _, _, err := env.Server.FetchWire("patient-7", "ghost", ""); !errors.Is(err, ErrComponentNotFound) {
 		t.Fatalf("got %v, want ErrComponentNotFound", err)
+	}
+	// FetchWire reads an empty label as the whole record; Download must not.
+	doctor := addUser(t, env, "dr-err", map[string][]string{"med": {"doctor"}})
+	if _, err := doctor.Download("patient-7", ""); !errors.Is(err, ErrComponentNotFound) {
+		t.Fatalf("empty label: got %v, want ErrComponentNotFound", err)
 	}
 	rec := &Record{ID: "patient-7", OwnerID: "hospital"}
 	if err := env.Server.Store(rec); err == nil {

@@ -17,7 +17,7 @@ func TestDeleteRecord(t *testing.T) {
 	if owner.Owner.RecordCount() != 0 {
 		t.Fatalf("owner retains %d records after delete", owner.Owner.RecordCount())
 	}
-	if _, err := env.Server.Fetch("patient-7"); !errors.Is(err, ErrRecordNotFound) {
+	if _, _, err := env.Server.FetchWire("patient-7", "", ""); !errors.Is(err, ErrRecordNotFound) {
 		t.Fatalf("record still fetchable: %v", err)
 	}
 }
@@ -32,7 +32,7 @@ func TestDeleteRequiresOwnership(t *testing.T) {
 	if err := intruder.Delete("patient-7"); err == nil {
 		t.Fatal("foreign owner deleted the record")
 	}
-	if _, err := env.Server.Fetch("patient-7"); err != nil {
+	if _, _, err := env.Server.FetchWire("patient-7", "", ""); err != nil {
 		t.Fatalf("record damaged by failed delete: %v", err)
 	}
 }

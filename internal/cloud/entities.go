@@ -311,13 +311,29 @@ func (oc *OwnerClient) Delete(recordID string) error {
 	return nil
 }
 
-// Download fetches one component and decrypts it end to end: CP-ABE opens
-// the content key, the content key opens the data.
-func (u *UserClient) Download(recordID, label string) ([]byte, error) {
-	comp, err := u.env.Server.FetchComponentAs(recordID, label, u.UID)
+// fetch downloads a record (label == "") or one component through
+// Server.FetchWire, the read path RPC CloudServer.Fetch serves, attributed to
+// the user, and decodes the reply as RemoteServer does.
+func (u *UserClient) fetch(recordID, label string) ([]StoredComponent, error) {
+	_, raw, err := u.env.Server.FetchWire(recordID, label, u.UID)
 	if err != nil {
 		return nil, err
 	}
+	return decodeComponents(u.env.Sys, recordID, raw)
+}
+
+// Download fetches one component and decrypts it end to end: CP-ABE opens
+// the content key, the content key opens the data. An empty label names no
+// component: FetchWire reads it as the whole record.
+func (u *UserClient) Download(recordID, label string) ([]byte, error) {
+	if label == "" {
+		return nil, fmt.Errorf("%w: %q/%q", ErrComponentNotFound, recordID, label)
+	}
+	comps, err := u.fetch(recordID, label)
+	if err != nil {
+		return nil, err
+	}
+	comp := comps[0]
 	sks := u.keysFor(comp.CT.OwnerID)
 	el, err := core.Decrypt(u.env.Sys, comp.CT, u.PK, sks)
 	if err != nil {
@@ -335,12 +351,12 @@ func (u *UserClient) Download(recordID, label string) ([]byte, error) {
 // open, returning label → plaintext — the paper's "different users obtain
 // different granularities of information from the same data".
 func (u *UserClient) DownloadRecord(recordID string) (map[string][]byte, error) {
-	rec, err := u.env.Server.FetchAs(recordID, u.UID)
+	comps, err := u.fetch(recordID, "")
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string][]byte)
-	for _, comp := range rec.Components {
+	for _, comp := range comps {
 		sks := u.keysFor(comp.CT.OwnerID)
 		el, err := core.Decrypt(u.env.Sys, comp.CT, u.PK, sks)
 		if err != nil {

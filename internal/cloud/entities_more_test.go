@@ -75,8 +75,8 @@ func TestUploadWithUnknownPolicyAttributeFails(t *testing.T) {
 		t.Fatalf("got %v, want ErrUnknownAttribute", err)
 	}
 	// A failed upload must not leave a record behind.
-	if ids := env.Server.RecordIDs(); len(ids) != 0 {
-		t.Fatalf("partial upload left records: %v", ids)
+	if n := recordCount(env.Server); n != 0 {
+		t.Fatalf("partial upload left %d records", n)
 	}
 }
 

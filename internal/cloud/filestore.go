@@ -22,7 +22,8 @@ import (
 // (a MemStore) fronting a segmented append-only write-ahead log plus a
 // periodic snapshot file, all in one data directory.
 //
-//	<dir>/snapshot.maacs     — full state in the Server.Snapshot wire format
+//	<dir>/snapshot.maacs     — full state: snapshotMagic, a record count and
+//	                           each record as encodeRecord writes it
 //	<dir>/wal-00000042.maacs — framed entries appended since that snapshot,
 //	                           split into fixed-threshold segments
 //
@@ -50,7 +51,7 @@ import (
 // snapshot (tmp + rename) and deletes them whole — compaction never runs
 // inline on a committing writer, and the live segment is never truncated.
 //
-// Reads (Get, OwnerScan, IDs, Records, …) go straight to the index under its
+// Reads (Get, OwnerScan, Records) go straight to the index under its
 // read lock and never touch the files — a fetch is never blocked behind an
 // fsync — and Info reads only atomics, so health checks return even while a
 // commit is stalled on a sick disk. The store assumes a single process owns
@@ -795,12 +796,6 @@ func encodeDeleteEntry(id string) []byte {
 // Get reads the index directly — never blocked behind a log append.
 func (f *FileStore) Get(id string) (*Record, bool) { return f.mem.Get(id) }
 
-// Len reports the number of stored records.
-func (f *FileStore) Len() int { return f.mem.Len() }
-
-// IDs lists the stored record IDs sorted.
-func (f *FileStore) IDs() []string { return f.mem.IDs() }
-
 // OwnerScan visits the owner's records in sorted ID order.
 func (f *FileStore) OwnerScan(ownerID string, fn func(*Record) bool) {
 	f.mem.OwnerScan(ownerID, fn)
@@ -889,8 +884,10 @@ func (f *FileStore) ReplaceIfUnchanged(ownerID string, swaps []CTSwap) error {
 	})
 }
 
-// Restore logs and installs a snapshot's records as one group commit,
-// refusing to overwrite any existing ID.
+// Restore logs and installs a batch of records as one group commit,
+// refusing to overwrite any existing ID (including a duplicate within the
+// batch). It is the bulk loader for a fresh store; the server never calls
+// it.
 func (f *FileStore) Restore(recs []*Record) error {
 	return f.commit(func() ([][]byte, []overlayWrite, func(), error) {
 		seen := make(map[string]bool, len(recs))

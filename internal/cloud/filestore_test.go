@@ -81,7 +81,7 @@ func TestFileStoreGroupCommitStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLen := writers * rounds / 2 // odd rounds deleted their record
-	if got := fs.Len(); got != wantLen {
+	if got := len(fs.Records()); got != wantLen {
 		t.Fatalf("len %d, want %d", got, wantLen)
 	}
 	want := fs.Records()
@@ -143,8 +143,8 @@ func TestFileStoreGroupCommitCoalesces(t *testing.T) {
 	if got := fs.Info().WALFsyncs - base; got != 2 {
 		t.Fatalf("5 concurrent puts cost %d fsyncs, want 2 (leader + one coalesced batch)", got)
 	}
-	if fs.Len() != 5 {
-		t.Fatalf("len %d, want 5", fs.Len())
+	if n := len(fs.Records()); n != 5 {
+		t.Fatalf("len %d, want 5", n)
 	}
 }
 

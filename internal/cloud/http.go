@@ -150,16 +150,11 @@ func (h *httpGateway) storeRecord(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &in) {
 		return
 	}
-	rec := &Record{ID: in.ID, OwnerID: in.OwnerID}
-	for _, c := range in.Components {
-		ctRaw, err := base64.StdEncoding.DecodeString(c.CT)
+	raw := make([]RPCComponent, len(in.Components))
+	for i, c := range in.Components {
+		ct, err := base64.StdEncoding.DecodeString(c.CT)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, httpError{Error: "bad ct encoding: " + err.Error()})
-			return
-		}
-		ct, err := core.UnmarshalCiphertext(h.sys.Params, ctRaw)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
 			return
 		}
 		sealed, err := base64.StdEncoding.DecodeString(c.Sealed)
@@ -167,13 +162,18 @@ func (h *httpGateway) storeRecord(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, httpError{Error: "bad sealed encoding: " + err.Error()})
 			return
 		}
-		rec.Components = append(rec.Components, StoredComponent{Label: c.Label, CT: ct, Sealed: sealed})
+		raw[i] = RPCComponent{Label: c.Label, CT: ct, Sealed: sealed}
 	}
-	if err := h.server.Store(rec); err != nil {
+	comps, err := decodeComponents(h.sys, in.ID, raw)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
+		return
+	}
+	if err := h.server.Store(&Record{ID: in.ID, OwnerID: in.OwnerID, Components: comps}); err != nil {
 		writeJSON(w, statusFor(err), httpError{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": rec.ID})
+	writeJSON(w, http.StatusCreated, map[string]string{"id": in.ID})
 }
 
 func (h *httpGateway) fetchRecord(w http.ResponseWriter, r *http.Request) {

@@ -3,141 +3,146 @@ package cloud
 import (
 	"bytes"
 	"crypto/rand"
-	"errors"
-	"io"
+	"math/big"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"maacs/internal/core"
 	"maacs/internal/pairing"
+	"maacs/internal/wire"
 )
 
+// TestSnapshotRestoreRoundTrip: records bulk-loaded into a FileStore and
+// folded into snapshot.maacs come back from that file alone. A server over
+// the reopened directory serves them and the same user still decrypts (only
+// ciphertexts moved; keys never left the clients), and the file is
+// deterministic: the same records loaded in another order write the same
+// bytes.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	env, owner := hospitalEnv(t)
 	uploadPatientRecord(t, owner)
+	uploadSecondRecord(t, owner)
 	doctor := addUser(t, env, "dr-x", map[string][]string{
 		"med": {"doctor"}, "trial": {"researcher"},
 	})
-
-	var buf bytes.Buffer
-	if err := env.Server.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	recs := env.Server.store.Records()
+	snapshotOf := func(recs []*Record) (dir string, data []byte) {
+		dir = t.TempDir()
+		fs := mustOpenFileStore(t, env.Sys, dir)
+		if err := fs.Restore(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, snapshotFileName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, data
+	}
+	dir, data := snapshotOf(recs)
+	if _, again := snapshotOf([]*Record{recs[1], recs[0]}); !bytes.Equal(data, again) {
+		t.Fatal("snapshot not deterministic")
 	}
 
-	// A fresh server restores the data; the same user can still decrypt
-	// through it (only ciphertexts moved — keys never left the clients).
-	restored := NewServer(env.Sys, NewAccounting())
-	if err := restored.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
+	restored := NewServerWithStore(env.Sys, NewAccounting(), mustOpenFileStore(t, env.Sys, dir))
+	defer restored.Close()
+	if info := restored.StoreInfo(); info.Records != 2 || info.WALBytes != 0 {
+		t.Fatalf("reopened store %+v, want 2 records and an empty WAL", info)
 	}
-	comp, err := restored.FetchComponent("patient-7", "diagnosis")
+	_, raw, err := restored.FetchWire("patient-7", "diagnosis", "dr-x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	el, err := core.Decrypt(env.Sys, comp.CT, doctor.PK, doctor.keysFor("hospital"))
+	comps, err := decodeComponents(env.Sys, "patient-7", raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, err := core.Decrypt(env.Sys, comps[0].CT, doctor.PK, doctor.keysFor("hospital"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if el == nil {
 		t.Fatal("nil plaintext element")
 	}
-	// Snapshot is deterministic.
-	var buf2 bytes.Buffer
-	if err := env.Server.Snapshot(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("snapshot not deterministic")
-	}
 }
 
-func TestRestoreRejectsGarbageAndOverwrite(t *testing.T) {
+// TestOpenFileStoreRejectsDamagedSnapshot: snapshot.maacs is read only when
+// a FileStore opens, so a damaged file must fail the open instead of serving
+// a partial or forged store. The damage: a foreign magic, a truncated record,
+// trailing bytes, and a ciphertext whose C' is a curve point outside the
+// order-r subgroup.
+func TestOpenFileStoreRejectsDamagedSnapshot(t *testing.T) {
 	env, owner := hospitalEnv(t)
-	uploadPatientRecord(t, owner)
+	rec := uploadPatientRecord(t, owner)
+	var e wire.Encoder
+	e.String(snapshotMagic)
+	e.Int(1)
+	encodeRecord(&e, rec)
+	good := e.Bytes()
 
-	fresh := NewServer(env.Sys, nil)
-	if err := fresh.Restore(strings.NewReader("not a snapshot")); err == nil {
-		t.Fatal("garbage restored")
+	cPrime := rec.Components[0].CT.CPrime.Marshal()
+	offSubgroup := nonSubgroupG(env.Sys.Params)
+	if _, err := env.Sys.Params.UnmarshalGReference(offSubgroup); err == nil ||
+		!strings.Contains(err.Error(), "subgroup") {
+		t.Fatalf("reference decoder on the off-subgroup point: %v", err)
 	}
-	var buf bytes.Buffer
-	if err := env.Server.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	cases := map[string][]byte{
+		"foreign magic":    bytes.Replace(good, []byte(snapshotMagic), []byte("maacs-snapshot-v9"), 1),
+		"truncated record": good[:len(good)-8],
+		"trailing bytes":   append(good[:len(good):len(good)], 0),
+		"non-subgroup G":   bytes.Replace(good, cPrime, offSubgroup, 1),
 	}
-	// Truncated stream.
-	if err := fresh.Restore(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("truncated snapshot restored")
+	if !bytes.Contains(good, cPrime) {
+		t.Fatal("C' encoding not found in the snapshot")
 	}
-	// Restoring onto a server that already has the record must refuse.
-	if err := env.Server.Restore(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("overwrote existing records")
+	open := func(data []byte) error {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := OpenFileStore(env.Sys, dir)
+		if err == nil {
+			fs.Close()
+		}
+		return err
+	}
+	if err := open(good); err != nil {
+		t.Fatalf("intact snapshot refused: %v", err)
+	}
+	for name, data := range cases {
+		err := open(data)
+		if err == nil {
+			t.Errorf("%s: damaged snapshot opened", name)
+		} else if name == "non-subgroup G" && !strings.Contains(err.Error(), "subgroup") {
+			t.Errorf("%s: refused for another reason: %v", name, err)
+		}
 	}
 }
 
-// poisonReader fails the test if Restore reads past the header of a stream
-// it should already have rejected.
-type poisonReader struct{ t *testing.T }
-
-func (p poisonReader) Read([]byte) (int, error) {
-	p.t.Error("Restore buffered input past the rejected header")
-	return 0, errors.New("poisoned")
-}
-
-// TestRestoreChecksHeaderBeforeBuffering: the magic check runs on a
-// fixed-size streamed prefix, so foreign input is rejected without reading
-// (let alone buffering) the rest of the stream.
-func TestRestoreChecksHeaderBeforeBuffering(t *testing.T) {
-	env, _ := hospitalEnv(t)
-	fresh := NewServer(env.Sys, nil)
-
-	// Right length prefix, wrong magic: rejected from the header alone. The
-	// poisoned tail must never be read.
-	bad := append([]byte{byte(len(snapshotMagic))}, []byte("maacs-snapshot-v9")...)
-	err := fresh.Restore(io.MultiReader(bytes.NewReader(bad), poisonReader{t}))
-	if err == nil || !strings.Contains(err.Error(), "not a maacs snapshot") {
-		t.Fatalf("foreign magic: got %v", err)
-	}
-
-	// Streams shorter than the header are a header error, not a decode error.
-	if err := fresh.Restore(strings.NewReader("maacs")); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("truncated header: got %v, want ErrUnexpectedEOF", err)
-	}
-	if err := fresh.Restore(bytes.NewReader(nil)); !errors.Is(err, io.EOF) {
-		t.Fatalf("empty stream: got %v, want EOF", err)
-	}
-	if len(fresh.RecordIDs()) != 0 {
-		t.Fatal("rejected restores left records behind")
-	}
-}
-
-// TestRestoreRejectsOversizedSnapshot: the body after the header is size-
-// capped; anything larger is refused instead of buffered to the end.
-func TestRestoreRejectsOversizedSnapshot(t *testing.T) {
-	env, owner := hospitalEnv(t)
-	uploadPatientRecord(t, owner)
-	var buf bytes.Buffer
-	if err := env.Server.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-
-	// The limit is a per-server option — no global state to mutate and
-	// restore around the test.
-	fresh := NewServer(env.Sys, nil)
-	fresh.SetSnapshotLimit(int64(buf.Len()) - 100) // below the body size
-	if err := fresh.Restore(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrSnapshotTooLarge) {
-		t.Fatalf("got %v, want ErrSnapshotTooLarge", err)
-	}
-	if len(fresh.RecordIDs()) != 0 {
-		t.Fatal("oversized restore left records behind")
-	}
-
-	// The same stream restores fine once it fits the cap.
-	fresh.SetSnapshotLimit(int64(buf.Len()))
-	if err := fresh.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.RecordIDs()) != 1 {
-		t.Fatal("restore under the cap failed")
+// nonSubgroupG encodes, as a G element with the even-y flag, the curve point
+// y² = x³ + x over the first x = 1, 2, … that has a square root mod q — the
+// point internal/pairing's nonSubgroupPoint starts from. With a cofactor
+// far above 1 it lies outside the order-r subgroup; callers confirm that
+// with UnmarshalGReference, whose affine r·P check is independent of the
+// decoder under test.
+func nonSubgroupG(p *pairing.Params) []byte {
+	out := make([]byte, p.GByteLen())
+	for x := big.NewInt(1); ; x.Add(x, big.NewInt(1)) {
+		rhs := new(big.Int).Exp(x, big.NewInt(3), p.Q)
+		rhs.Add(rhs, x).Mod(rhs, p.Q)
+		if big.Jacobi(rhs, p.Q) == 1 {
+			out[0] = 0x02
+			x.FillBytes(out[1:])
+			return out
+		}
 	}
 }
 
@@ -183,7 +188,7 @@ func TestConcurrentUploadsAndDownloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := len(env.Server.RecordIDs()); got != workers {
+	if got := recordCount(env.Server); got != workers {
 		t.Fatalf("stored %d records, want %d", got, workers)
 	}
 }

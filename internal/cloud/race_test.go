@@ -42,7 +42,7 @@ func revocationInputs(t *testing.T, env *Env, owner *OwnerClient) (*core.UpdateK
 }
 
 // TestFetchDuringReEncryptNoRace is the regression test for the record
-// aliasing bug: Fetch/FetchComponent/CiphertextsOf used to hand out views
+// aliasing bug: fetches and CiphertextsOf used to hand out views
 // into live records after releasing the server lock, racing with ReEncrypt's
 // component swap. Run under -race (scripts/check.sh does), concurrent
 // readers over a re-encrypting server must stay clean and every snapshot
@@ -62,6 +62,7 @@ func TestFetchDuringReEncryptNoRace(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	reader := addUser(t, env, "reader", nil)
 
 	// A couple of rounds so readers overlap several distinct re-encryptions.
 	for round := 0; round < 3; round++ {
@@ -78,13 +79,13 @@ func TestFetchDuringReEncryptNoRace(t *testing.T) {
 				// would — decoding components while the revocation runs. With
 				// aliasing fetch paths these reads hit the very slots
 				// ReEncrypt swaps.
-				rec, err := env.Server.Fetch("patient-7")
+				rec, err := fetchRecord(env.Server, "patient-7")
 				if err != nil {
 					ready.Done()
 					t.Errorf("fetch: %v", err)
 					return
 				}
-				comp, err := env.Server.FetchComponent("patient-8", "diagnosis")
+				comps, err := reader.fetch("patient-8", "diagnosis")
 				if err != nil {
 					ready.Done()
 					t.Errorf("fetch component: %v", err)
@@ -105,7 +106,7 @@ func TestFetchDuringReEncryptNoRace(t *testing.T) {
 					for i := range rec.Components {
 						_ = rec.Components[i].CT.Size(env.Sys.Params)
 					}
-					_ = comp.CT.Size(env.Sys.Params)
+					_ = comps[0].CT.Size(env.Sys.Params)
 					for _, ct := range cts {
 						_ = ct.Size(env.Sys.Params)
 					}
@@ -126,7 +127,7 @@ func TestFetchDuringReEncryptNoRace(t *testing.T) {
 		// stopping them: the unsynchronized read of a swapped slot is the
 		// race this test pins.
 		for i := 0; i < 3; i++ {
-			if _, err := env.Server.Fetch("patient-7"); err != nil {
+			if _, err := reader.DownloadRecord("patient-7"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -187,10 +188,10 @@ func TestMixedTrafficMetricsNoRace(t *testing.T) {
 		g := g
 		hammer(func(i int) {
 			user := []string{"u-ann", "u-bob", "u-cho"}[(g+i)%3]
-			if _, err := env.Server.FetchAs("patient-7", user); err != nil {
+			if _, _, err := env.Server.FetchWire("patient-7", "", user); err != nil {
 				t.Errorf("fetch: %v", err)
 			}
-			if _, err := env.Server.FetchComponentAs("patient-8", "diagnosis", user); err != nil {
+			if _, _, err := env.Server.FetchWire("patient-8", "diagnosis", user); err != nil {
 				t.Errorf("fetch component: %v", err)
 			}
 		})

@@ -18,14 +18,15 @@ import (
 // The workload is read-dominated — records are written once, re-encrypted
 // rarely, and fetched constantly — and stored records are immutable between
 // commits (ReplaceIfUnchanged swaps whole ciphertext pointers). So instead of
-// deep-copying and re-serializing the record on every download, the server
-// renders each response representation once (the HTTP/JSON body, the net/rpc
-// component set) and serves the cached immutable bytes until a mutation
-// invalidates them.
+// re-serializing the record on every download, the server renders each
+// response representation once (the HTTP/JSON body, the net/rpc component
+// set) and serves the cached immutable bytes until a mutation invalidates
+// them. Every download takes this path: both transports and in-process
+// UserClients.
 //
 // Correctness rests on the identity of the stored record. A stored *Record
 // is never written after it is stored: every mutation installs a new pointer
-// (Put, the copy-on-write clones of ReplaceIfUnchanged, Restore). So:
+// (Put, the copy-on-write clones of ReplaceIfUnchanged). So:
 //
 //   - A fetch reads the record from the store FIRST; a missing record is
 //     ErrRecordNotFound before the cache is consulted.
@@ -74,7 +75,7 @@ type respKey struct {
 // after install; callers share the payload and must never write into it.
 type respEntry struct {
 	rec  *Record // the stored record this was rendered from
-	size int     // metered payload size (CT.Size + sealed bytes), mirrors FetchAs
+	size int     // metered payload size: CT.Size plus sealed bytes
 
 	body    []byte         // JSON kinds: full HTTP body including trailing newline
 	comps   []RPCComponent // wire kinds: marshaled components, shared across replies
@@ -358,67 +359,64 @@ func (s *Server) cachedResponse(key respKey, render func(*Record) (*respEntry, e
 	return s.resp.fill(key, rec, render)
 }
 
-// FetchRecordJSON serves a whole record as its canonical HTTP/JSON body
-// (trailing newline included), metered and attributed exactly like FetchAs.
-// The returned bytes are shared and immutable: a cache hit performs zero
-// copies, zero marshals and zero heap allocations.
-func (s *Server) FetchRecordJSON(recordID, userID string) ([]byte, error) {
-	defer s.observe(opFetch, time.Now())
-	e, err := s.cachedResponse(respKey{kind: kindRecordJSON, id: recordID}, s.renderRecordJSON)
+// download is every fetch: it serves the cached response and, on success,
+// meters its size on the Server↔User channel and counts it in the cumulative
+// counters and userID's row (empty = unattributed). Its latency lands in the
+// fetch or fetch_component histogram, failures included.
+func (s *Server) download(key respKey, userID string, render func(*Record) (*respEntry, error)) (*respEntry, error) {
+	component, op := key.label != "", opFetch
+	if component {
+		op = opFetchComponent
+	}
+	defer s.observe(op, time.Now())
+	e, err := s.cachedResponse(key, render)
 	if err != nil {
 		return nil, err
 	}
 	s.acct.Add(ChanServerUser, e.size)
-	s.noteDownload(userID, e.size, false)
+	s.noteDownload(userID, e.size, component)
+	return e, nil
+}
+
+// FetchRecordJSON serves a whole record as its canonical HTTP/JSON body
+// (trailing newline included). The returned bytes are shared and immutable:
+// a cache hit performs zero copies, zero marshals and zero heap allocations.
+func (s *Server) FetchRecordJSON(recordID, userID string) ([]byte, error) {
+	e, err := s.download(respKey{kind: kindRecordJSON, id: recordID}, userID, s.renderRecordJSON)
+	if err != nil {
+		return nil, err
+	}
 	return e.body, nil
 }
 
-// FetchComponentJSON serves one component as its canonical HTTP/JSON body,
-// metered like FetchComponentAs. The bytes are shared and immutable.
+// FetchComponentJSON serves one component as its canonical HTTP/JSON body.
+// The bytes are shared and immutable.
 func (s *Server) FetchComponentJSON(recordID, label, userID string) ([]byte, error) {
-	defer s.observe(opFetchComponent, time.Now())
-	e, err := s.cachedResponse(respKey{kind: kindComponentJSON, id: recordID, label: label},
+	e, err := s.download(respKey{kind: kindComponentJSON, id: recordID, label: label}, userID,
 		func(rec *Record) (*respEntry, error) { return s.renderComponentJSON(rec, label) })
 	if err != nil {
 		return nil, err
 	}
-	s.acct.Add(ChanServerUser, e.size)
-	s.noteDownload(userID, e.size, true)
 	return e.body, nil
 }
 
 // FetchWire serves a record (label == "") or one component (label != "") in
-// the net/rpc reply shape: the owner ID and the marshaled components. The
-// component slice and its payloads are shared and immutable — callers (the
-// RPC layer, which gob-encodes them onto the connection) must not write into
-// them.
+// the net/rpc reply shape: the owner ID and the marshaled components. It is
+// the read path of RPC CloudServer.Fetch and of in-process UserClient
+// downloads. The component slice and its payloads are shared and immutable —
+// callers must not write into them; decodeComponents copies what it keeps.
 func (s *Server) FetchWire(recordID, label, userID string) (string, []RPCComponent, error) {
+	var e *respEntry
+	var err error
 	if label == "" {
-		return s.fetchRecordWire(recordID, userID)
+		e, err = s.download(respKey{kind: kindRecordWire, id: recordID}, userID, s.renderRecordWire)
+	} else {
+		e, err = s.download(respKey{kind: kindComponentWire, id: recordID, label: label}, userID,
+			func(rec *Record) (*respEntry, error) { return s.renderComponentWire(rec, label) })
 	}
-	return s.fetchComponentWire(recordID, label, userID)
-}
-
-func (s *Server) fetchRecordWire(recordID, userID string) (string, []RPCComponent, error) {
-	defer s.observe(opFetch, time.Now())
-	e, err := s.cachedResponse(respKey{kind: kindRecordWire, id: recordID}, s.renderRecordWire)
 	if err != nil {
 		return "", nil, err
 	}
-	s.acct.Add(ChanServerUser, e.size)
-	s.noteDownload(userID, e.size, false)
-	return e.ownerID, e.comps, nil
-}
-
-func (s *Server) fetchComponentWire(recordID, label, userID string) (string, []RPCComponent, error) {
-	defer s.observe(opFetchComponent, time.Now())
-	e, err := s.cachedResponse(respKey{kind: kindComponentWire, id: recordID, label: label},
-		func(rec *Record) (*respEntry, error) { return s.renderComponentWire(rec, label) })
-	if err != nil {
-		return "", nil, err
-	}
-	s.acct.Add(ChanServerUser, e.size)
-	s.noteDownload(userID, e.size, true)
 	return e.ownerID, e.comps, nil
 }
 

@@ -89,19 +89,11 @@ func NewServerRPC(sys *core.System, server *Server) *ServerRPC {
 
 // Store handles record uploads.
 func (s *ServerRPC) Store(args *RPCStoreArgs, _ *struct{}) error {
-	rec := &Record{ID: args.RecordID, OwnerID: args.OwnerID}
-	for _, c := range args.Components {
-		ct, err := core.UnmarshalCiphertext(s.sys.Params, c.CT)
-		if err != nil {
-			return fmt.Errorf("store %q/%q: %w", args.RecordID, c.Label, err)
-		}
-		rec.Components = append(rec.Components, StoredComponent{
-			Label:  c.Label,
-			CT:     ct,
-			Sealed: append([]byte(nil), c.Sealed...),
-		})
+	comps, err := decodeComponents(s.sys, args.RecordID, args.Components)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
-	return s.server.Store(rec)
+	return s.server.Store(&Record{ID: args.RecordID, OwnerID: args.OwnerID, Components: comps})
 }
 
 // Fetch handles record and component downloads through the encoded-response
@@ -198,7 +190,11 @@ func (s *ServerRPC) Health(_ *struct{}, reply *StoreInfo) error {
 // Listener is a running RPC endpoint for a cloud server.
 type Listener struct {
 	ln net.Listener
-	wg sync.WaitGroup
+	wg sync.WaitGroup // the accept loop and one ServeConn per connection
+
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{} // open connections, closed by Close
+	closed bool
 }
 
 // ServeRPC registers the server on a fresh rpc.Server and accepts
@@ -213,7 +209,7 @@ func ServeRPC(sys *core.System, server *Server, addr string) (*Listener, string,
 	if err != nil {
 		return nil, "", err
 	}
-	l := &Listener{ln: ln}
+	l := &Listener{ln: ln, conns: make(map[net.Conn]struct{})}
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -222,18 +218,40 @@ func ServeRPC(sys *core.System, server *Server, addr string) (*Listener, string,
 			if err != nil {
 				return // listener closed
 			}
+			l.mu.Lock()
+			if l.closed {
+				// Accepted while Close ran: Close has already closed the
+				// tracked connections and will not see this one.
+				l.mu.Unlock()
+				conn.Close()
+				return
+			}
+			l.conns[conn] = struct{}{}
+			l.mu.Unlock()
 			l.wg.Add(1)
 			go func() {
 				defer l.wg.Done()
 				srv.ServeConn(conn)
+				l.mu.Lock()
+				delete(l.conns, conn)
+				l.mu.Unlock()
 			}()
 		}
 	}()
 	return l, ln.Addr().String(), nil
 }
 
-// Close stops accepting connections and waits for in-flight ones.
+// Close stops accepting connections, closes every open one and waits for
+// their in-flight calls to return. A connection is served until it closes,
+// so a client that stayed connected would otherwise block Close, and the
+// caller's store flush after it, for as long as it stayed.
 func (l *Listener) Close() error {
+	l.mu.Lock()
+	l.closed = true
+	for conn := range l.conns {
+		conn.Close()
+	}
+	l.mu.Unlock()
 	err := l.ln.Close()
 	l.wg.Wait()
 	return err
@@ -269,11 +287,6 @@ func (r *RemoteServer) Store(rec *Record) error {
 	return r.client.Call("CloudServer.Store", args, &struct{}{})
 }
 
-// Fetch downloads a whole record without user attribution.
-func (r *RemoteServer) Fetch(recordID string) (*Record, error) {
-	return r.FetchAs(recordID, "")
-}
-
 // FetchAs downloads a whole record, attributing the download to userID.
 func (r *RemoteServer) FetchAs(recordID, userID string) (*Record, error) {
 	var reply RPCFetchReply
@@ -283,13 +296,12 @@ func (r *RemoteServer) FetchAs(recordID, userID string) (*Record, error) {
 	return r.decodeRecord(recordID, &reply)
 }
 
-// FetchComponent downloads one component without user attribution.
-func (r *RemoteServer) FetchComponent(recordID, label string) (*StoredComponent, error) {
-	return r.FetchComponentAs(recordID, label, "")
-}
-
-// FetchComponentAs downloads one component, attributing it to userID.
+// FetchComponentAs downloads one component, attributing it to userID. An
+// empty label names no component: the server reads it as the whole record.
 func (r *RemoteServer) FetchComponentAs(recordID, label, userID string) (*StoredComponent, error) {
+	if label == "" {
+		return nil, fmt.Errorf("%w: %q/%q", ErrComponentNotFound, recordID, label)
+	}
 	var reply RPCFetchReply
 	if err := r.client.Call("CloudServer.Fetch", &RPCFetchArgs{RecordID: recordID, Label: label, User: userID}, &reply); err != nil {
 		return nil, err
@@ -366,15 +378,9 @@ func (r *RemoteServer) Metrics() (*Metrics, error) {
 }
 
 func (r *RemoteServer) decodeRecord(recordID string, reply *RPCFetchReply) (*Record, error) {
-	rec := &Record{ID: recordID, OwnerID: reply.OwnerID}
-	for _, c := range reply.Components {
-		ct, err := core.UnmarshalCiphertext(r.sys.Params, c.CT)
-		if err != nil {
-			return nil, fmt.Errorf("fetch %q/%q: %w", recordID, c.Label, err)
-		}
-		rec.Components = append(rec.Components, StoredComponent{
-			Label: c.Label, CT: ct, Sealed: c.Sealed,
-		})
+	comps, err := decodeComponents(r.sys, recordID, reply.Components)
+	if err != nil {
+		return nil, fmt.Errorf("fetch: %w", err)
 	}
-	return rec, nil
+	return &Record{ID: recordID, OwnerID: reply.OwnerID, Components: comps}, nil
 }

@@ -3,8 +3,10 @@ package cloud
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"maacs/internal/core"
 	"maacs/internal/hybrid"
@@ -71,7 +73,7 @@ func TestRPCStoreFetchRoundTrip(t *testing.T) {
 	}
 
 	// Fetch the whole record and decrypt client-side.
-	got, err := remote.Fetch("r1")
+	got, err := remote.FetchAs("r1", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +94,7 @@ func TestRPCStoreFetchRoundTrip(t *testing.T) {
 	}
 
 	// Fetch a single component by label.
-	comp, err := remote.FetchComponent("r1", "x")
+	comp, err := remote.FetchComponentAs("r1", "x", "alice")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,9 +104,29 @@ func TestRPCStoreFetchRoundTrip(t *testing.T) {
 }
 
 func TestRPCErrorsPropagate(t *testing.T) {
-	_, remote := rpcFixture(t)
-	if _, err := remote.Fetch("ghost"); err == nil || !strings.Contains(err.Error(), "record not found") {
+	env, remote := rpcFixture(t)
+	if _, err := remote.FetchAs("ghost", ""); err == nil || !strings.Contains(err.Error(), "record not found") {
 		t.Fatalf("got %v, want record-not-found error", err)
+	}
+	// An empty label names no component, even on a one-component record
+	// (the server would read it as the whole record).
+	if _, err := env.AddAuthority("med", []string{"doctor"}); err != nil {
+		t.Fatal(err)
+	}
+	owner, err := env.AddOwner("hospital")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.Store(buildRecord(t, env, owner, "r1", []UploadComponent{
+		{Label: "x", Data: []byte("v"), Policy: "med:doctor"},
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := remote.FetchComponentAs("r1", "", "u"); !errors.Is(err, ErrComponentNotFound) {
+		t.Fatalf("empty label: got %v, want ErrComponentNotFound", err)
+	}
+	if m := env.Server.Metrics(); m.RecordFetches+m.ComponentFetches != 0 {
+		t.Fatalf("a refused fetch was metered: %+v", m)
 	}
 }
 
@@ -178,7 +200,7 @@ func TestRPCRevocationEndToEnd(t *testing.T) {
 	}
 	bob.installKey(newBobKey)
 
-	comp, err := remote.FetchComponent("r1", "x")
+	comp, err := remote.FetchComponentAs("r1", "x", "bob")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +244,7 @@ func TestRPCConcurrentClients(t *testing.T) {
 			}
 			defer remote.Close()
 			for j := 0; j < 5; j++ {
-				if _, err := remote.Fetch("shared"); err != nil {
+				if _, err := remote.FetchAs("shared", ""); err != nil {
 					errc <- err
 					return
 				}
@@ -246,4 +268,38 @@ func dialAddr(t *testing.T, env *Env) string {
 	}
 	t.Cleanup(func() { l.Close() })
 	return addr
+}
+
+// TestRPCListenerCloseWithOpenClient: a connection is served until it
+// closes, so Close must close the connections it accepted; otherwise a client
+// that stays connected blocks it, and the store flush maacs-server runs after
+// it, indefinitely.
+func TestRPCListenerCloseWithOpenClient(t *testing.T) {
+	env := NewEnv(core.NewSystem(pairing.Test()), rand.Reader)
+	l, addr, err := ServeRPC(env.Sys, env.Server, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := DialServer(env.Sys, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer remote.Close()
+	// A round trip shows the connection was accepted and is being served.
+	if _, err := remote.Health(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Listener.Close still blocked on a connected client after 10s")
+	}
+	if _, err := remote.Health(); err == nil {
+		t.Fatal("client still served after Close")
+	}
 }

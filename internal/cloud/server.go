@@ -35,17 +35,6 @@ type StoredComponent struct {
 	Sealed []byte
 }
 
-// clone deep-copies the component: the ciphertext, the sealed payload and
-// their backing arrays. Fetch paths hand clones to callers so no write into a
-// returned component can ever reach the stored record.
-func (c *StoredComponent) clone() StoredComponent {
-	return StoredComponent{
-		Label:  c.Label,
-		CT:     c.CT.Clone(),
-		Sealed: append([]byte(nil), c.Sealed...),
-	}
-}
-
 // Record is an owner's uploaded data item.
 type Record struct {
 	ID         string
@@ -55,28 +44,14 @@ type Record struct {
 
 // snapshot copies the record shell and its component slice, sharing the
 // component pointees. The stores use it for copy-on-write commits, where both
-// sides stay under the store's immutability contract; anything handed to an
-// external caller must use deepCopy instead.
+// sides stay under the store's immutability contract. A download never hands
+// out a stored record: callers decode the served encoding (decodeComponents).
 func (r *Record) snapshot() *Record {
 	return &Record{
 		ID:         r.ID,
 		OwnerID:    r.OwnerID,
 		Components: append([]StoredComponent(nil), r.Components...),
 	}
-}
-
-// deepCopy clones the record and every component, so the result shares no
-// memory with the stored record at all.
-func (r *Record) deepCopy() *Record {
-	cp := &Record{
-		ID:         r.ID,
-		OwnerID:    r.OwnerID,
-		Components: make([]StoredComponent, len(r.Components)),
-	}
-	for i := range r.Components {
-		cp.Components[i] = r.Components[i].clone()
-	}
-	return cp
 }
 
 // ReEncryptItem is one update-info set of a (possibly batched) re-encryption
@@ -221,11 +196,10 @@ type Server struct {
 	// and its commit; tests use it to inject commit-time conflicts.
 	commitHook func()
 
-	mu            sync.Mutex // guards everything below; never held across store/engine calls
-	metrics       Metrics
-	owners        map[string]*OwnerStats
-	window        int
-	snapshotLimit int64
+	mu      sync.Mutex // guards everything below; never held across store/engine calls
+	metrics Metrics
+	owners  map[string]*OwnerStats
+	window  int
 }
 
 // defaultBatchWindow is the re-encryption window a server starts with: at
@@ -342,8 +316,10 @@ func (s *Server) noteDownload(userID string, size int, component bool) {
 // Store uploads a record (Server↔Owner channel). The record must carry an ID
 // and an owner: HTTP cannot address an empty ID, and because no owner-less
 // record is ever stored, an empty owner never passes the delete owner check.
-// Rejected uploads are not metered: the upload never happened, so it must not
-// inflate the Table IV communication tally.
+// Every component needs its own non-empty label: a component fetch returns
+// the component a label names, and FetchWire reads an empty label as the
+// whole record. Rejected uploads are not metered: the upload never happened,
+// so it must not inflate the Table IV communication tally.
 func (s *Server) Store(rec *Record) error {
 	defer s.observe(opStore, time.Now())
 	if rec.ID == "" {
@@ -353,7 +329,15 @@ func (s *Server) Store(rec *Record) error {
 		return fmt.Errorf("cloud: record %q names no owner", rec.ID)
 	}
 	size := 0
-	for _, c := range rec.Components {
+	for i, c := range rec.Components {
+		if c.Label == "" {
+			return fmt.Errorf("cloud: record %q component %d has no label", rec.ID, i)
+		}
+		for _, prev := range rec.Components[:i] {
+			if prev.Label == c.Label {
+				return fmt.Errorf("cloud: record %q labels two components %q", rec.ID, c.Label)
+			}
+		}
 		size += c.CT.Size(s.sys.Params) + len(c.Sealed)
 	}
 	if err := s.store.Put(rec); err != nil {
@@ -368,64 +352,6 @@ func (s *Server) Store(rec *Record) error {
 	return nil
 }
 
-// Fetch downloads a whole record without user attribution; the download
-// counts in the cumulative counters only. Equivalent to FetchAs(recordID, "").
-func (s *Server) Fetch(recordID string) (*Record, error) {
-	return s.FetchAs(recordID, "")
-}
-
-// FetchAs downloads a whole record (Server↔User channel), attributing the
-// download to userID (empty = unattributed transport caller). The returned
-// record is a deep copy: concurrent re-encryptions never alias into it, and
-// no write into the returned components can reach the stored record. The
-// read takes no server lock at all — stored records are immutable, so the
-// store's lookup is the only synchronization a download needs.
-func (s *Server) FetchAs(recordID, userID string) (*Record, error) {
-	defer s.observe(opFetch, time.Now())
-	rec, ok := s.store.Get(recordID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRecordNotFound, recordID)
-	}
-	cp := rec.deepCopy()
-	size := 0
-	for _, c := range cp.Components {
-		size += c.CT.Size(s.sys.Params) + len(c.Sealed)
-	}
-	s.acct.Add(ChanServerUser, size)
-	s.noteDownload(userID, size, false)
-	return cp, nil
-}
-
-// FetchComponent downloads a single component without user attribution.
-// Equivalent to FetchComponentAs(recordID, label, "").
-func (s *Server) FetchComponent(recordID, label string) (*StoredComponent, error) {
-	return s.FetchComponentAs(recordID, label, "")
-}
-
-// FetchComponentAs downloads a single component by label — the fine-grained
-// access path (different users decrypt different numbers of components) —
-// attributing the download to userID (empty = unattributed). The component
-// is deep-copied from the immutable stored record, symmetric with FetchAs: a
-// caller writing into the returned Sealed bytes or CT cannot corrupt the
-// store.
-func (s *Server) FetchComponentAs(recordID, label, userID string) (*StoredComponent, error) {
-	defer s.observe(opFetchComponent, time.Now())
-	rec, ok := s.store.Get(recordID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrRecordNotFound, recordID)
-	}
-	for i := range rec.Components {
-		if rec.Components[i].Label == label {
-			c := rec.Components[i].clone()
-			size := c.CT.Size(s.sys.Params) + len(c.Sealed)
-			s.acct.Add(ChanServerUser, size)
-			s.noteDownload(userID, size, true)
-			return &c, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %q/%q", ErrComponentNotFound, recordID, label)
-}
-
 // Delete removes a record. Only its owner may delete it; the store checks
 // the claimed owner against the stored record (the paper's server executes
 // owners' tasks correctly).
@@ -437,13 +363,6 @@ func (s *Server) Delete(recordID, ownerID string) (*Record, error) {
 	}
 	s.resp.Bump(recordID)
 	return rec, nil
-}
-
-// RecordIDs lists stored record IDs in sorted order, so HTTP/RPC responses
-// and tests never depend on map iteration order (not metered: directory
-// metadata).
-func (s *Server) RecordIDs() []string {
-	return s.store.IDs()
 }
 
 // CiphertextsOf returns the content-key ciphertexts of an owner's records
@@ -488,8 +407,8 @@ func (s *Server) Metrics() Metrics {
 	s.mu.Unlock()
 
 	m.Records = records
-	// Owners whose records arrived via Restore have no counter row yet; they
-	// still show up with their record count.
+	// Owners whose records were loaded from disk have no counter row yet;
+	// they still show up with their record count.
 	for id, n := range perOwner {
 		if _, ok := m.Owners[id]; !ok {
 			m.Owners[id] = OwnerStats{Records: n}

@@ -61,8 +61,6 @@ type Store interface {
 	// Delete removes a record if ownerID matches the stored owner, returning
 	// the removed record.
 	Delete(id, ownerID string) (*Record, error)
-	// IDs lists the stored record IDs in sorted order.
-	IDs() []string
 	// OwnerScan visits the owner's records in sorted ID order until fn
 	// returns false. fn must not mutate the records or call back into the
 	// store.
@@ -73,12 +71,8 @@ type Store interface {
 	// to records of ownerID.
 	ReplaceIfUnchanged(ownerID string, swaps []CTSwap) error
 	// Records returns every stored record sorted by ID, as one consistent
-	// view — the snapshot hook Server.Snapshot serializes.
+	// view (the record census of Metrics).
 	Records() []*Record
-	// Restore inserts a batch of records all-or-nothing, refusing to
-	// overwrite any existing ID — the snapshot hook Server.Restore loads
-	// through.
-	Restore(recs []*Record) error
 	// Info describes the backend for GET /healthz.
 	Info() StoreInfo
 	// Close flushes and releases backend resources. Operations after Close
@@ -171,13 +165,6 @@ func (m *MemStore) Len() int {
 	return len(m.recs)
 }
 
-// IDs lists the stored record IDs sorted.
-func (m *MemStore) IDs() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.sortedIDsLocked()
-}
-
 func (m *MemStore) sortedIDsLocked() []string {
 	out := make([]string, 0, len(m.recs))
 	for id := range m.recs {
@@ -255,24 +242,6 @@ func (m *MemStore) Records() []*Record {
 		out = append(out, m.recs[id])
 	}
 	return out
-}
-
-// Restore inserts a snapshot's records atomically, refusing overwrites —
-// including a duplicate ID inside the batch itself.
-func (m *MemStore) Restore(recs []*Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := make(map[string]bool, len(recs))
-	for _, rec := range recs {
-		if _, exists := m.recs[rec.ID]; exists || seen[rec.ID] {
-			return fmt.Errorf("cloud: restore would overwrite record %q", rec.ID)
-		}
-		seen[rec.ID] = true
-	}
-	for _, rec := range recs {
-		m.recs[rec.ID] = rec
-	}
-	return nil
 }
 
 // Info describes the backend.

@@ -64,7 +64,8 @@ func sameRecords(t *testing.T, want, got []*Record) {
 
 // TestStoreBackendsConformance runs the Store contract over every backend:
 // duplicate rejection, the delete owner check, sorted listings, owner scans,
-// conditional re-encryption commits and batch restore.
+// conditional re-encryption commits, and the FileStore bulk loader's refusal
+// to overwrite.
 func TestStoreBackendsConformance(t *testing.T) {
 	sys, recs := storeFixture(t, 4)
 	backends := map[string]func(t *testing.T) Store{
@@ -83,8 +84,8 @@ func TestStoreBackendsConformance(t *testing.T) {
 			if err := st.Put(recs[0].snapshot()); !errors.Is(err, ErrAlreadyStored) {
 				t.Fatalf("duplicate put: got %v, want ErrAlreadyStored", err)
 			}
-			if got := st.IDs(); len(got) != 3 || got[0] != "rec-00" || got[2] != "rec-02" {
-				t.Fatalf("ids %v", got)
+			if got := st.Records(); len(got) != 3 || got[0].ID != "rec-00" || got[2].ID != "rec-02" {
+				t.Fatalf("records %v", got)
 			}
 			if _, ok := st.Get("rec-01"); !ok {
 				t.Fatal("rec-01 missing")
@@ -130,7 +131,7 @@ func TestStoreBackendsConformance(t *testing.T) {
 				t.Fatal("conflicting swap changed state")
 			}
 
-			// Delete enforces ownership; restore refuses overwrites.
+			// Delete enforces ownership; FileStore.Restore refuses overwrites.
 			if _, err := st.Delete("rec-01", "impostor"); err == nil {
 				t.Fatal("wrong owner deleted")
 			}
@@ -140,17 +141,26 @@ func TestStoreBackendsConformance(t *testing.T) {
 			if _, err := st.Delete("rec-01", "owner-1"); !errors.Is(err, ErrRecordNotFound) {
 				t.Fatalf("double delete: got %v", err)
 			}
-			if err := st.Restore([]*Record{recs[3].snapshot(), recs[0].snapshot()}); err == nil {
-				t.Fatal("restore overwrote rec-00")
+			rest := []*Record{recs[1].snapshot(), recs[3].snapshot()}
+			if fs, ok := st.(*FileStore); ok {
+				if err := fs.Restore([]*Record{recs[3].snapshot(), recs[0].snapshot()}); err == nil {
+					t.Fatal("restore overwrote rec-00")
+				}
+				if _, ok := st.Get("rec-03"); ok {
+					t.Fatal("refused restore inserted part of the batch")
+				}
+				if err := fs.Restore(rest); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for _, rec := range rest {
+					if err := st.Put(rec); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			if _, ok := st.Get("rec-03"); ok {
-				t.Fatal("refused restore inserted part of the batch")
-			}
-			if err := st.Restore([]*Record{recs[1].snapshot(), recs[3].snapshot()}); err != nil {
-				t.Fatal(err)
-			}
-			if got := len(st.IDs()); got != 4 {
-				t.Fatalf("len after restore %d, want 4", got)
+			if got := len(st.Records()); got != 4 {
+				t.Fatalf("len after reload %d, want 4", got)
 			}
 
 			info := st.Info()
@@ -354,8 +364,8 @@ func TestFileStoreCompaction(t *testing.T) {
 	re := mustOpenFileStore(t, sys, dir)
 	defer re.Close()
 	sameRecords(t, want, re.Records())
-	if re.Len() != 3 {
-		t.Fatalf("len %d, want 3 (delete must survive compaction)", re.Len())
+	if n := len(re.Records()); n != 3 {
+		t.Fatalf("len %d, want 3 (delete must survive compaction)", n)
 	}
 }
 
@@ -396,15 +406,15 @@ func TestFileServerRestartMidWorkload(t *testing.T) {
 	// (version-updated) keys still decrypt the re-encrypted records.
 	restarted := NewServerWithStore(sys, NewAccounting(), mustOpenFileStore(t, sys, dir))
 	defer restarted.Close()
-	if got := len(restarted.RecordIDs()); got != 3 {
+	if got := recordCount(restarted); got != 3 {
 		t.Fatalf("restarted server has %d records, want 3", got)
 	}
 	for i := 0; i < 3; i++ {
-		comp, err := restarted.FetchComponent(fmt.Sprintf("r%d", i), "d")
+		rec, err := fetchRecord(restarted, fmt.Sprintf("r%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		el, err := core.Decrypt(sys, comp.CT, user.PK, user.keysFor("o"))
+		el, err := core.Decrypt(sys, rec.Components[0].CT, user.PK, user.keysFor("o"))
 		if err != nil {
 			t.Fatalf("r%d: %v", i, err)
 		}
@@ -440,11 +450,11 @@ func mixedTrafficClients(t *testing.T, sys *core.System, srv *Server) []mixedTra
 		name:  "in-process",
 		store: srv.Store,
 		fetch: func(id, user string) error {
-			_, err := srv.FetchAs(id, user)
+			_, _, err := srv.FetchWire(id, "", user)
 			return err
 		},
 		fetchComponent: func(id, label, user string) error {
-			_, err := srv.FetchComponentAs(id, label, user)
+			_, _, err := srv.FetchWire(id, label, user)
 			return err
 		},
 		delete: func(id, owner string) error {
@@ -613,7 +623,7 @@ func TestMultiOwnerMixedRace(t *testing.T) {
 	// Each owner keeps its seed and its last round's upload; every earlier
 	// upload was deleted the round after.
 	want := owners * 2
-	if got := len(env.Server.RecordIDs()); got != want {
+	if got := recordCount(env.Server); got != want {
 		t.Fatalf("stored %d records, want %d", got, want)
 	}
 	info := env.Server.StoreInfo()

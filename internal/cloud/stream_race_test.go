@@ -1,17 +1,18 @@
 package cloud
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"maacs/internal/wire"
 )
 
 // TestStreamingBatchRace drives the windowed re-encryption path while
-// snapshots, restores, metrics scrapes (both expositions) and downloads run
+// server clones, metrics scrapes (both expositions) and downloads run
 // concurrently. The streaming mode releases the server lock between windows,
 // so every one of these can interleave with a half-done batch; under -race
 // (scripts/check.sh runs this gate) the schedule must stay clean, and every
@@ -79,21 +80,26 @@ func TestStreamingBatchRace(t *testing.T) {
 			return true
 		})
 
-		// Snapshotter: every snapshot taken mid-batch must be restorable —
-		// windows commit atomically, so no snapshot can catch a torn state.
+		// Cloner: every record set read mid-batch must rebuild a server
+		// through the snapshot codec, as compaction writes it and a reopen
+		// reads it — windows commit atomically, so no view can catch a torn
+		// state.
 		spin(func() bool {
-			var buf bytes.Buffer
-			if err := env.Server.Snapshot(&buf); err != nil {
-				t.Errorf("snapshot: %v", err)
-				return false
+			fresh := NewServerWithStore(env.Sys, nil, NewMemStore())
+			for _, rec := range env.Server.store.Records() {
+				var e wire.Encoder
+				encodeRecord(&e, rec)
+				cp, err := decodeRecord(env.Sys, wire.NewDecoder(e.Bytes()))
+				if err == nil {
+					err = fresh.store.Put(cp)
+				}
+				if err != nil {
+					t.Errorf("rebuild from a mid-batch record set: %v", err)
+					return false
+				}
 			}
-			fresh := NewServer(env.Sys, nil)
-			if err := fresh.Restore(bytes.NewReader(buf.Bytes())); err != nil {
-				t.Errorf("restore of mid-batch snapshot: %v", err)
-				return false
-			}
-			if got := len(fresh.RecordIDs()); got != 2 {
-				t.Errorf("mid-batch snapshot has %d records", got)
+			if got := recordCount(fresh); got != 2 {
+				t.Errorf("mid-batch record set has %d records", got)
 				return false
 			}
 			return true
@@ -101,7 +107,7 @@ func TestStreamingBatchRace(t *testing.T) {
 
 		// Reader: downloads proceed while the batch computes between windows.
 		spin(func() bool {
-			rec, err := env.Server.Fetch("patient-7")
+			rec, err := fetchRecord(env.Server, "patient-7")
 			if err != nil || len(rec.Components) != 3 {
 				t.Errorf("fetch: %v", err)
 				return false

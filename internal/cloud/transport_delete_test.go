@@ -1,10 +1,13 @@
 package cloud
 
 import (
+	"crypto/rand"
 	"encoding/base64"
 	"net/http"
 	"testing"
 
+	"maacs/internal/core"
+	"maacs/internal/pairing"
 	"maacs/internal/wire"
 )
 
@@ -32,7 +35,7 @@ func TestRPCDelete(t *testing.T) {
 	if err := remote.Delete("r1", "hospital"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := remote.Fetch("r1"); err == nil {
+	if _, err := remote.FetchAs("r1", ""); err == nil {
 		t.Fatal("record still present after RPC delete")
 	}
 }
@@ -104,6 +107,64 @@ func TestUploadRequiresIDAndOwner(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("record %q of owner %q: status %d, want 400", rec.ID, rec.OwnerID, resp.StatusCode)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+}
+
+// TestUploadRejectsUnaddressableLabels: a component fetch returns the
+// component its label names, and FetchWire reads an empty label as the whole
+// record, so a record with an empty or a repeated label would hold a
+// component no fetch can return on its own. Every upload path refuses both
+// before anything is stored or metered.
+func TestUploadRejectsUnaddressableLabels(t *testing.T) {
+	comp := func(label string) UploadComponent {
+		return UploadComponent{Label: label, Data: []byte("v"), Policy: "med:doctor"}
+	}
+	cases := map[string][]UploadComponent{
+		"empty":    {comp("x"), comp("")},
+		"repeated": {comp("x"), comp("y"), comp("x")},
+	}
+	owner := func(t *testing.T, env *Env) *OwnerClient {
+		t.Helper()
+		if _, err := env.AddAuthority("med", []string{"doctor"}); err != nil {
+			t.Fatal(err)
+		}
+		oc, err := env.AddOwner("hospital")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oc
+	}
+	t.Run("in-process", func(t *testing.T) {
+		env := NewEnv(core.NewSystem(pairing.Test()), rand.Reader)
+		oc := owner(t, env)
+		for name, comps := range cases {
+			if _, err := oc.Upload("r-"+name, comps); err == nil {
+				t.Fatalf("%s label accepted by Upload", name)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+	t.Run("rpc", func(t *testing.T) {
+		env, remote := rpcFixture(t)
+		oc := owner(t, env)
+		for name, comps := range cases {
+			if err := remote.Store(buildRecord(t, env, oc, "r-"+name, comps)); err == nil {
+				t.Fatalf("%s label accepted over RPC", name)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+	t.Run("http", func(t *testing.T) {
+		env, ts := httpFixture(t)
+		oc := owner(t, env)
+		for name, comps := range cases {
+			resp := postJSON(t, ts.URL+"/records", toHTTPRecord(buildRecord(t, env, oc, "r-"+name, comps)))
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s label: status %d, want 400", name, resp.StatusCode)
 			}
 		}
 		assertNothingStored(t, env)
@@ -202,10 +263,13 @@ func unaddressableRecords(t *testing.T, env *Env) []*Record {
 
 func assertNothingStored(t *testing.T, env *Env) {
 	t.Helper()
-	if ids := env.Server.RecordIDs(); len(ids) != 0 {
-		t.Fatalf("stored %v", ids)
+	if n := recordCount(env.Server); n != 0 {
+		t.Fatalf("stored %d records", n)
 	}
 	if n := env.Server.Metrics().StoreRequests; n != 0 {
 		t.Fatalf("metered %d rejected uploads", n)
+	}
+	if b := env.Acct.Bytes(ChanServerOwner); b != 0 {
+		t.Fatalf("metered %d bytes of rejected uploads", b)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // TestPerUserDownloadCounters exercises the per-user attribution of the
 // download paths: UserClient downloads are metered under the user's UID,
-// unattributed Fetch/FetchComponent count only in the cumulative counters,
-// and failed lookups are not metered at all.
+// unattributed fetches count only in the cumulative counters, and failed
+// lookups are not metered at all.
 func TestPerUserDownloadCounters(t *testing.T) {
 	env, owner := hospitalEnv(t)
 	uploadPatientRecord(t, owner)
@@ -31,14 +31,14 @@ func TestPerUserDownloadCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unattributed transport-level fetch: cumulative only.
-	if _, err := env.Server.Fetch("patient-7"); err != nil {
+	if _, _, err := env.Server.FetchWire("patient-7", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Failures are not metered anywhere.
-	if _, err := env.Server.FetchComponentAs("patient-7", "no-such-label", "dr-bob"); err == nil {
+	if _, err := doctor.Download("patient-7", "no-such-label"); err == nil {
 		t.Fatal("expected component-not-found")
 	}
-	if _, err := env.Server.FetchAs("no-such-record", "dr-bob"); err == nil {
+	if _, err := doctor.DownloadRecord("no-such-record"); err == nil {
 		t.Fatal("expected record-not-found")
 	}
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"maacs/internal/core"
+	"maacs/internal/wire"
 )
 
 // perCiphertextItems splits one revocation's update-info set into one batch
@@ -164,7 +165,7 @@ func TestReEncryptBatchMidFailureReportsCommitted(t *testing.T) {
 
 	// Item 0: valid updates for patient-7's ciphertexts. Item 1: stale
 	// version-0 updates for patient-8's — its window must fail.
-	rec7, err := env.Server.Fetch("patient-7")
+	rec7, err := fetchRecord(env.Server, "patient-7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,26 +256,29 @@ func TestReEncryptBatchMidFailureReportsCommitted(t *testing.T) {
 	}
 }
 
-// snapshotBytes returns the server's snapshot, which marshals every stored
-// ciphertext in a deterministic order.
+// snapshotBytes encodes every stored record in ID order in the snapshot wire
+// format, so equal bytes mean bit-identical stored states.
 func snapshotBytes(t *testing.T, s *Server) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+	var e wire.Encoder
+	for _, rec := range s.store.Records() {
+		encodeRecord(&e, rec)
 	}
-	return buf.Bytes()
+	return e.Bytes()
 }
 
 // restorer snapshots env.Server and returns the snapshot plus a constructor
-// for fresh servers restored from it.
+// for fresh servers rebuilt from its records. Stored records are immutable,
+// so the servers share them.
 func restorer(t *testing.T, env *Env) ([]byte, func() *Server) {
 	t.Helper()
-	seed := snapshotBytes(t, env.Server)
+	seed, recs := snapshotBytes(t, env.Server), env.Server.store.Records()
 	return seed, func() *Server {
 		s := NewServer(env.Sys, nil)
-		if err := s.Restore(bytes.NewReader(seed)); err != nil {
-			t.Fatal(err)
+		for _, rec := range recs {
+			if err := s.store.Put(rec); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return s
 	}
@@ -283,7 +287,7 @@ func restorer(t *testing.T, env *Env) ([]byte, func() *Server) {
 // marshalRecord serializes every component ciphertext of one record.
 func marshalRecord(t *testing.T, s *Server, recordID string) []byte {
 	t.Helper()
-	rec, err := s.Fetch(recordID)
+	rec, err := fetchRecord(s, recordID)
 	if err != nil {
 		t.Fatal(err)
 	}

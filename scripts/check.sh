@@ -38,8 +38,8 @@ GOARCH=arm64 go vet ./...
 GOARCH=arm64 go build ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
-echo "== streaming-batch race gate"
-gate ./internal/cloud/ 'TestStreamingBatchRace|TestFetchDuringReEncryptNoRace' -race -count=2
+echo "== streaming-batch race gate (+ RPC listener close with a client connected)"
+gate ./internal/cloud/ 'TestStreamingBatchRace|TestFetchDuringReEncryptNoRace|TestRPCListenerCloseWithOpenClient' -race -count=2
 echo "== storage race gate: crash recovery + multi-owner mixed traffic"
 gate ./internal/cloud/ 'TestFileStoreCrashRecovery|TestMultiOwnerMixedRace' -race -count=2
 echo "== group-commit race gate: concurrent writers + kill-at-any-point"
