@@ -46,6 +46,44 @@ func TestWorkloadRoundTrips(t *testing.T) {
 	}
 }
 
+// TestRepeatEncryptionsBuildNoTables guards the linear growth of Figs. 3(a)
+// and 4(a). At 14 authorities × 5 attributes each scheme encrypts under 70
+// attribute bases, 140 together, more than a process-wide 128-entry table
+// cache could hold. Each base keeps its own comb, so once both schemes have
+// encrypted, a second encryption by ours and then by Lewko builds none.
+func TestRepeatEncryptionsBuildNoTables(t *testing.T) {
+	cfg := testCfg(14, 5)
+	ours, err := SetupOurs(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw, err := SetupLewko(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encryptBoth := func() {
+		t.Helper()
+		if _, _, err := ours.Encrypt(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := lw.Encrypt(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	encryptBoth()
+	before := pairing.SnapshotOpCounts()
+	encryptBoth()
+	d := pairing.SnapshotOpCounts().Delta(before)
+	if d.TableBuilds != 0 {
+		t.Fatalf("second encryptions built %d combs, want 0", d.TableBuilds)
+	}
+	// Per row: ours 2 comb uses, Lewko 3 (C2 and both bases of C3); ours adds
+	// one for C'.
+	if l := uint64(cfg.TotalAttrs()); d.TableReuses != 5*l+1 {
+		t.Fatalf("second encryptions used %d combs, want %d", d.TableReuses, 5*l+1)
+	}
+}
+
 func TestPolicyForShape(t *testing.T) {
 	cfg := testCfg(2, 3)
 	policy := policyFor(cfg)

@@ -78,6 +78,23 @@ func (sc *reencryptScenario) freshServer() (*cloud.Server, error) {
 	return srv, nil
 }
 
+// updateKeys decodes n copies of the scenario's update key, each one
+// request's key as a transport server decodes it: a copy has no UK1
+// preparation yet, so every request that takes one pays its own. Decoding
+// them before the timed runs keeps the decode out of the timings.
+func (sc *reencryptScenario) updateKeys(n int) ([]*core.UpdateKey, error) {
+	enc := sc.uk.Marshal()
+	keys := make([]*core.UpdateKey, n)
+	for i := range keys {
+		uk, err := core.UnmarshalUpdateKey(sc.w.Sys.Params, enc)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = uk
+	}
+	return keys, nil
+}
+
 // ReEncryptPoint is one measured corpus size of the submission-pattern
 // comparison: the same revocation applied through N per-ciphertext requests
 // (one lock acquisition and engine run each), one batched request on a
@@ -121,7 +138,9 @@ type ReEncryptBatchReport struct {
 // 64-item window (one fused engine run at up to 64 ciphertexts), and the
 // windowed pattern the same call on a server whose SetBatchWindow is
 // `window` (0 = the default). All run on the default engine pool; the
-// differences isolate the submission pattern. The windowed run also records
+// differences isolate the submission pattern. Each request carries its own
+// decoded copy of the update key, as a transport server decodes one per
+// request, so each pays one UK1 preparation. The windowed run also records
 // the per-owner counter row the server accumulated.
 func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int, attrs, trials, window int) (*ReEncryptBatchReport, error) {
 	report := &ReEncryptBatchReport{
@@ -138,13 +157,25 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 			return nil, fmt.Errorf("reencrypt bench setup n=%d: %w", numCTs, err)
 		}
 
+		// Every request, in every trial, gets its own copy of the update key.
+		keys, err := sc.updateKeys(trials * (numCTs + 2))
+		if err != nil {
+			return nil, fmt.Errorf("reencrypt bench keys n=%d: %w", numCTs, err)
+		}
+		nextKey := func() *core.UpdateKey {
+			uk := keys[0]
+			keys[0] = nil // a spent key's preparation goes with it
+			keys = keys[1:]
+			return uk
+		}
+
 		perRequest, err := timeBest(0, trials, func() error {
 			srv, err := sc.freshServer()
 			if err != nil {
 				return err
 			}
 			for _, ct := range sc.cts {
-				one := []cloud.ReEncryptItem{{UK: sc.uk, UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]}}}
+				one := []cloud.ReEncryptItem{{UK: nextKey(), UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]}}}
 				if _, err := srv.ReEncrypt(sc.w.Owner.ID(), one); err != nil {
 					return err
 				}
@@ -156,13 +187,18 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 		}
 
 		// The batched and windowed patterns submit one item per ciphertext in
-		// a single request; only the server's window differs.
-		items := make([]cloud.ReEncryptItem, len(sc.cts))
-		for i, ct := range sc.cts {
-			items[i] = cloud.ReEncryptItem{
-				UK:  sc.uk,
-				UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]},
+		// a single request, all items sharing the request's key; only the
+		// server's window differs.
+		items := func() []cloud.ReEncryptItem {
+			uk := nextKey()
+			out := make([]cloud.ReEncryptItem, len(sc.cts))
+			for i, ct := range sc.cts {
+				out[i] = cloud.ReEncryptItem{
+					UK:  uk,
+					UIs: map[string]*core.UpdateInfo{ct.ID: sc.uis[ct.ID]},
+				}
 			}
+			return out
 		}
 
 		var batchStats engine.Stats
@@ -171,7 +207,7 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 			if err != nil {
 				return err
 			}
-			rep, err := srv.ReEncrypt(sc.w.Owner.ID(), items)
+			rep, err := srv.ReEncrypt(sc.w.Owner.ID(), items())
 			if err != nil {
 				return err
 			}
@@ -193,7 +229,7 @@ func MeasureReEncryptBatch(params *pairing.Params, rnd io.Reader, ctCounts []int
 				return err
 			}
 			srv.SetBatchWindow(window)
-			rep, err := srv.ReEncrypt(sc.w.Owner.ID(), items)
+			rep, err := srv.ReEncrypt(sc.w.Owner.ID(), items())
 			if err != nil {
 				return err
 			}

@@ -222,6 +222,7 @@ func (h *httpGateway) reencrypt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := make([]ReEncryptItem, len(in.Items))
+	keys := make(map[string]*core.UpdateKey)
 	for i, hin := range in.Items {
 		uk, err := base64.StdEncoding.DecodeString(hin.UpdateKey)
 		if err != nil {
@@ -235,7 +236,7 @@ func (h *httpGateway) reencrypt(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if items[i], err = decodeReEncryptItem(h.sys, uk, uis); err != nil {
+		if items[i], err = decodeReEncryptItem(h.sys, keys, uk, uis); err != nil {
 			writeJSON(w, statusFor(err), httpError{Error: fmt.Sprintf("item %d: %v", i, err)})
 			return
 		}

@@ -2,10 +2,80 @@ package cloud
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
 	"strings"
 	"testing"
+
+	"maacs/internal/core"
+	"maacs/internal/pairing"
 )
+
+// TestRevocationBuildsEachTableOnce runs three Section V-C revocations over
+// three stored ciphertexts: the owner's update information and public-key
+// update through core, the re-encryption through Server.ReEncrypt. Each
+// must build exactly one preparation, its own UK1's, and reuse it for every
+// other ciphertext, and one comb per affected PK_x, reused for every other
+// ciphertext and by ApplyUpdate. The first revocation builds no comb: the
+// uploads built them on the same PK_x. A UK1 or PK_x that retires takes its
+// tables with it, so nothing is left to evict.
+func TestRevocationBuildsEachTableOnce(t *testing.T) {
+	env := NewEnv(core.NewSystem(pairing.Test()), rand.Reader)
+	aa, err := env.AddAuthority("rt", []string{"x", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := env.AddOwner("rt-owner")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"r1", "r2", "r3"}
+	for _, id := range ids {
+		comps := []UploadComponent{{Label: "c", Data: []byte(id), Policy: "rt:x AND rt:y"}}
+		if _, err := owner.Upload(id, comps); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const affected = 2 // rt:x and rt:y
+	cts := uint64(len(ids))
+	for i := 0; i < 3; i++ {
+		fromV, _, err := aa.AA.Rekey(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uk, err := aa.AA.UpdateKeyFor(owner.Owner.SecretKeyForAAs(), fromV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored := env.Server.CiphertextsOf("rt-owner")
+
+		before := pairing.SnapshotOpCounts()
+		uis, err := owner.Owner.RevocationUpdate(uk, stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		item := ReEncryptItem{UK: uk, UIs: make(map[string]*core.UpdateInfo)}
+		for _, ui := range uis {
+			item.UIs[ui.CiphertextID] = ui
+		}
+		if _, err := env.Server.ReEncrypt("rt-owner", []ReEncryptItem{item}); err != nil {
+			t.Fatal(err)
+		}
+		d := pairing.SnapshotOpCounts().Delta(before)
+
+		if d.PrepBuilds != 1 || d.PrepReuses != cts-1 {
+			t.Fatalf("revocation %d: %d preparations built and %d reused, want 1 and %d", i, d.PrepBuilds, d.PrepReuses, cts-1)
+		}
+		wantBuilds := uint64(affected)
+		if i == 0 {
+			wantBuilds = 0
+		}
+		if uses := d.TableBuilds + d.TableReuses; d.TableBuilds != wantBuilds || uses != affected*(cts+1) {
+			t.Fatalf("revocation %d: %d combs built in %d uses, want %d in %d", i, d.TableBuilds, uses, wantBuilds, affected*(cts+1))
+		}
+	}
+}
 
 // TestRevokeUserContinuesPastFailures is the regression test for the
 // half-applied revocation bug: a failing attribute used to abort the loop,

@@ -133,11 +133,18 @@ func (s *ServerRPC) Ciphertexts(args *RPCCiphertextsArgs, reply *RPCCiphertextsR
 // decodeReEncryptItem decodes one update-info set from its wire encodings,
 // rejecting duplicate ciphertext IDs (silent overwrites in the map would drop
 // update info on the floor and report success). Both transports call it:
-// RPC with the raw bytes, HTTP once it has base64-decoded them.
-func decodeReEncryptItem(sys *core.System, updateKey []byte, updateInfos [][]byte) (ReEncryptItem, error) {
-	uk, err := core.UnmarshalUpdateKey(sys.Params, updateKey)
-	if err != nil {
-		return ReEncryptItem{}, fmt.Errorf("re-encrypt: %w", err)
+// RPC with the raw bytes, HTTP once it has base64-decoded them. keys holds
+// the request's update keys by encoding, so items repeating one share one
+// decoded key and a per-ciphertext batch prepares its UK1 once, as an
+// in-process caller handing every item the same key does.
+func decodeReEncryptItem(sys *core.System, keys map[string]*core.UpdateKey, updateKey []byte, updateInfos [][]byte) (ReEncryptItem, error) {
+	uk, ok := keys[string(updateKey)]
+	if !ok {
+		var err error
+		if uk, err = core.UnmarshalUpdateKey(sys.Params, updateKey); err != nil {
+			return ReEncryptItem{}, fmt.Errorf("re-encrypt: %w", err)
+		}
+		keys[string(updateKey)] = uk
 	}
 	uis := make(map[string]*core.UpdateInfo, len(updateInfos))
 	for i, raw := range updateInfos {
@@ -156,8 +163,9 @@ func decodeReEncryptItem(sys *core.System, updateKey []byte, updateInfos [][]byt
 // ReEncrypt runs Server.ReEncrypt under the server's configured window.
 func (s *ServerRPC) ReEncrypt(args *RPCReEncryptArgs, reply *RPCReEncryptReply) error {
 	items := make([]ReEncryptItem, len(args.Items))
+	keys := make(map[string]*core.UpdateKey)
 	for i, it := range args.Items {
-		item, err := decodeReEncryptItem(s.sys, it.UpdateKey, it.UpdateInfos)
+		item, err := decodeReEncryptItem(s.sys, keys, it.UpdateKey, it.UpdateInfos)
 		if err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}

@@ -468,14 +468,6 @@ func (s *Server) ReEncrypt(ownerID string, items []ReEncryptItem) (*BatchReport,
 	if len(items) == 0 {
 		return nil, ErrEmptyBatch
 	}
-	// Each UK1 is paired against every affected ciphertext through the
-	// engine's prepared-point cache and is never used again once the request
-	// ends, however it ends; a resubmission just prepares it afresh.
-	defer func() {
-		for _, it := range items {
-			engine.Forget(it.UK.UK1)
-		}
-	}()
 	// An update-info set applies to exactly one stored slot; overlapping
 	// items would make two jobs race for the same slot (and the fused run
 	// cannot order chained version bumps), so reject them up front.

@@ -196,7 +196,7 @@ func (m *MemStore) OwnerScan(ownerID string, fn func(*Record) bool) {
 func (m *MemStore) validateSwapsLocked(swaps []CTSwap) error {
 	for _, sw := range swaps {
 		rec, ok := m.recs[sw.RecordID]
-		if !ok || sw.Index >= len(rec.Components) || rec.Components[sw.Index].CT != sw.Expect {
+		if !ok || sw.Index < 0 || sw.Index >= len(rec.Components) || rec.Components[sw.Index].CT != sw.Expect {
 			return fmt.Errorf("%w: record %q", ErrReEncryptConflict, sw.RecordID)
 		}
 	}

@@ -64,8 +64,9 @@ func sameRecords(t *testing.T, want, got []*Record) {
 
 // TestStoreBackendsConformance runs the Store contract over every backend:
 // duplicate rejection, the delete owner check, sorted listings, owner scans,
-// conditional re-encryption commits, and the FileStore bulk loader's refusal
-// to overwrite.
+// conditional re-encryption commits (a stale expectation or an index outside
+// the record conflicts), and the FileStore bulk loader's refusal to
+// overwrite.
 func TestStoreBackendsConformance(t *testing.T) {
 	sys, recs := storeFixture(t, 4)
 	backends := map[string]func(t *testing.T) Store{
@@ -126,6 +127,14 @@ func TestStoreBackendsConformance(t *testing.T) {
 			})
 			if !errors.Is(err, ErrReEncryptConflict) {
 				t.Fatalf("stale swap: got %v, want ErrReEncryptConflict", err)
+			}
+			for _, idx := range []int{-1, len(after.Components)} {
+				err := st.ReplaceIfUnchanged("owner-1", []CTSwap{
+					{RecordID: "rec-00", Index: idx, Expect: newCT, New: newCT.Clone()},
+				})
+				if !errors.Is(err, ErrReEncryptConflict) {
+					t.Fatalf("swap at index %d: got %v, want ErrReEncryptConflict", idx, err)
+				}
 			}
 			if cur, _ := st.Get("rec-00"); cur.Components[0].CT != newCT {
 				t.Fatal("conflicting swap changed state")

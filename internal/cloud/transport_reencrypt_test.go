@@ -65,8 +65,8 @@ func httpReEncrypt(t *testing.T, baseURL, ownerID string, items []ReEncryptItem)
 // TestReEncryptTransportsAgree is the transport differential for
 // re-encryption: one snapshot restored into three servers, the same
 // per-ciphertext batch under window 2 sent in-process, over net/rpc and over
-// HTTP, one server each. The stored state must come out byte-identical and
-// the three reports must agree.
+// HTTP, one server each. The stored state must come out byte-identical, the
+// three reports must agree, and each run must prepare UK1 once.
 func TestReEncryptTransportsAgree(t *testing.T) {
 	env, owner := hospitalEnv(t)
 	uploadPatientRecord(t, owner)
@@ -109,6 +109,14 @@ func TestReEncryptTransportsAgree(t *testing.T) {
 			!slices.Equal(rep.Committed, repIn.Committed) ||
 			!slices.Equal(rep.Items, repIn.Items) {
 			t.Fatalf("%s report %+v differs from in-process %+v", name, rep, repIn)
+		}
+	}
+	// Every item carries the same update key. The in-process items share
+	// one *core.UpdateKey, and each transport decodes the key once per
+	// request, so every run builds one UK1 preparation across its windows.
+	for name, rep := range map[string]*BatchReport{"in-process": repIn, "rpc": repRPC, "http": &repHTTP} {
+		if rep.Engine.PreparedMisses != 1 {
+			t.Fatalf("%s run built %d UK1 preparations, want 1", name, rep.Engine.PreparedMisses)
 		}
 	}
 

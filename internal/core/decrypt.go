@@ -26,8 +26,7 @@ import (
 // aggregates, applying each e_i as its residue of least absolute value, so
 // the small signed coefficients of AND gates cost a few doublings each.
 // One pairing product then walks PK_UID's cached Miller lines (a user
-// decrypts many records, so the preparation comes from the engine's LRU)
-// beside C'⁻¹'s full Miller loop, sharing one squaring chain and one final
+// decrypts many records, so PK_UID keeps its preparation) beside C'⁻¹'s full Miller loop, sharing one squaring chain and one final
 // exponentiation. C' is not prepared: it differs for every ciphertext.
 // Decrypt runs serially. Its result and its errors match DecryptEq1's,
 // which the tests and FuzzDecryptMatchesEq1 pin byte for byte.
@@ -60,7 +59,7 @@ func Decrypt(sys *System, ct *Ciphertext, user *UserPublicKey, sks map[string]*S
 	if err != nil {
 		return nil, err
 	}
-	blind, err := engine.Prepared(user.PK).PairMul(cAgg, ct.CPrime.Inv(), kAgg)
+	blind, err := user.PK.Prepared().PairMul(cAgg, ct.CPrime.Inv(), kAgg)
 	if err != nil {
 		return nil, err
 	}

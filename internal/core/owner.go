@@ -87,17 +87,6 @@ func (o *Owner) InstallPublicKeys(pks *PublicKeys) {
 	}
 }
 
-// AuthorityVersion returns the version of the owner's stored public key for
-// an authority, or −1 if unknown.
-func (o *Owner) AuthorityVersion(aid string) int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if pk, ok := o.opks[aid]; ok {
-		return pk.Version
-	}
-	return -1
-}
-
 // Encrypt encrypts the message m ∈ G_T (a content key in the full system)
 // under the boolean policy over qualified attributes, e.g.
 // "aa1:doctor AND (aa2:researcher OR aa2:nurse)".
@@ -185,8 +174,8 @@ func (o *Owner) EncryptMatrix(m *pairing.GT, policy string, matrix *lsss.Matrix,
 }
 
 // ApplyUpdate moves the owner's stored public keys for uk.AID to the next
-// version: PK̃_o = PK_o^UK2 and PK̃_x = PK_x^UK2. Each replaced PK_x leaves
-// the engine's caches, since this owner never exponentiates it again.
+// version: PK̃_o = PK_o^UK2 and PK̃_x = PK_x^UK2. Each replaced PK_x goes,
+// and its exponentiation comb with it.
 func (o *Owner) ApplyUpdate(uk *UpdateKey) error {
 	if uk.OwnerID != o.id {
 		return fmt.Errorf("%w: update key for owner %q", ErrWrongOwner, uk.OwnerID)
@@ -212,9 +201,8 @@ func (o *Owner) ApplyUpdate(uk *UpdateKey) error {
 		o.apks[q] = &AttrPublicKey{
 			Attr:    apk.Attr,
 			Version: uk.ToVersion,
-			PK:      engine.PreparedExp(apk.PK).Exp(uk.UK2),
+			PK:      apk.PK.ExpTable().Exp(uk.UK2),
 		}
-		engine.Forget(apk.PK)
 	}
 	return nil
 }
@@ -296,12 +284,12 @@ func (o *Owner) UpdateInfoFor(ct *Ciphertext, uk *UpdateKey) (*UpdateInfo, error
 		UI:           make(map[string]*pairing.G, len(affected)),
 	}
 	// One revocation exponentiates the same PK_x for every stored ciphertext
-	// (and again in ApplyUpdate), so the doubling tables come from the
-	// engine's LRU cache after the first ciphertext pays to build them.
+	// (and again in ApplyUpdate), so the first ciphertext builds the comb
+	// the owner's PK_x keeps and the rest reuse it.
 	qs := sortedKeys(affected)
 	uiVals := make([]*pairing.G, len(qs))
 	_ = engine.Default().Run(len(qs), func(i int) error {
-		uiVals[i] = engine.PreparedExp(affected[qs[i]].PK).Exp(exp)
+		uiVals[i] = affected[qs[i]].PK.ExpTable().Exp(exp)
 		return nil
 	})
 	for i, q := range qs {

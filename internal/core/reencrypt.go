@@ -36,12 +36,11 @@ func ReEncrypt(sys *System, ct *Ciphertext, ui *UpdateInfo, uk *UpdateKey) (*Cip
 	}
 
 	out := ct.Clone()
-	// One revocation applies the same UK1 to every stored ciphertext, so its
-	// Miller-loop preparation comes from the engine's LRU cache: the first
-	// ciphertext pays for it, the rest pair at about half the cost of a
-	// full pairing (they skip the curve arithmetic, not the squarings or
-	// the final exponentiation).
-	e, err := engine.Prepared(uk.UK1).Pair(ct.CPrime)
+	// One revocation applies the same UK1 to every stored ciphertext, so UK1
+	// keeps its Miller-loop preparation: the first ciphertext pays for it,
+	// the rest pair at about half the cost of a full pairing (they skip the
+	// curve arithmetic, not the squarings or the final exponentiation).
+	e, err := uk.UK1.Prepared().Pair(ct.CPrime)
 	if err != nil {
 		return nil, 0, err
 	}

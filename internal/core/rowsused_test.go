@@ -14,8 +14,10 @@ import (
 // costs far fewer pairings than decrypting the AND over all of them, even
 // though the ciphertexts are the same size. Decrypt runs one PairMul (a
 // single Miller pass that walks PK_UID's prepared lines beside C'⁻¹'s
-// computed ones, and one final exponentiation) whatever the policy. The
-// test counts pairings (pairing.SnapshotOpCounts) instead of timing them:
+// computed ones, and one final exponentiation) whatever the policy, and
+// takes PK_UID's preparation once (built on the user's first decryption,
+// reused after). The test counts pairings (pairing.SnapshotOpCounts)
+// instead of timing them:
 // its timed form, a 2× gap asserted on an expected 8×, failed when other
 // test binaries shared the CPUs.
 func TestDecryptionCostScalesWithRowsUsed(t *testing.T) {
@@ -45,12 +47,13 @@ func TestDecryptionCostScalesWithRowsUsed(t *testing.T) {
 	} {
 		m, ct := f.encrypt(tc.policy)
 		for _, path := range []struct {
-			name    string
-			decrypt decryptFunc
-			want    pairing.OpCounts
+			name     string
+			decrypt  decryptFunc
+			want     pairing.OpCounts
+			prepUses uint64
 		}{
-			{"DecryptEq1", DecryptEq1, pairings(tc.nA + 2*tc.used)},
-			{"Decrypt", Decrypt, pairing.OpCounts{MillerPasses: 1, PreparedWalks: 1, FinalExps: 1}},
+			{"DecryptEq1", DecryptEq1, pairings(tc.nA + 2*tc.used), 0},
+			{"Decrypt", Decrypt, pairing.OpCounts{MillerPasses: 1, PreparedWalks: 1, FinalExps: 1}, 1},
 		} {
 			before := pairing.SnapshotOpCounts()
 			got, err := path.decrypt(f.sys, ct, tc.user.pk, tc.user.sks)
@@ -60,7 +63,12 @@ func TestDecryptionCostScalesWithRowsUsed(t *testing.T) {
 			if !got.Equal(m) {
 				t.Fatalf("%s(%q): wrong plaintext", path.name, tc.policy)
 			}
-			if ops := pairing.SnapshotOpCounts().Delta(before); ops != path.want {
+			ops := pairing.SnapshotOpCounts().Delta(before)
+			if uses := ops.PrepBuilds + ops.PrepReuses; uses != path.prepUses {
+				t.Errorf("%s(%q) took %d preparations, want %d", path.name, tc.policy, uses, path.prepUses)
+			}
+			ops.PrepBuilds, ops.PrepReuses = 0, 0
+			if ops != path.want {
 				t.Errorf("%s(%q) ran %+v, want %+v", path.name, tc.policy, ops, path.want)
 			}
 		}

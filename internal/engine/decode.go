@@ -1,6 +1,12 @@
 package engine
 
-import "maacs/internal/pairing"
+import (
+	"container/list"
+	"sync"
+	"sync/atomic"
+
+	"maacs/internal/pairing"
+)
 
 // decodeCacheCap bounds the decoded-element caches: decodeCacheCap G
 // elements and a quarter as many G_T elements. A reader cycling through 64
@@ -45,4 +51,67 @@ func DecodeGT(p *pairing.Params, data []byte) (*pairing.GT, error) {
 // G and G_T together. A rejected encoding counts as a miss.
 func DecodeCacheStats() (hits, misses uint64) {
 	return decodedG.hits.Load() + decodedGT.hits.Load(), decodedG.misses.Load() + decodedGT.misses.Load()
+}
+
+// cacheKey identifies a cached value: same parameter set, same encoding.
+type cacheKey struct {
+	params *pairing.Params
+	enc    string
+}
+
+type cacheEntry[V any] struct {
+	key cacheKey
+	val V
+}
+
+// pointCache is a lock-guarded LRU of decoded group elements keyed by their
+// encoding.
+type pointCache[V any] struct {
+	limit int // entries kept; the least recently used beyond it is evicted
+
+	mu      sync.Mutex
+	entries map[cacheKey]*list.Element
+	order   list.List // front = most recently used; element values are *cacheEntry[V]
+
+	hits, misses atomic.Uint64
+}
+
+func newPointCache[V any](limit int) *pointCache[V] {
+	return &pointCache[V]{limit: limit, entries: make(map[cacheKey]*list.Element)}
+}
+
+// get returns the cached value for key, computing it with build on a miss.
+// build runs outside the lock: it does the expensive group work, and two
+// goroutines racing on the same fresh key merely duplicate it once. A build
+// that fails is counted as a miss, its error returned, and nothing cached.
+func (c *pointCache[V]) get(key cacheKey, build func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		val := el.Value.(*cacheEntry[V]).val
+		c.mu.Unlock()
+		c.hits.Add(1)
+		return val, nil
+	}
+	c.mu.Unlock()
+
+	val, err := build()
+	c.misses.Add(1)
+	if err != nil {
+		return val, err
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*cacheEntry[V]).val, nil
+	}
+	c.entries[key] = c.order.PushFront(&cacheEntry[V]{key: key, val: val})
+	for len(c.entries) > c.limit {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry[V]).key)
+	}
+	return val, nil
 }

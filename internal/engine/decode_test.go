@@ -183,3 +183,9 @@ func TestDecodeCacheBounded(t *testing.T) {
 		t.Fatalf("G_T cache holds %d entries, bound is %d", n, decodeCacheCap/4)
 	}
 }
+
+func (c *pointCache[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}

@@ -4,13 +4,13 @@
 //
 //   - a bounded worker pool (sized by GOMAXPROCS, overridable) that evaluates
 //     independent jobs in parallel with first-error cancellation,
-//   - LRU caches of prepared Miller-loop coefficients (Prepared) and
-//     exponentiation tables (PreparedExp) keyed by the serialized base,
-//   - two-base exponentiation helpers (DualExp, DualExpGT) on those tables,
+//   - two-base exponentiation helpers (DualExp on each base's own comb,
+//     DualExpGT),
 //   - validated decoding of ciphertext elements (DecodeG, DecodeGT) behind
 //     a bounded LRU keyed by the exact encoding,
-//   - process-wide activity counters (jobs, cache hits/misses) snapshotted
-//     via SnapshotStats and attributed to a region with Measure.
+//   - process-wide activity counters (jobs, preparation and comb builds and
+//     reuses) snapshotted via SnapshotStats and attributed to a region with
+//     Measure.
 //
 // Determinism guarantee: every helper produces results that are bit-identical
 // to the equivalent serial loop. Jobs write only to their own index of a

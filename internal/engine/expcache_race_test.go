@@ -10,12 +10,12 @@ import (
 	"maacs/internal/waters"
 )
 
-// TestExpCacheConcurrentEncrypts runs many scheme encrypts concurrently
-// through one shared exp-table cache and compares every ciphertext against
-// a serial baseline produced from the same randomness stream: the cache
-// must be race-free (the -race gate in scripts/check.sh runs this) and
-// must not change any result, and the concurrent run must actually share
-// tables (hit counter advances).
+// TestExpCacheConcurrentEncrypts runs many scheme encrypts concurrently on
+// one public key, whose bases (g^a and the memoized H(x)) keep their combs,
+// and compares every ciphertext against a serial baseline produced from the
+// same randomness stream: the shared combs must be race-free and must not
+// change any result, and the concurrent run must actually reuse them (hit
+// counter advances, no comb is built).
 func TestExpCacheConcurrentEncrypts(t *testing.T) {
 	p := pairing.Test()
 	auth, err := waters.Setup(p, mrand.New(mrand.NewSource(1)))
@@ -83,7 +83,10 @@ func TestExpCacheConcurrentEncrypts(t *testing.T) {
 	}
 	after := engine.SnapshotStats()
 	if after.ExpHits == before.ExpHits {
-		t.Fatal("concurrent encrypts never hit the shared exp-table cache")
+		t.Fatal("concurrent encrypts never reused a comb")
+	}
+	if after.ExpMisses != before.ExpMisses {
+		t.Fatalf("concurrent encrypts on a warm public key built %d combs", after.ExpMisses-before.ExpMisses)
 	}
 
 	// Every concurrently-produced ciphertext must still decrypt.

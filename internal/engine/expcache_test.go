@@ -8,8 +8,8 @@ import (
 	"maacs/internal/pairing"
 )
 
-// freshBases returns n distinct non-generator points, so each PreparedExp
-// call keys a distinct cache entry.
+// freshBases returns n distinct non-generator points, each with no comb
+// built yet.
 func freshBases(t *testing.T, p *pairing.Params, n int) []*pairing.G {
 	t.Helper()
 	out := make([]*pairing.G, n)
@@ -31,9 +31,9 @@ func freshBases(t *testing.T, p *pairing.Params, n int) []*pairing.G {
 	return out
 }
 
-// TestExpCacheHitMiss pins the cache counters surfaced through
-// engine.Stats: a fresh base is a miss, a repeat is a hit, and both views
-// (ExpCacheStats and SnapshotStats) agree.
+// TestExpCacheHitMiss pins the comb counters surfaced through
+// engine.Stats: a fresh base's first comb is a miss, a repeat is a hit, and
+// both views (pairing.SnapshotOpCounts and SnapshotStats) agree.
 func TestExpCacheHitMiss(t *testing.T) {
 	p := pairing.Test()
 	bases := freshBases(t, p, 3)
@@ -41,61 +41,24 @@ func TestExpCacheHitMiss(t *testing.T) {
 
 	before := SnapshotStats()
 	for _, g := range bases {
-		PreparedExp(g).Exp(k)
+		g.ExpTable().Exp(k)
 	}
 	mid := SnapshotStats()
 	if got := mid.ExpMisses - before.ExpMisses; got != 3 {
 		t.Fatalf("fresh bases produced %d misses, want 3", got)
 	}
 	for i := 0; i < 4; i++ {
-		PreparedExp(bases[0]).Exp(k)
+		DualExp(bases[0], k, bases[0], k)
 	}
 	after := SnapshotStats()
-	if got := after.ExpHits - mid.ExpHits; got != 4 {
-		t.Fatalf("repeat base produced %d hits, want 4", got)
+	if got := after.ExpHits - mid.ExpHits; got != 8 {
+		t.Fatalf("repeat base produced %d hits, want 8", got)
 	}
 	if got := after.ExpMisses - mid.ExpMisses; got != 0 {
 		t.Fatalf("repeat base produced %d misses, want 0", got)
 	}
-	h, m := ExpCacheStats()
-	if h != after.ExpHits || m != after.ExpMisses {
-		t.Fatal("ExpCacheStats and SnapshotStats disagree")
-	}
-}
-
-// TestExpCacheEviction shrinks the cap and checks LRU behavior: the cache
-// never exceeds the cap, the most recent bases stay resident, and an
-// evicted base misses again on its next use.
-func TestExpCacheEviction(t *testing.T) {
-	old := expTables.limit
-	expTables.limit = 4
-	defer func() { expTables.limit = old }()
-
-	p := pairing.Test()
-	bases := freshBases(t, p, 10)
-	k := big.NewInt(54321)
-	for _, g := range bases {
-		PreparedExp(g).Exp(k)
-	}
-	if n := ExpCacheLen(); n > 4 {
-		t.Fatalf("cache holds %d entries, cap is 4", n)
-	}
-
-	hits0, misses0 := ExpCacheStats()
-	PreparedExp(bases[9]).Exp(k) // most recent: must be resident
-	hits1, misses1 := ExpCacheStats()
-	if hits1 != hits0+1 || misses1 != misses0 {
-		t.Fatalf("recent base: hits %d→%d misses %d→%d, want one hit", hits0, hits1, misses0, misses1)
-	}
-	PreparedExp(bases[0]).Exp(k) // oldest: must have been evicted
-	hits2, misses2 := ExpCacheStats()
-	if misses2 != misses1+1 || hits2 != hits1 {
-		t.Fatalf("evicted base: hits %d→%d misses %d→%d, want one miss", hits1, hits2, misses1, misses2)
-	}
-
-	// The evicted base still answers correctly after rebuilding.
-	want := bases[0].Exp(k)
-	if !PreparedExp(bases[0]).Exp(k).Equal(want) {
-		t.Fatal("rebuilt table disagrees with direct exponentiation")
+	ops := pairing.SnapshotOpCounts()
+	if ops.TableReuses != after.ExpHits || ops.TableBuilds != after.ExpMisses {
+		t.Fatal("pairing.SnapshotOpCounts and SnapshotStats disagree")
 	}
 }

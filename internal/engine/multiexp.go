@@ -11,27 +11,17 @@ import (
 // of the naive computation. It panics on mixed parameter sets, which
 // indicates a programming error (matching pairing.MustPair).
 //
-// Each factor runs through precomputed-table exponentiation: the shared
-// generator comb when the base is the group generator, and the bounded LRU
-// ExpTable cache otherwise. The schemes' per-attribute loops call this with
-// a handful of hot bases (attribute public keys, hashed attributes, the
-// generator), so after the first touch every factor costs one limb-native
-// comb evaluation. Even a cache miss costs about one plain exponentiation
-// per factor, the price of building the table.
+// Each factor runs through its base's own exponentiation comb
+// (G.ExpTable). The schemes' per-attribute loops call this with a handful
+// of hot bases (attribute public keys, hashed attributes, the generator)
+// that their callers keep, so after the first touch every factor costs one
+// limb-native comb evaluation. A base's first use costs about one plain
+// exponentiation more, the price of building its comb.
 func DualExp(a *pairing.G, x *big.Int, b *pairing.G, y *big.Int) *pairing.G {
-	p := a.Params()
-	if b.Params() != p {
+	if b.Params() != a.Params() {
 		panic(pairing.ErrMixedParams)
 	}
-	return tableExp(p, a, x).Mul(tableExp(p, b, y))
-}
-
-// tableExp routes one factor to the cheapest precomputed path.
-func tableExp(p *pairing.Params, g *pairing.G, k *big.Int) *pairing.G {
-	if g.Equal(p.Generator()) {
-		return p.FixedBaseExp(k)
-	}
-	return PreparedExp(g).Exp(k)
+	return a.ExpTable().Exp(x).Mul(b.ExpTable().Exp(y))
 }
 
 // DualExpGT computes t^x · u^y in the target group with two independent

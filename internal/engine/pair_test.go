@@ -23,30 +23,30 @@ func randomPairs(t *testing.T, p *pairing.Params, n int) (as, bs []*pairing.G) {
 	return as, bs
 }
 
+// TestPreparedCacheHits pins what SnapshotStats reports for preparations:
+// an element's first G.Prepared is a miss, every later one a hit on the
+// same preparation, and the preparation pairs like Pair.
 func TestPreparedCacheHits(t *testing.T) {
 	p := pairing.Test()
 	a, _, err := p.RandomG(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h0, m0 := PreparedCacheStats()
-	pre1 := Prepared(a)
-	pre2 := Prepared(a.Clone()) // equal value, distinct pointer: must hit
-	h1, m1 := PreparedCacheStats()
+	before := SnapshotStats()
+	pre1 := a.Prepared()
+	pre2 := a.Prepared()
+	d := SnapshotStats().Delta(before)
 	if pre1 != pre2 {
-		t.Fatal("cache returned distinct preparations for the same point")
+		t.Fatal("one element returned two preparations")
 	}
-	if m1 != m0+1 {
-		t.Fatalf("misses went %d → %d, want exactly one new miss", m0, m1)
-	}
-	if h1 != h0+1 {
-		t.Fatalf("hits went %d → %d, want exactly one new hit", h0, h1)
+	if d.PreparedMisses != 1 || d.PreparedHits != 1 {
+		t.Fatalf("two Prepared calls counted %d misses and %d hits, want one each", d.PreparedMisses, d.PreparedHits)
 	}
 	b, _, err := p.RandomG(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt, err := Prepared(b).Pair(a)
+	gt, err := b.Prepared().Pair(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,20 +55,6 @@ func TestPreparedCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !gt.Equal(want) {
-		t.Fatal("cached preparation pairs wrong")
-	}
-}
-
-func TestPreparedCacheBounded(t *testing.T) {
-	p := pairing.Test()
-	for i := 0; i < preparedCacheCap+32; i++ {
-		g, _, err := p.RandomG(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		Prepared(g)
-	}
-	if n := PreparedCacheLen(); n > preparedCacheCap {
-		t.Fatalf("cache grew to %d entries, cap is %d", n, preparedCacheCap)
+		t.Fatal("kept preparation pairs wrong")
 	}
 }

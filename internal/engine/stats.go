@@ -3,31 +3,36 @@ package engine
 import (
 	"sync/atomic"
 	"time"
+
+	"maacs/internal/pairing"
 )
 
 // Stats is a snapshot (or a delta between two snapshots) of the engine's
-// process-wide activity counters: how many jobs the pools scheduled and how
-// effective the PreparedG and exp-table caches were. Counters are
-// cumulative and monotonically non-decreasing for the life of the process;
-// WallNs is only populated on deltas produced by Measure and on sums of
-// such deltas (a raw snapshot carries no meaningful wall time).
+// process-wide activity counters: how many jobs the pools scheduled, and
+// how often group elements reused their Miller-line preparations and
+// exponentiation combs (G.Prepared, G.ExpTable) rather than building them.
+// Counters are cumulative and monotonically non-decreasing for the life of
+// the process; WallNs is only populated on deltas produced by Measure and
+// on sums of such deltas (a raw snapshot carries no meaningful wall time).
 type Stats struct {
 	// Jobs counts jobs scheduled through Pool.Run (including the inline
 	// serial path and nested runs, such as per-row fan-outs inside a
 	// per-ciphertext job).
 	Jobs uint64 `json:"jobs"`
-	// PreparedHits/PreparedMisses track the Miller-loop preparation cache.
+	// PreparedHits counts G.Prepared calls that reused the element's
+	// preparation and PreparedMisses those that built it.
 	PreparedHits   uint64 `json:"prepared_hits"`
 	PreparedMisses uint64 `json:"prepared_misses"`
-	// ExpHits/ExpMisses track the exp-table cache.
+	// ExpHits counts G.ExpTable calls (FixedBaseExp's included) that reused
+	// the element's comb and ExpMisses those that built it.
 	ExpHits   uint64 `json:"exp_hits"`
 	ExpMisses uint64 `json:"exp_misses"`
 	// WallNs is the wall time of the measured region (Measure deltas only).
 	WallNs int64 `json:"wall_ns"`
 }
 
-// jobsScheduled is the process-wide job counter behind SnapshotStats. Cache
-// hit/miss counters live on the caches themselves (pair.go).
+// jobsScheduled is the process-wide job counter behind SnapshotStats. The
+// build and reuse counters are pairing's (pairing.SnapshotOpCounts).
 var jobsScheduled atomic.Uint64
 
 // SnapshotStats returns the cumulative engine counters. Subtract two
@@ -35,14 +40,13 @@ var jobsScheduled atomic.Uint64
 // counters are process-wide, so concurrent engine users show up in the
 // difference too.
 func SnapshotStats() Stats {
-	pHits, pMisses := PreparedCacheStats()
-	eHits, eMisses := ExpCacheStats()
+	ops := pairing.SnapshotOpCounts()
 	return Stats{
 		Jobs:           jobsScheduled.Load(),
-		PreparedHits:   pHits,
-		PreparedMisses: pMisses,
-		ExpHits:        eHits,
-		ExpMisses:      eMisses,
+		PreparedHits:   ops.PrepReuses,
+		PreparedMisses: ops.PrepBuilds,
+		ExpHits:        ops.TableReuses,
+		ExpMisses:      ops.TableBuilds,
 	}
 }
 

@@ -51,11 +51,11 @@ func TestStatsPreparedCacheCountersAcrossPools(t *testing.T) {
 	}
 	bs, _ := randomPairs(t, p, 6)
 
-	// pairAll pairs a against every b on pool, one job per pairing, with a's
-	// preparation served through the cache, the way re-encryption pairs
-	// one UK1 against every stored ciphertext.
+	// pairAll pairs a against every b on pool, one job per pairing, with the
+	// preparation a keeps, the way re-encryption pairs one UK1 against every
+	// stored ciphertext.
 	pairAll := func(pool *Pool) []*pairing.GT {
-		pre := Prepared(a)
+		pre := a.Prepared()
 		out := make([]*pairing.GT, len(bs))
 		if err := pool.Run(len(bs), func(i int) error {
 			gt, err := pre.Pair(bs[i])
@@ -78,13 +78,13 @@ func TestStatsPreparedCacheCountersAcrossPools(t *testing.T) {
 		t.Fatalf("serial run scheduled %d jobs, want %d", d1.Jobs, len(bs))
 	}
 
-	// Same point on a parallel pool: served from cache, same job count, and
+	// Same point on a parallel pool: its kept preparation, same job count, and
 	// bit-identical results — the schedule never leaks into the output.
 	pre = SnapshotStats()
 	parallel := pairAll(New(4))
 	d2 := SnapshotStats().Delta(pre)
 	if d2.PreparedHits == 0 || d2.PreparedMisses != 0 {
-		t.Fatalf("cached point not served from cache: %+v", d2)
+		t.Fatalf("prepared point not reused: %+v", d2)
 	}
 	if d2.Jobs != d1.Jobs {
 		t.Fatalf("parallel scheduled %d jobs, serial %d", d2.Jobs, d1.Jobs)

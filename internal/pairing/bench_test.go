@@ -50,7 +50,7 @@ func BenchmarkPair(b *testing.B) {
 // BenchmarkMiller isolates the Miller loop (no final exponentiation).
 func BenchmarkMiller(b *testing.B) {
 	benchKernels(b, func(p *Params) (func(), func()) {
-		g := p.gen
+		g := p.gen.pt
 		return func() { p.millerMont(nil, infinity(), g, g) }, func() { p.miller(g, g) }
 	})
 }
@@ -58,7 +58,7 @@ func BenchmarkMiller(b *testing.B) {
 // BenchmarkPreparedPair measures pairing against cached line coefficients.
 func BenchmarkPreparedPair(b *testing.B) {
 	benchKernels(b, func(p *Params) (func(), func()) {
-		pre := p.Prepare(p.Generator())
+		pre := p.prepare(p.Generator())
 		k, _ := p.RandomScalar(rand.Reader)
 		q := p.Generator().Exp(k)
 		return func() { pre.Pair(q) }, nil
@@ -70,7 +70,7 @@ func BenchmarkPreparedPair(b *testing.B) {
 func BenchmarkPrepare(b *testing.B) {
 	benchKernels(b, func(p *Params) (func(), func()) {
 		g := p.Generator()
-		return func() { p.Prepare(g) }, nil
+		return func() { p.prepare(g) }, nil
 	})
 }
 
@@ -96,7 +96,7 @@ func BenchmarkGTExp(b *testing.B) {
 
 func BenchmarkFinalExp(b *testing.B) {
 	p := benchParams(b)
-	f := p.millerMont(nil, infinity(), p.gen, p.gen)
+	f := p.millerMont(nil, infinity(), p.gen.pt, p.gen.pt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -114,7 +114,7 @@ func BenchmarkPairMul(b *testing.B) {
 		k, _ := p.RandomScalar(rand.Reader)
 		pts[i] = p.Generator().Exp(k)
 	}
-	pre := p.Prepare(pts[0])
+	pre := p.prepare(pts[0])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

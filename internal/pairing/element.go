@@ -5,14 +5,18 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 )
 
 // G is an element of the order-R source group G ⊂ E(F_q). The group law is
 // written multiplicatively (Mul/Exp/Inv/One) to match the paper. G values
-// are immutable: every operation returns a fresh element.
+// are immutable: every operation returns a fresh element. An element builds
+// its Miller-line preparation and its exponentiation comb on first use
+// (Prepared, ExpTable) and keeps them for its own lifetime (precomp.go).
 type G struct {
-	p  *Params
-	pt point
+	p   *Params
+	pt  point
+	pre atomic.Pointer[precomp] // nil until the first Prepared or ExpTable
 }
 
 // GT is an element of the order-R target group G_T ⊂ F_q²*, also written
@@ -28,9 +32,11 @@ var (
 	ErrBadEncoding = errors.New("pairing: malformed element encoding")
 )
 
-// Generator returns the fixed generator g of G.
+// Generator returns the fixed generator g of G. Every call returns the same
+// element, so its exponentiation comb, the one FixedBaseExp evaluates, is
+// built once per Params.
 func (p *Params) Generator() *G {
-	return &G{p: p, pt: p.gen.clone()}
+	return p.gen
 }
 
 // OneG returns the identity of G.

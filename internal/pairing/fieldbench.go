@@ -26,8 +26,8 @@ type FieldOp struct {
 func (p *Params) FieldBench() []FieldOp {
 	// Deterministic full-width operands: generator coordinates pushed through
 	// a few squarings.
-	xb := new(big.Int).Mod(new(big.Int).Mul(p.gen.x, p.gen.x), p.Q)
-	yb := new(big.Int).Mod(new(big.Int).Mul(p.gen.y, p.gen.y), p.Q)
+	xb := new(big.Int).Mod(new(big.Int).Mul(p.gen.pt.x, p.gen.pt.x), p.Q)
+	yb := new(big.Int).Mod(new(big.Int).Mul(p.gen.pt.y, p.gen.pt.y), p.Q)
 	zb := new(big.Int)
 	x2 := fp2{a: xb, b: yb}
 	y2 := fp2{a: yb, b: xb}

@@ -76,7 +76,7 @@ func FuzzPairKernels(f *testing.F) {
 		if !bytes.Equal(opt.Marshal(), ref.Marshal()) {
 			t.Fatal("projective Miller loop disagrees with affine reference")
 		}
-		prep, err := p.Prepare(ga).Pair(gb)
+		prep, err := p.prepare(ga).Pair(gb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func FuzzPairKernels(f *testing.F) {
 			t.Fatal("Lucas GT exponentiation disagrees with square-and-multiply")
 		}
 		gk := g.Exp(k)
-		mul, err := p.Prepare(ga).PairMul(gb, gk, ga)
+		mul, err := p.prepare(ga).PairMul(gb, gk, ga)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 
 func TestJacobianMatchesAffineScalarMult(t *testing.T) {
 	p := Test()
-	g := p.gen
+	g := p.gen.pt
 	f := func(k64 uint64) bool {
 		k := new(big.Int).SetUint64(k64)
 		return p.mulScalarMont(g, k).equal(p.mulScalarAffine(g, k))
@@ -24,7 +24,7 @@ func TestJacobianMatchesAffineScalarMult(t *testing.T) {
 
 func TestJacobianEdgeCases(t *testing.T) {
 	p := Test()
-	g := p.gen
+	g := p.gen.pt
 	cases := []*big.Int{
 		new(big.Int),                         // 0 → ∞
 		big.NewInt(1),                        // 1 → g
@@ -73,7 +73,7 @@ func montJacScaled(c *fpContext, pt point, lambda int64) montJac {
 func TestJacAddAffineOppositePoints(t *testing.T) {
 	p := Test()
 	c := p.fpc
-	g := p.gen
+	g := p.gen.pt
 	ng := c.montFromPoint(p.neg(g))
 	j := montJacScaled(c, g, 7)
 	c.montJacAddAffine(&j, &ng)
@@ -94,7 +94,7 @@ func TestJacRoundTrip(t *testing.T) {
 	c := p.fpc
 	f := func(k64 uint64, lambda uint32) bool {
 		k := new(big.Int).SetUint64(k64)
-		pt := p.mulScalarAffine(p.gen, k)
+		pt := p.mulScalarAffine(p.gen.pt, k)
 		if pt.inf {
 			return true
 		}

@@ -46,14 +46,14 @@ func TestPairKernelDispatch(t *testing.T) {
 	if !bytes.Equal(e.Marshal(), ref.Marshal()) {
 		t.Fatal("Pair disagrees with PairReference")
 	}
-	pp, err := p.Prepare(ga).Pair(gb)
+	pp, err := p.prepare(ga).Pair(gb)
 	if err != nil {
 		t.Fatalf("prepared pair: %v", err)
 	}
 	if !bytes.Equal(pp.Marshal(), ref.Marshal()) {
 		t.Fatal("prepared pair disagrees with PairReference")
 	}
-	prod, err := p.Prepare(ga).PairMul(gb, gb, ga)
+	prod, err := p.prepare(ga).PairMul(gb, gb, ga)
 	if err != nil {
 		t.Fatalf("PairMul: %v", err)
 	}
@@ -85,7 +85,7 @@ func TestPreparedProjMatchesAffinePrepare(t *testing.T) {
 		a, _ := p.RandomScalar(rand.Reader)
 		b, _ := p.RandomScalar(rand.Reader)
 		ga, gb := g.Exp(a), g.Exp(b)
-		got, err := p.Prepare(ga).Pair(gb)
+		got, err := p.prepare(ga).Pair(gb)
 		if err != nil {
 			t.Fatalf("prepared pair: %v", err)
 		}
@@ -131,7 +131,7 @@ func TestScalarNormalization(t *testing.T) {
 	p := Test()
 	g := p.Generator()
 	gt := p.GTGenerator()
-	table := p.PrepareExp(g)
+	table := p.prepareExp(g)
 	small := big.NewInt(12345)
 	cases := []struct {
 		name string
@@ -215,8 +215,8 @@ func TestKernelSharedStateConcurrency(t *testing.T) {
 	g := p.Generator()
 	a, _ := p.RandomScalar(rand.Reader)
 	ga := g.Exp(a)
-	pre := p.Prepare(ga)
-	table := p.PrepareExp(ga)
+	pre := p.prepare(ga)
+	table := p.prepareExp(ga)
 
 	const workers = 8
 	const iters = 12

@@ -396,14 +396,14 @@ type mPrepStep struct {
 	den     fpElement // slope denominator, inverted in place by the batch pass
 }
 
-// Prepare precomputes the Miller-loop lines of g as a first pairing
-// argument. It walks the NAF Miller chain on fpElements (zero inversions)
+// prepare precomputes the Miller-loop lines of g as a first pairing
+// argument (G.Prepared keeps the result with g). It walks the NAF Miller chain on fpElements (zero inversions)
 // and recovers all the cached affine line coefficients with one batch
 // inversion over the accumulated denominators. The cached coefficients stay
 // in Montgomery form so the per-pairing walk needs no conversions beyond Q.
 // At paper scale a preparation caches 160 lines of 128 B (the loop's last
 // chord, through P and −P, is vertical).
-func (p *Params) Prepare(g *G) *PreparedG {
+func (p *Params) prepare(g *G) *PreparedG {
 	if g.pt.inf {
 		return &PreparedG{p: p, inf: true}
 	}

@@ -13,11 +13,11 @@ func fastOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
 	k := new(big.Int).Mul(a, b)
 	ga, gb := p.Generator().Exp(a), p.Generator().Exp(b)
 	e := p.MustPair(ga, gb)
-	pp, err := p.Prepare(ga).Pair(gb)
+	pp, err := p.prepare(ga).Pair(gb)
 	if err != nil {
 		t.Fatalf("prepared pair: %v", err)
 	}
-	prod, err := p.Prepare(ga).PairMul(gb, gb, ga)
+	prod, err := p.prepare(ga).PairMul(gb, gb, ga)
 	if err != nil {
 		t.Fatalf("PairMul: %v", err)
 	}
@@ -33,7 +33,7 @@ func fastOutputs(t *testing.T, p *Params, a, b *big.Int) map[string][]byte {
 		"G.Exp":             ga.Exp(k).Marshal(),
 		"GT.Exp":            e.Exp(k).Marshal(),
 		"FixedBaseExp":      p.FixedBaseExp(k).Marshal(),
-		"ExpTable.Exp":      p.PrepareExp(ga).Exp(k).Marshal(),
+		"ExpTable.Exp":      p.prepareExp(ga).Exp(k).Marshal(),
 	}
 }
 
@@ -178,7 +178,7 @@ func TestHotPathZeroBigIntAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(5, func() { p.MustPair(ga, gb) }); a > pairAllocBudget {
 		t.Fatalf("Pair allocates %v/op, budget %d", a, pairAllocBudget)
 	}
-	pre := p.Prepare(ga)
+	pre := p.prepare(ga)
 	if a := testing.AllocsPerRun(5, func() {
 		if _, err := pre.Pair(gb); err != nil {
 			t.Fatal(err)

@@ -17,9 +17,19 @@ type OpCounts struct {
 	PreparedWalks uint64
 	// FinalExps counts final exponentiations.
 	FinalExps uint64
+	// PrepBuilds counts G.Prepared calls that built the element's
+	// preparation, and PrepReuses those that found it built.
+	PrepBuilds, PrepReuses uint64
+	// TableBuilds counts G.ExpTable calls (FixedBaseExp's included) that
+	// built the element's comb, and TableReuses those that found it built.
+	TableBuilds, TableReuses uint64
 }
 
-var millerPasses, preparedWalks, finalExps atomic.Uint64
+var (
+	millerPasses, preparedWalks, finalExps atomic.Uint64
+	prepBuilds, prepReuses                 atomic.Uint64
+	tableBuilds, tableReuses               atomic.Uint64
+)
 
 // SnapshotOpCounts returns the cumulative counters. Subtract two snapshots
 // with Delta to count the pairings of a region of code.
@@ -28,6 +38,10 @@ func SnapshotOpCounts() OpCounts {
 		MillerPasses:  millerPasses.Load(),
 		PreparedWalks: preparedWalks.Load(),
 		FinalExps:     finalExps.Load(),
+		PrepBuilds:    prepBuilds.Load(),
+		PrepReuses:    prepReuses.Load(),
+		TableBuilds:   tableBuilds.Load(),
+		TableReuses:   tableReuses.Load(),
 	}
 }
 
@@ -37,5 +51,9 @@ func (c OpCounts) Delta(since OpCounts) OpCounts {
 		MillerPasses:  c.MillerPasses - since.MillerPasses,
 		PreparedWalks: c.PreparedWalks - since.PreparedWalks,
 		FinalExps:     c.FinalExps - since.FinalExps,
+		PrepBuilds:    c.PrepBuilds - since.PrepBuilds,
+		PrepReuses:    c.PrepReuses - since.PrepReuses,
+		TableBuilds:   c.TableBuilds - since.TableBuilds,
+		TableReuses:   c.TableReuses - since.TableReuses,
 	}
 }

@@ -1,22 +1,19 @@
 package pairing
 
-import (
-	"math/big"
-	"sync"
-)
+import "math/big"
 
 // This file holds the exponentiation paths that go beyond one plain ladder:
 // a multi-exponentiation that shares one doubling chain across bases and
 // applies each exponent as its signed residue (decryption aggregates its
 // ciphertext rows and key components with it), and precomputed-table
-// exponentiation (a fixed-base comb for the generator, and per-base tables
-// for hot public keys, which encryption and revocation use). Each result is
-// bit-identical to the plain operation it replaces.
+// exponentiation for hot bases (the generator, and the public keys that
+// encryption and revocation use). Each result is bit-identical to the
+// plain operation it replaces.
 //
-// Both table kinds are limb-native Montgomery combs (affine entries,
-// mixed-addition evaluation, zero heap allocations per exponentiation).
-// The generator's comb is built lazily under a sync.Once, so concurrent
-// first use stays safe; PrepareExp builds a per-base comb right away.
+// A table is a limb-native Montgomery comb (affine entries, mixed-addition
+// evaluation, zero heap allocations per exponentiation) that each element
+// builds for itself on first use (G.ExpTable); FixedBaseExp evaluates the
+// generator's.
 
 // MultiExp computes Π_i bases[i]^ks[i] with one interleaved NAF ladder in
 // Montgomery Jacobian coordinates and a single normalization (one field
@@ -130,7 +127,7 @@ func (c *fpContext) montJacBatchToAffine(js []montJac, out []montAffine) {
 // Cost: 4·(windows−1) Jacobian doublings for the spine 2^(4j)·base,
 // 14·windows mixed additions for the row chains, and two batch
 // normalizations — about the price of one plain exponentiation, amortized
-// by the table caches.
+// over the base's later exponentiations.
 func (p *Params) buildMontComb(base point) *montComb {
 	c := p.fpc
 	windows := p.combWindows()
@@ -198,37 +195,12 @@ func (p *Params) combPointMont(out *montAffine) *G {
 	return &G{p: p, pt: point{x: c.toBig(&out.x), y: c.toBig(&out.y)}}
 }
 
-// fixedBaseTable holds the generator's comb, built lazily on first use.
-type fixedBaseTable struct {
-	once sync.Once
-	mont *montComb
-}
-
-var fixedTables sync.Map // *Params → *fixedBaseTable
-
-func (p *Params) fixedTable() *fixedBaseTable {
-	v, _ := fixedTables.LoadOrStore(p, &fixedBaseTable{})
-	return v.(*fixedBaseTable)
-}
-
-func (t *fixedBaseTable) montRows(p *Params) *montComb {
-	t.once.Do(func() {
-		t.mont = p.buildMontComb(p.gen)
-	})
-	return t.mont
-}
-
 // FixedBaseExp computes g^k for the generator g using the precomputed
 // comb: one limb-native mixed addition per nonzero window instead of a
 // double-and-add pass, with a single inversion at the final normalization.
 // k is reduced mod R. The result is bit-identical to Generator().Exp(k).
 func (p *Params) FixedBaseExp(k *big.Int) *G {
-	kk := new(big.Int).Mod(k, p.R)
-	var out montAffine
-	if !p.combExpMont(&out, p.fixedTable().montRows(p), kk) {
-		return p.OneG()
-	}
-	return p.combPointMont(&out)
+	return p.gen.ExpTable().Exp(k)
 }
 
 // extractWindow reads fixedBaseWindow bits starting at bit offset from the
@@ -247,21 +219,21 @@ func extractWindow(words []big.Word, offset int) int {
 	return int(v & (1<<fixedBaseWindow - 1))
 }
 
-// ExpTable is the arbitrary-base analogue of the generator's fixed-base
-// comb, with the same layout, so each exponentiation costs one mixed
-// addition per nonzero window (≤ ⌈|R|/4⌉ of them) plus one inversion.
-// Building the comb costs about one plain exponentiation, so a table pays
-// for itself from the second use; the engine layer caches tables for hot
-// bases (e.g. attribute public keys, which owners exponentiate once per
-// stored ciphertext during a revocation).
+// ExpTable is a base's windowed comb, so each exponentiation costs one
+// mixed addition per nonzero window (≤ ⌈|R|/4⌉ of them) plus one
+// inversion. Building the comb costs about one plain exponentiation, so a
+// table pays for itself from the second use: G.ExpTable keeps it with its
+// base (an attribute public key, say, which its owner exponentiates once
+// per stored ciphertext during a revocation).
 type ExpTable struct {
 	p *Params
 	// mont is the base's comb, or nil when the base is the identity.
 	mont *montComb
 }
 
-// PrepareExp builds the exponentiation table for g.
-func (p *Params) PrepareExp(g *G) *ExpTable {
+// prepareExp builds the exponentiation table for g (G.ExpTable keeps the
+// result with g).
+func (p *Params) prepareExp(g *G) *ExpTable {
 	t := &ExpTable{p: p}
 	if !g.pt.inf {
 		t.mont = p.buildMontComb(g.pt)

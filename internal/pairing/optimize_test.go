@@ -33,7 +33,7 @@ func TestPairMulMatchesProductOfPairs(t *testing.T) {
 			k, _ := p.RandomScalar(rand.Reader)
 			pts[j] = g.Exp(k)
 		}
-		got, err := p.Prepare(pts[0]).PairMul(pts[1], pts[2], pts[3])
+		got, err := p.prepare(pts[0]).PairMul(pts[1], pts[2], pts[3])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +44,7 @@ func TestPairMulMatchesProductOfPairs(t *testing.T) {
 	}
 	// The same point in every slot: the computed loop's chord steps meet
 	// the running point's multiples of P exactly as the prepared ones do.
-	got, err := p.Prepare(g).PairMul(g, g, g)
+	got, err := p.prepare(g).PairMul(g, g, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPairMulSkipsIdentity(t *testing.T) {
 		{"first-factor", inf, g, g, h},
 		{"second-factor", g, h, inf, g},
 	} {
-		got, err := p.Prepare(tc.P).PairMul(tc.q, tc.a, tc.b)
+		got, err := p.prepare(tc.P).PairMul(tc.q, tc.a, tc.b)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -102,7 +102,7 @@ func TestPairMulIdentityPlacement(t *testing.T) {
 		{"q-and-b", P, inf, a, inf},
 		{"all", inf, inf, inf, inf},
 	} {
-		got, err := p.Prepare(tc.P).PairMul(tc.q, tc.a, tc.b)
+		got, err := p.prepare(tc.P).PairMul(tc.q, tc.a, tc.b)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -119,7 +119,7 @@ func TestPairMulIdentityPlacement(t *testing.T) {
 func TestPairMulValidatesInput(t *testing.T) {
 	p := Test()
 	g := p.Generator()
-	pre := p.Prepare(g)
+	pre := p.prepare(g)
 	for _, args := range [][3]*G{{nil, g, g}, {g, nil, g}, {g, g, nil}} {
 		if _, err := pre.PairMul(args[0], args[1], args[2]); !errors.Is(err, ErrBadEncoding) {
 			t.Fatalf("nil argument: got %v, want ErrBadEncoding", err)
@@ -135,7 +135,7 @@ func TestPairMulValidatesInput(t *testing.T) {
 			t.Fatalf("foreign argument: got %v, want ErrMixedParams", err)
 		}
 	}
-	if _, err := p2.Prepare(h).PairMul(g, g, g); !errors.Is(err, ErrMixedParams) {
+	if _, err := p2.prepare(h).PairMul(g, g, g); !errors.Is(err, ErrMixedParams) {
 		t.Fatalf("foreign preparation: got %v, want ErrMixedParams", err)
 	}
 }
@@ -315,7 +315,7 @@ func TestTableExpAllKernels(t *testing.T) {
 		k, _ := p.RandomScalar(rand.Reader)
 		scalars = append(scalars, k)
 	}
-	table := p.PrepareExp(base)
+	table := p.prepareExp(base)
 	for _, k := range scalars {
 		if got, want := p.FixedBaseExp(k).Marshal(), p.Generator().ExpReference(k).Marshal(); !bytes.Equal(got, want) {
 			t.Fatalf("FixedBaseExp(%v) disagrees with the reference", k)
@@ -335,9 +335,9 @@ func TestCombExpMontAllocs(t *testing.T) {
 	p := Default()
 	k, _ := p.RandomScalar(rand.Reader)
 	kk := new(big.Int).Mod(k, p.R)
-	fixed := p.fixedTable().montRows(p)
+	fixed := p.Generator().ExpTable().mont
 	a, _ := p.RandomScalar(rand.Reader)
-	comb := p.PrepareExp(p.Generator().Exp(a)).mont
+	comb := p.prepareExp(p.Generator().Exp(a)).mont
 	var out montAffine
 	if a := testing.AllocsPerRun(20, func() { p.combExpMont(&out, fixed, kk) }); a != 0 {
 		t.Fatalf("combExpMont over the generator table allocates %v/op", a)
@@ -352,7 +352,7 @@ func TestPrepareExpMatchesExp(t *testing.T) {
 	g := p.Generator()
 	a, _ := p.RandomScalar(rand.Reader)
 	base := g.Exp(a)
-	tbl := p.PrepareExp(base)
+	tbl := p.prepareExp(base)
 	f := func(k64 uint64) bool {
 		k := new(big.Int).SetUint64(k64)
 		return tbl.Exp(k).Equal(base.Exp(k))
@@ -372,7 +372,7 @@ func TestPrepareExpMatchesExp(t *testing.T) {
 		}
 	}
 	// Identity base: every power is the identity.
-	infTbl := p.PrepareExp(p.OneG())
+	infTbl := p.prepareExp(p.OneG())
 	if !infTbl.Exp(big.NewInt(7)).IsOne() {
 		t.Fatal("ExpTable over identity base not identity")
 	}

@@ -207,7 +207,7 @@ func TestExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewParams round-trip: %v", err)
 	}
-	if !p2.inG(p2.gen) {
+	if !p2.inG(p2.gen.pt) {
 		t.Fatal("round-tripped generator wrong order")
 	}
 	if p2.Q.Cmp(p.Q) != 0 || p2.R.Cmp(p.R) != 0 || p2.H.Cmp(p.H) != 0 {

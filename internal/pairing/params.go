@@ -23,7 +23,7 @@ type Params struct {
 	// H is the cofactor: Q + 1 = H·R. H ≡ 0 (mod 4).
 	H *big.Int
 
-	gen       point      // generator of G
+	gen       *G         // generator of G, shared by every Generator call
 	gtGen     fp2        // e(gen, gen), the generator of G_T
 	sqrtExp   *big.Int   // (Q+1)/4, for square roots in F_Q
 	millerWnd []int      // bits of R, most-significant first, for the affine reference Miller loop
@@ -203,7 +203,7 @@ func (p *Params) setGenerator(pt point) error {
 	if err := p.checkGenerator(pt); err != nil {
 		return err
 	}
-	p.gen = pt
+	p.gen = &G{p: p, pt: pt}
 	p.gtGen = p.pair(pt, pt)
 	return nil
 }
@@ -226,14 +226,14 @@ func (p *Params) Validate() error {
 	if _, err := newParams(p.Q, p.R, p.H); err != nil {
 		return err
 	}
-	return p.checkGenerator(p.gen)
+	return p.checkGenerator(p.gen.pt)
 }
 
 // Export returns the defining integers of the parameter set in decimal:
 // q, r, h, and the generator coordinates. Together with NewParams this forms
 // the serialization of a Params value.
 func (p *Params) Export() (q, r, h, gx, gy string) {
-	return p.Q.String(), p.R.String(), p.H.String(), p.gen.x.String(), p.gen.y.String()
+	return p.Q.String(), p.R.String(), p.H.String(), p.gen.pt.x.String(), p.gen.pt.y.String()
 }
 
 // RandomScalar returns a uniformly random exponent in [1, R-1].

@@ -5,11 +5,12 @@ package pairing
 // arithmetic and evaluate only the cached lines — the same idea as PBC's
 // pairing_pp preprocessing. Decryption pairs the same PK_UID against every
 // ciphertext a user reads, and a revocation pairs the same UK1 against
-// every stored ciphertext, which is exactly this access pattern.
+// every stored ciphertext, which is exactly this access pattern; each gets
+// its preparation from G.Prepared, which keeps it with the element.
 //
 // Each cached step holds the line's slope λ and offset c = λ·x0 − y0;
 // evaluation at φ(Q) costs one multiplication and one addition per step.
-// Prepare walks the NAF chain of the Miller loop in Jacobian coordinates
+// prepare walks the NAF chain of the Miller loop in Jacobian coordinates
 // and recovers all the affine coefficients with a single batch inversion
 // (montgomery.go).
 type PreparedG struct {

@@ -11,7 +11,7 @@ func TestPreparedPairMatchesPair(t *testing.T) {
 	p := Test()
 	g := p.Generator()
 	a, _ := p.RandomScalar(rand.Reader)
-	pre := p.Prepare(g.Exp(a))
+	pre := p.prepare(g.Exp(a))
 	f := func(k64 uint64) bool {
 		q := g.Exp(new(big.Int).SetUint64(k64))
 		got, err := pre.Pair(q)
@@ -28,12 +28,12 @@ func TestPreparedPairMatchesPair(t *testing.T) {
 func TestPreparedPairIdentityCases(t *testing.T) {
 	p := Test()
 	g := p.Generator()
-	preInf := p.Prepare(p.OneG())
+	preInf := p.prepare(p.OneG())
 	got, err := preInf.Pair(g)
 	if err != nil || !got.IsOne() {
 		t.Fatalf("e(∞, g) = %v, %v", got, err)
 	}
-	pre := p.Prepare(g)
+	pre := p.prepare(g)
 	got, err = pre.Pair(p.OneG())
 	if err != nil || !got.IsOne() {
 		t.Fatalf("e(g, ∞) = %v, %v", got, err)
@@ -46,7 +46,7 @@ func TestPreparedPairRejectsMixedParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := p.Prepare(p.Generator())
+	pre := p.prepare(p.Generator())
 	if _, err := pre.Pair(p2.Generator()); err == nil {
 		t.Fatal("mixed params accepted")
 	}
@@ -55,7 +55,7 @@ func TestPreparedPairRejectsMixedParams(t *testing.T) {
 func TestPreparedPairBilinear(t *testing.T) {
 	p := Test()
 	g := p.Generator()
-	pre := p.Prepare(g)
+	pre := p.prepare(g)
 	a, _ := p.RandomScalar(rand.Reader)
 	b, _ := p.RandomScalar(rand.Reader)
 	e1, err := pre.Pair(g.Exp(a))
@@ -77,7 +77,7 @@ func TestPreparedPairBilinear(t *testing.T) {
 
 func TestPreparedPairBothIdentity(t *testing.T) {
 	p := Test()
-	preInf := p.Prepare(p.OneG())
+	preInf := p.prepare(p.OneG())
 	got, err := preInf.Pair(p.OneG())
 	if err != nil || !got.IsOne() {
 		t.Fatalf("e(∞, ∞) = %v, %v", got, err)
@@ -89,7 +89,7 @@ func TestPreparedPairAgreesWithNSinglePairings(t *testing.T) {
 	g := p.Generator()
 	a, _ := p.RandomScalar(rand.Reader)
 	ga := g.Exp(a)
-	pre := p.Prepare(ga)
+	pre := p.prepare(ga)
 	const n = 6
 	for i := 0; i < n; i++ {
 		k, _ := p.RandomScalar(rand.Reader)
@@ -106,7 +106,7 @@ func TestPreparedPairAgreesWithNSinglePairings(t *testing.T) {
 
 func TestPreparedPairRejectsNil(t *testing.T) {
 	p := Test()
-	pre := p.Prepare(p.Generator())
+	pre := p.prepare(p.Generator())
 	if _, err := pre.Pair(nil); err == nil {
 		t.Fatal("nil second argument accepted")
 	}

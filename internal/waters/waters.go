@@ -21,6 +21,7 @@ import (
 	"io"
 	"math/big"
 	"sort"
+	"sync"
 
 	"maacs/internal/engine"
 	"maacs/internal/lsss"
@@ -40,6 +41,8 @@ type PublicKey struct {
 	EggAlpha *pairing.GT
 	// GA is g^a.
 	GA *pairing.G
+
+	attrs sync.Map // attribute → *pairing.G, memoized H(x)
 }
 
 // MasterKey is the authority's master secret g^α (plus a for key issuing).
@@ -97,9 +100,22 @@ func Setup(params *pairing.Params, rnd io.Reader) (*Authority, error) {
 	}, nil
 }
 
-// hashAttr maps attribute names into G (the random-oracle h_x).
-func hashAttr(p *pairing.Params, attr string) (*pairing.G, error) {
-	return p.HashToG([]byte("waters-attr:" + attr))
+// hashAttr maps an attribute name into G (the random-oracle h_x). The hash
+// is a per-attribute constant, so it is computed once per public key:
+// KeyGen and every later Encrypt reuse it, and with it the exponentiation
+// comb Encrypt's rows build on it. The memo keeps every attribute the key
+// has hashed, so it grows with the attribute names in use (pirretti's
+// epoch-stamped names add one per attribute per epoch).
+func (pk *PublicKey) hashAttr(attr string) (*pairing.G, error) {
+	if h, ok := pk.attrs.Load(attr); ok {
+		return h.(*pairing.G), nil
+	}
+	h, err := pk.sys.HashToG([]byte("waters-attr:" + attr))
+	if err != nil {
+		return nil, err
+	}
+	h0, _ := pk.attrs.LoadOrStore(attr, h)
+	return h0.(*pairing.G), nil
 }
 
 // KeyGen issues a key for the attribute set.
@@ -119,7 +135,7 @@ func (a *Authority) KeyGen(attrs []string, rnd io.Reader) (*SecretKey, error) {
 	// jobs for the engine pool.
 	kAttrs := make([]*pairing.G, len(attrs))
 	err = engine.Default().Run(len(attrs), func(i int) error {
-		h, err := hashAttr(p, attrs[i])
+		h, err := a.PK.hashAttr(attrs[i])
 		if err != nil {
 			return err
 		}
@@ -175,7 +191,7 @@ func EncryptMatrix(pk *PublicKey, m *pairing.GT, policy string, matrix *lsss.Mat
 		rs[i] = ri
 	}
 	err = engine.Default().Run(l, func(i int) error {
-		h, err := hashAttr(p, matrix.Rho[i])
+		h, err := pk.hashAttr(matrix.Rho[i])
 		if err != nil {
 			return err
 		}

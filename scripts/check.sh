@@ -54,8 +54,10 @@ echo "== benchmark module (separate go.mod): vet + smoke test"
 (cd benchmark && go vet ./... && go test -count=1 ./...)
 echo "== go test -race ./internal/pairing"
 go test -race -count=1 ./internal/pairing
-echo "== engine cache race gate: table, decoded-element and retirement tests"
-gate ./internal/engine 'TestExpCache|TestDecodeCache|TestRetiredBasesLeaveCaches' -race -count=2
+echo "== element-table race gate: concurrent first Prepared/ExpTable on one element"
+gate ./internal/pairing 'TestElementTablesBuiltOnce' -race -count=2
+echo "== decoded-element cache race gate"
+gate ./internal/engine 'TestDecodeCache' -race -count=2
 echo "== alloc pins: comb evaluation + field primitives (race off: AllocsPerRun)"
 gate ./internal/pairing 'TestCombExpMontAllocs|TestHotPathZeroBigIntAllocs' -count=1
 echo "== bench smoke: pairing kernels"
