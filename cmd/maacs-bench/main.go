@@ -10,7 +10,7 @@
 //	maacs-bench -what revocation    # only the revocation experiment
 //	maacs-bench -what reencrypt-batch  # per-ciphertext vs batched submission
 //	maacs-bench -what walcommit     # durable put throughput + fsyncs/op vs writers
-//	maacs-bench -what fetchpath     # cached vs uncached serving cost of the read path
+//	maacs-bench -what fetchpath     # render cost of each fetch representation
 //	maacs-bench -what engine -trials 8 -json-dir .  # rewrite BENCH_engine.json here
 //	maacs-bench -points 2,5,8 -trials 3
 //	maacs-bench -fast               # small test curve (CI smoke run)
@@ -137,8 +137,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 
-	runSweep := func(name string, sweep func(bench.SweepSpec, bool) (*bench.Series, *bench.Series, error)) error {
-		enc, dec, err := sweep(spec, true)
+	runSweep := func(name string, sweep func(bench.SweepSpec) (*bench.Series, *bench.Series, error)) error {
+		enc, dec, err := sweep(spec)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -280,7 +280,7 @@ func writeReport(out io.Writer, dir, mode string, report interface{ Render(io.Wr
 	return nil
 }
 
-func sweepFig3(spec bench.SweepSpec, _ bool) (*bench.Series, *bench.Series, error) {
+func sweepFig3(spec bench.SweepSpec) (*bench.Series, *bench.Series, error) {
 	enc, err := bench.SweepAuthorities(spec, bench.OpEncrypt)
 	if err != nil {
 		return nil, nil, err
@@ -292,7 +292,7 @@ func sweepFig3(spec bench.SweepSpec, _ bool) (*bench.Series, *bench.Series, erro
 	return enc, dec, nil
 }
 
-func sweepFig4(spec bench.SweepSpec, _ bool) (*bench.Series, *bench.Series, error) {
+func sweepFig4(spec bench.SweepSpec) (*bench.Series, *bench.Series, error) {
 	enc, err := bench.SweepAttrs(spec, bench.OpEncrypt)
 	if err != nil {
 		return nil, nil, err

@@ -10,7 +10,6 @@
 //	maacs-server -addr 127.0.0.1:7744 -http 127.0.0.1:7745   # + HTTP/JSON gateway
 //	maacs-server -addr 127.0.0.1:7744 -fast                  # small test curve
 //	maacs-server -store file -data-dir /var/lib/maacs        # durable records
-//	maacs-server -response-cache-bytes 134217728             # read-path cache cap
 //	maacs-server -pprof-addr 127.0.0.1:6060                  # profiling endpoints
 //
 // Storage backends (-store):
@@ -33,11 +32,15 @@
 // change the window. A batch that fails mid-way reports its committed
 // prefix and the index of the first uncommitted item, and the client
 // resumes by resubmitting the items from there. The engine pool is
-// GOMAXPROCS workers wide. The gateway also serves GET /metrics
-// (Prometheus text exposition of the cumulative and per-owner counters;
-// ?format=json for the JSON body, RPC CloudServer.Metrics for the same
-// struct) and sets explicit read/write/idle timeouts so one slow client
-// cannot pin a connection forever.
+// GOMAXPROCS workers wide.
+//
+// Every download (HTTP GET /records/{id} and /records/{id}/{label}, RPC
+// CloudServer.Fetch) is rendered from the stored record. The gateway also
+// serves GET /metrics (Prometheus text exposition of the cumulative and
+// per-owner counters; ?format=json for the JSON body, RPC
+// CloudServer.Metrics for the same struct) and sets explicit
+// read/write/idle timeouts so one slow client cannot pin a connection
+// forever.
 //
 // Clients must be configured with the same pairing parameters (the built-in
 // defaults on both sides match).
@@ -64,7 +67,6 @@ type config struct {
 	fast              bool
 	store             string
 	dataDir           string
-	responseCache     int64
 	pprofAddr         string
 	readHeaderTimeout time.Duration
 	readTimeout       time.Duration
@@ -81,8 +83,6 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 		"storage backend: mem (process-lifetime maps) or file (WAL-backed, crash-safe)")
 	fs.StringVar(&cfg.dataDir, "data-dir", "",
 		"data directory for -store=file (required)")
-	fs.Int64Var(&cfg.responseCache, "response-cache-bytes", cloud.DefaultResponseCacheBytes,
-		"encoded-response cache capacity in bytes; fetches are served from cached renderings until a mutation invalidates them (0 disables)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "",
 		"optional net/http/pprof listen address (e.g. 127.0.0.1:6060); off when empty")
 	fs.DurationVar(&cfg.readHeaderTimeout, "read-header-timeout", 5*time.Second,
@@ -135,7 +135,6 @@ func run(cfg config) error {
 		return err
 	}
 	server := cloud.NewServerWithStore(sys, cloud.NewAccounting(), store)
-	server.SetResponseCacheBytes(cfg.responseCache)
 	if cfg.pprofAddr != "" {
 		// The pprof endpoints register on http.DefaultServeMux at import; a
 		// dedicated listener keeps them off the public gateway.

@@ -104,7 +104,7 @@ func TestFlagSet(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
 		"addr", "data-dir", "fast", "http", "idle-timeout", "pprof-addr",
-		"read-header-timeout", "read-timeout", "response-cache-bytes", "store",
+		"read-header-timeout", "read-timeout", "store",
 		"write-timeout",
 	}
 	if !slices.Equal(got, want) {

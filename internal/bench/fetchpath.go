@@ -1,10 +1,10 @@
 package bench
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"fmt"
 	"io"
-	"sort"
 	"testing"
 	"time"
 
@@ -13,23 +13,31 @@ import (
 	"maacs/internal/pairing"
 )
 
-// Fetchpath experiment: cached vs uncached serving cost of the four fetch
-// representations (whole record / single component × HTTP JSON body / RPC
-// wire payload), measured against the in-process server so the numbers
-// isolate the serialization path itself — no transport, no syscalls. The
-// cached rows ride the encoded-response cache (the zero-serialization read
-// path); the uncached rows run the same requests with the cache disabled,
-// which is the pre-cache serving cost: record lookup plus a fresh render per
-// request. Allocations per op come from testing.AllocsPerRun; the cached
-// steady state must be allocation-free.
+// Fetchpath experiment: the serving cost of the four fetch representations
+// (whole record / single component × HTTP JSON body / RPC wire payload),
+// measured against the in-process server so the numbers isolate the read
+// path itself: the store lookup, the render from the stored record and the
+// metering, with no transport and no syscalls. Every download renders, so
+// this is what each fetch costs the server. The records have the read
+// workload's shape (benchmark/workloads.go): a 4,096-byte data component
+// under a six-row AND policy over three authorities and a 256-byte summary
+// under one attribute; the component rows fetch the data component.
+// Allocations per op come from testing.AllocsPerRun.
+
+// The read workload's record shape.
+const (
+	fetchPathDataBytes     = 4096
+	fetchPathSummaryBytes  = 256
+	fetchPathDataPolicy    = "aa1:a AND aa1:b AND aa2:a AND aa2:b AND aa3:a AND aa3:b"
+	fetchPathSummaryPolicy = "aa1:a"
+)
 
 // FetchPathSpec configures one fetchpath run.
 type FetchPathSpec struct {
 	// Params selects the pairing group; Rnd supplies setup randomness.
 	Params *pairing.Params
 	Rnd    io.Reader
-	// Owners and RecordsPerOwner size the stored population (each record
-	// carries a data and a meta component).
+	// Owners and RecordsPerOwner size the stored population.
 	Owners, RecordsPerOwner int
 	// Iters is the timed iteration count per row; Trials takes the best of
 	// repeated timings.
@@ -57,12 +65,14 @@ func (s *FetchPathSpec) fillDefaults() {
 	}
 }
 
-// FetchPathRow is one (operation, mode) measurement.
+// FetchPathRow is one representation's measurement.
 type FetchPathRow struct {
-	Op          string  `json:"op"`   // record_json, component_json, record_wire, component_wire
-	Mode        string  `json:"mode"` // cached | uncached
+	Op          string  `json:"op"` // record_json, component_json, record_wire, component_wire
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// ReplyBytes is the reply's size: the JSON body, or the label,
+	// ciphertext and sealed bytes of the wire components.
+	ReplyBytes int `json:"reply_bytes"`
 }
 
 // FetchPathReport is the machine-readable result of MeasureFetchPath,
@@ -71,16 +81,17 @@ type FetchPathReport struct {
 	Header
 	Owners          int            `json:"owners"`
 	RecordsPerOwner int            `json:"records_per_owner"`
+	DataBytes       int            `json:"data_bytes"`
+	SummaryBytes    int            `json:"summary_bytes"`
 	Iters           int            `json:"iters"`
 	Rows            []FetchPathRow `json:"rows"`
-	// Speedups maps each op to uncached-ns / cached-ns.
-	Speedups map[string]float64 `json:"speedups"`
 }
 
-// fetchPathOp binds an operation name to a round-robin request closure.
+// fetchPathOp binds an operation name to a round-robin request closure that
+// returns the reply's size.
 type fetchPathOp struct {
 	name string
-	call func() error
+	call func() (int, error)
 }
 
 // buildFetchPathPopulation uploads the stored population and returns the
@@ -88,10 +99,13 @@ type fetchPathOp struct {
 func buildFetchPathPopulation(spec FetchPathSpec) (*cloud.Env, []string, error) {
 	sys := core.NewSystem(spec.Params)
 	env := cloud.NewEnv(sys, spec.Rnd)
-	const aid = "fetchpath-aa"
-	if _, err := env.AddAuthority(aid, []string{"read"}); err != nil {
-		return nil, nil, err
+	for _, aid := range []string{"aa1", "aa2", "aa3"} {
+		if _, err := env.AddAuthority(aid, []string{"a", "b"}); err != nil {
+			return nil, nil, err
+		}
 	}
+	data := bytes.Repeat([]byte{'d'}, fetchPathDataBytes)
+	summary := bytes.Repeat([]byte{'s'}, fetchPathSummaryBytes)
 	var ids []string
 	for k := 0; k < spec.Owners; k++ {
 		oc, err := env.AddOwner(fmt.Sprintf("fp-owner-%02d", k))
@@ -101,8 +115,8 @@ func buildFetchPathPopulation(spec FetchPathSpec) (*cloud.Env, []string, error) 
 		for i := 0; i < spec.RecordsPerOwner; i++ {
 			id := fmt.Sprintf("%s-rec-%03d", oc.Owner.ID(), i)
 			if _, err := oc.Upload(id, []cloud.UploadComponent{
-				{Label: "data", Data: []byte(fmt.Sprintf("payload of %s", id)), Policy: aid + ":read"},
-				{Label: "meta", Data: []byte("created by the fetchpath bench"), Policy: aid + ":read"},
+				{Label: "data", Data: data, Policy: fetchPathDataPolicy},
+				{Label: "summary", Data: summary, Policy: fetchPathSummaryPolicy},
 			}); err != nil {
 				return nil, nil, err
 			}
@@ -115,42 +129,49 @@ func buildFetchPathPopulation(spec FetchPathSpec) (*cloud.Env, []string, error) 
 // fetchPathOps builds the four operations round-robining over the stored
 // records.
 func fetchPathOps(env *cloud.Env, ids []string) []fetchPathOp {
+	wireSize := func(comps []cloud.RPCComponent) int {
+		n := 0
+		for _, c := range comps {
+			n += len(c.Label) + len(c.CT) + len(c.Sealed)
+		}
+		return n
+	}
 	var rj, cj, rw, cw int
 	return []fetchPathOp{
-		{"record_json", func() error {
+		{"record_json", func() (int, error) {
 			id := ids[rj%len(ids)]
 			rj++
-			_, err := env.Server.FetchRecordJSON(id, "bench-user")
-			return err
+			body, err := env.Server.FetchRecordJSON(id, "bench-user")
+			return len(body), err
 		}},
-		{"component_json", func() error {
+		{"component_json", func() (int, error) {
 			id := ids[cj%len(ids)]
 			cj++
-			_, err := env.Server.FetchComponentJSON(id, "data", "bench-user")
-			return err
+			body, err := env.Server.FetchComponentJSON(id, "data", "bench-user")
+			return len(body), err
 		}},
-		{"record_wire", func() error {
+		{"record_wire", func() (int, error) {
 			id := ids[rw%len(ids)]
 			rw++
-			_, _, err := env.Server.FetchWire(id, "", "bench-user")
-			return err
+			_, comps, err := env.Server.FetchWire(id, "", "bench-user")
+			return wireSize(comps), err
 		}},
-		{"component_wire", func() error {
+		{"component_wire", func() (int, error) {
 			id := ids[cw%len(ids)]
 			cw++
-			_, _, err := env.Server.FetchWire(id, "data", "bench-user")
-			return err
+			_, comps, err := env.Server.FetchWire(id, "data", "bench-user")
+			return wireSize(comps), err
 		}},
 	}
 }
 
 // timeFetchOp returns the best-of-trials mean ns/op.
-func timeFetchOp(iters, trials int, call func() error) (float64, error) {
+func timeFetchOp(iters, trials int, call func() (int, error)) (float64, error) {
 	best := 0.0
 	for t := 0; t < trials; t++ {
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if err := call(); err != nil {
+			if _, err := call(); err != nil {
 				return 0, err
 			}
 		}
@@ -162,30 +183,8 @@ func timeFetchOp(iters, trials int, call func() error) (float64, error) {
 	return best, nil
 }
 
-// measureFetchPathMode times and counts allocations for every op in one
-// cache mode.
-func measureFetchPathMode(spec FetchPathSpec, ops []fetchPathOp, mode string) ([]FetchPathRow, error) {
-	rows := make([]FetchPathRow, 0, len(ops))
-	for _, op := range ops {
-		// Warm: primes the cache in cached mode, the pools in uncached mode.
-		for i := 0; i < 2; i++ {
-			if err := op.call(); err != nil {
-				return nil, fmt.Errorf("fetchpath %s/%s: %w", op.name, mode, err)
-			}
-		}
-		ns, err := timeFetchOp(spec.Iters, spec.Trials, op.call)
-		if err != nil {
-			return nil, fmt.Errorf("fetchpath %s/%s: %w", op.name, mode, err)
-		}
-		call := op.call
-		allocs := testing.AllocsPerRun(50, func() { _ = call() })
-		rows = append(rows, FetchPathRow{Op: op.name, Mode: mode, NsPerOp: ns, AllocsPerOp: allocs})
-	}
-	return rows, nil
-}
-
-// MeasureFetchPath measures cached vs uncached serving cost of the fetch
-// representations at the spec's population scale.
+// MeasureFetchPath measures the serving cost of the fetch representations
+// at the spec's population scale.
 func MeasureFetchPath(spec FetchPathSpec) (*FetchPathReport, error) {
 	spec.fillDefaults()
 	env, ids, err := buildFetchPathPopulation(spec)
@@ -196,58 +195,33 @@ func MeasureFetchPath(spec FetchPathSpec) (*FetchPathReport, error) {
 		Header:          newHeader(spec.Params),
 		Owners:          spec.Owners,
 		RecordsPerOwner: spec.RecordsPerOwner,
+		DataBytes:       fetchPathDataBytes,
+		SummaryBytes:    fetchPathSummaryBytes,
 		Iters:           spec.Iters,
-		Speedups:        make(map[string]float64),
 	}
-
-	// Uncached first: with the cache disabled every request renders afresh.
-	env.Server.SetResponseCacheBytes(0)
-	uncached, err := measureFetchPathMode(spec, fetchPathOps(env, ids), "uncached")
-	if err != nil {
-		return nil, err
-	}
-	// Cached: re-enable, then measure the steady-state hit path.
-	env.Server.SetResponseCacheBytes(cloud.DefaultResponseCacheBytes)
-	cached, err := measureFetchPathMode(spec, fetchPathOps(env, ids), "cached")
-	if err != nil {
-		return nil, err
-	}
-
-	report.Rows = append(report.Rows, uncached...)
-	report.Rows = append(report.Rows, cached...)
-	uncachedNs := make(map[string]float64, len(uncached))
-	for _, row := range uncached {
-		uncachedNs[row.Op] = row.NsPerOp
-	}
-	for _, row := range cached {
-		if row.NsPerOp > 0 {
-			report.Speedups[row.Op] = uncachedNs[row.Op] / row.NsPerOp
+	for _, op := range fetchPathOps(env, ids) {
+		// Warm: the encoder pools and the per-user accounting row.
+		size, err := op.call()
+		if err != nil {
+			return nil, fmt.Errorf("fetchpath %s: %w", op.name, err)
 		}
+		ns, err := timeFetchOp(spec.Iters, spec.Trials, op.call)
+		if err != nil {
+			return nil, fmt.Errorf("fetchpath %s: %w", op.name, err)
+		}
+		call := op.call
+		allocs := testing.AllocsPerRun(50, func() { _, _ = call() })
+		report.Rows = append(report.Rows, FetchPathRow{Op: op.name, NsPerOp: ns, AllocsPerOp: allocs, ReplyBytes: size})
 	}
 	return report, nil
 }
 
-// Render prints a human-readable comparison table.
+// Render prints a human-readable table.
 func (r *FetchPathReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "fetchpath — GOMAXPROCS=%d, |r|=%d bits, %d owners × %d records, %d iters\n",
-		r.GOMAXPROCS, r.RBits, r.Owners, r.RecordsPerOwner, r.Iters)
-	byMode := make(map[string]map[string]FetchPathRow)
+	fmt.Fprintf(w, "fetchpath — GOMAXPROCS=%d, |r|=%d bits, %d owners × %d records (data %d B under 6 rows, summary %d B under 1), %d iters\n",
+		r.GOMAXPROCS, r.RBits, r.Owners, r.RecordsPerOwner, r.DataBytes, r.SummaryBytes, r.Iters)
+	fmt.Fprintf(w, "%-16s %12s %10s %12s\n", "op", "render", "allocs/op", "reply bytes")
 	for _, row := range r.Rows {
-		if byMode[row.Op] == nil {
-			byMode[row.Op] = make(map[string]FetchPathRow)
-		}
-		byMode[row.Op][row.Mode] = row
-	}
-	ops := make([]string, 0, len(byMode))
-	for op := range byMode {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	fmt.Fprintf(w, "%-16s %14s %14s %9s %14s %14s\n",
-		"op", "uncached", "cached", "speedup", "unc allocs/op", "cache allocs/op")
-	for _, op := range ops {
-		u, c := byMode[op]["uncached"], byMode[op]["cached"]
-		fmt.Fprintf(w, "%-16s %12.1fµs %12.3fµs %8.1fx %14.1f %14.1f\n",
-			op, u.NsPerOp/1e3, c.NsPerOp/1e3, r.Speedups[op], u.AllocsPerOp, c.AllocsPerOp)
+		fmt.Fprintf(w, "%-16s %10.1fµs %10.1f %12d\n", row.Op, row.NsPerOp/1e3, row.AllocsPerOp, row.ReplyBytes)
 	}
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // TestMeasureFetchPathSmoke runs the fetchpath experiment at toy scale on
-// the small curve and checks the report shape: every op measured in both
-// modes, speedups computed, JSON round-trips.
+// the small curve and checks the report shape: one row per representation
+// in order, each with a time and a reply size, a record reply larger than
+// its data component's, and a JSON round trip.
 func TestMeasureFetchPathSmoke(t *testing.T) {
 	report, err := MeasureFetchPath(FetchPathSpec{
 		Params:          pairing.Test(),
@@ -23,25 +24,22 @@ func TestMeasureFetchPathSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantOps := []string{"record_json", "component_json", "record_wire", "component_wire"}
-	if got, want := len(report.Rows), 2*len(wantOps); got != want {
-		t.Fatalf("got %d rows, want %d", got, want)
+	if len(report.Rows) != len(wantOps) {
+		t.Fatalf("got %d rows, want %d", len(report.Rows), len(wantOps))
 	}
-	seen := make(map[string]map[string]bool)
-	for _, row := range report.Rows {
-		if row.NsPerOp <= 0 {
-			t.Errorf("%s/%s: non-positive ns/op %v", row.Op, row.Mode, row.NsPerOp)
+	for i, row := range report.Rows {
+		if row.Op != wantOps[i] {
+			t.Errorf("row %d is %s, want %s", i, row.Op, wantOps[i])
 		}
-		if seen[row.Op] == nil {
-			seen[row.Op] = make(map[string]bool)
+		if row.NsPerOp <= 0 || row.ReplyBytes <= 0 {
+			t.Errorf("%s: ns/op %v, reply %d bytes", row.Op, row.NsPerOp, row.ReplyBytes)
 		}
-		seen[row.Op][row.Mode] = true
 	}
-	for _, op := range wantOps {
-		if !seen[op]["cached"] || !seen[op]["uncached"] {
-			t.Errorf("op %s missing a mode: %v", op, seen[op])
-		}
-		if _, ok := report.Speedups[op]; !ok {
-			t.Errorf("op %s missing from speedups", op)
+	for _, pair := range [][2]int{{0, 1}, {2, 3}} {
+		rec, comp := report.Rows[pair[0]], report.Rows[pair[1]]
+		if rec.ReplyBytes <= comp.ReplyBytes || comp.ReplyBytes <= report.DataBytes {
+			t.Errorf("%s is %d bytes, %s %d bytes; want record > component > %d data bytes",
+				rec.Op, rec.ReplyBytes, comp.Op, comp.ReplyBytes, report.DataBytes)
 		}
 	}
 

@@ -252,7 +252,11 @@ func TestServerErrors(t *testing.T) {
 	if _, _, err := env.Server.FetchWire("patient-7", "ghost", ""); !errors.Is(err, ErrComponentNotFound) {
 		t.Fatalf("got %v, want ErrComponentNotFound", err)
 	}
-	// FetchWire reads an empty label as the whole record; Download must not.
+	// FetchWire reads an empty label as the whole record; a component
+	// fetch and Download must not.
+	if _, err := env.Server.FetchComponentJSON("patient-7", "", ""); !errors.Is(err, ErrComponentNotFound) {
+		t.Fatalf("empty label: got %v, want ErrComponentNotFound", err)
+	}
 	doctor := addUser(t, env, "dr-err", map[string][]string{"med": {"doctor"}})
 	if _, err := doctor.Download("patient-7", ""); !errors.Is(err, ErrComponentNotFound) {
 		t.Fatalf("empty label: got %v, want ErrComponentNotFound", err)

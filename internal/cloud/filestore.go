@@ -850,24 +850,11 @@ func (f *FileStore) Delete(id, ownerID string) (*Record, error) {
 // records.
 func (f *FileStore) ReplaceIfUnchanged(ownerID string, swaps []CTSwap) error {
 	return f.commit(func() ([][]byte, []overlayWrite, func(), error) {
-		for _, sw := range swaps {
-			rec, ok := f.lookupLocked(sw.RecordID)
-			if !ok || sw.Index < 0 || sw.Index >= len(rec.Components) || rec.Components[sw.Index].CT != sw.Expect {
-				return nil, nil, nil, fmt.Errorf("%w: record %q", ErrReEncryptConflict, sw.RecordID)
-			}
+		clones, err := swapClones(swaps, f.lookupLocked)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		// Build the post-swap records (clone once per record, as MemStore
-		// does) and log them as puts.
-		clones := make(map[string]*Record)
-		for _, sw := range swaps {
-			cl := clones[sw.RecordID]
-			if cl == nil {
-				rec, _ := f.lookupLocked(sw.RecordID)
-				cl = rec.snapshot()
-				clones[sw.RecordID] = cl
-			}
-			cl.Components[sw.Index].CT = sw.New
-		}
+		// Log the post-swap records as puts.
 		ids := sortedRecordIDs(clones)
 		payloads := make([][]byte, 0, len(clones))
 		writes := make([]overlayWrite, 0, len(clones))

@@ -257,14 +257,14 @@ func (h *httpGateway) reencrypt(w http.ResponseWriter, r *http.Request) {
 
 func toHTTPRecord(rec *Record) HTTPRecord {
 	out := HTTPRecord{ID: rec.ID, OwnerID: rec.OwnerID}
-	for _, c := range rec.Components {
-		out.Components = append(out.Components, HTTPComponent{
-			Label:  c.Label,
-			CT:     b64Ciphertext(c.CT),
-			Sealed: b64String(c.Sealed),
-		})
+	for i := range rec.Components {
+		out.Components = append(out.Components, toHTTPComponent(&rec.Components[i]))
 	}
 	return out
+}
+
+func toHTTPComponent(c *StoredComponent) HTTPComponent {
+	return HTTPComponent{Label: c.Label, CT: b64Ciphertext(c.CT), Sealed: b64String(c.Sealed)}
 }
 
 func statusFor(err error) int {
@@ -288,8 +288,8 @@ func statusFor(err error) int {
 
 // writeJSON marshals v before writing the header, so an encode failure
 // becomes a clean 500 instead of a truncated 200 body. The body matches
-// json.Encoder output byte for byte (trailing newline included), which is
-// also what the response cache serves on the fetch paths.
+// json.Encoder output byte for byte (trailing newline included), as the
+// fetch paths' bodies do.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := appendJSONBody(v)
 	if err != nil {

@@ -45,8 +45,7 @@ func decodeRecord(sys *core.System, d *wire.Decoder) (*Record, error) {
 // decodeComponents turns encoded components into stored ones, the one
 // decoder of every upload, download and snapshot or WAL record. It decodes,
 // and so validates, every ciphertext and copies every sealed payload, so the
-// result shares no memory with raw, which may be a decoder's input buffer or
-// the response cache's shared rendering.
+// result shares no memory with raw, which may be a decoder's input buffer.
 func decodeComponents(sys *core.System, recordID string, raw []RPCComponent) ([]StoredComponent, error) {
 	comps := make([]StoredComponent, len(raw))
 	for i, c := range raw {

@@ -137,15 +137,6 @@ func WritePrometheus(w io.Writer, m HTTPMetrics) error {
 	b.family("maacs_compactions_total", "counter", "Completed WAL-into-snapshot compactions.")
 	b.sample("maacs_compactions_total", "", uintVal(m.Store.Compactions))
 
-	b.family("maacs_response_cache_hits_total", "counter", "Fetches served from the encoded-response cache without re-serialization.")
-	b.sample("maacs_response_cache_hits_total", "", uintVal(m.ResponseCache.Hits))
-	b.family("maacs_response_cache_misses_total", "counter", "Encoded-response renders performed (single-flight coalesces concurrent misses).")
-	b.sample("maacs_response_cache_misses_total", "", uintVal(m.ResponseCache.Misses))
-	b.family("maacs_response_cache_evictions_total", "counter", "Encoded responses dropped by the LRU byte bound.")
-	b.sample("maacs_response_cache_evictions_total", "", uintVal(m.ResponseCache.Evictions))
-	b.family("maacs_response_cache_bytes", "gauge", "Bytes of rendered responses currently cached.")
-	b.sample("maacs_response_cache_bytes", "", strconv.FormatInt(m.ResponseCache.Bytes, 10))
-
 	owners := make([]string, 0, len(m.Owners))
 	for id := range m.Owners {
 		owners = append(owners, id)

@@ -57,10 +57,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 					Count:   3, SumNs: 2_000_000_000,
 				},
 			},
-			ResponseCache: ResponseCacheStats{
-				Hits: 42, Misses: 7, Evictions: 3,
-				Bytes: 123456, Entries: 5, CapBytes: 1 << 20,
-			},
 		},
 		Store: StoreInfo{
 			Backend:  "file",
@@ -140,18 +136,6 @@ maacs_wal_fsyncs_total 17
 # HELP maacs_compactions_total Completed WAL-into-snapshot compactions.
 # TYPE maacs_compactions_total counter
 maacs_compactions_total 2
-# HELP maacs_response_cache_hits_total Fetches served from the encoded-response cache without re-serialization.
-# TYPE maacs_response_cache_hits_total counter
-maacs_response_cache_hits_total 42
-# HELP maacs_response_cache_misses_total Encoded-response renders performed (single-flight coalesces concurrent misses).
-# TYPE maacs_response_cache_misses_total counter
-maacs_response_cache_misses_total 7
-# HELP maacs_response_cache_evictions_total Encoded responses dropped by the LRU byte bound.
-# TYPE maacs_response_cache_evictions_total counter
-maacs_response_cache_evictions_total 3
-# HELP maacs_response_cache_bytes Bytes of rendered responses currently cached.
-# TYPE maacs_response_cache_bytes gauge
-maacs_response_cache_bytes 123456
 # HELP maacs_owner_records Records currently stored per owner.
 # TYPE maacs_owner_records gauge
 maacs_owner_records{owner="hospital"} 2

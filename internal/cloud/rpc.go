@@ -96,10 +96,8 @@ func (s *ServerRPC) Store(args *RPCStoreArgs, _ *struct{}) error {
 	return s.server.Store(&Record{ID: args.RecordID, OwnerID: args.OwnerID, Components: comps})
 }
 
-// Fetch handles record and component downloads through the encoded-response
-// cache: the component payloads are rendered once per stored record and
-// shared across replies. They are immutable — net/rpc only gob-encodes them
-// onto the connection; in-process callers must not write into the reply.
+// Fetch handles record and component downloads, rendered by Server.FetchWire
+// from the stored record.
 func (s *ServerRPC) Fetch(args *RPCFetchArgs, reply *RPCFetchReply) error {
 	ownerID, comps, err := s.server.FetchWire(args.RecordID, args.Label, args.User)
 	if err != nil {

@@ -24,6 +24,11 @@ var (
 	ErrReEncryptConflict = errors.New("cloud: concurrent modification during re-encryption")
 	// ErrEmptyBatch rejects a re-encryption request that carries no items.
 	ErrEmptyBatch = errors.New("cloud: re-encryption batch has no items")
+	// ErrForeignCiphertext rejects an upload whose ciphertext names another
+	// owner than the record: the record owner's revocations could not
+	// re-encrypt it (core.Owner.RevocationUpdate refuses another owner's
+	// ciphertext).
+	ErrForeignCiphertext = errors.New("cloud: ciphertext of another owner")
 )
 
 // StoredComponent is one cell of the Fig. 2 record format: the CP-ABE
@@ -142,9 +147,6 @@ type Metrics struct {
 	// fetch, fetch_component, delete, reencrypt), in the cumulative le form
 	// the Prometheus exposition renders. Operations never invoked are absent.
 	Durations map[string]HistogramSnapshot `json:"durations,omitempty"`
-	// ResponseCache reports the encoded-response cache serving the
-	// zero-serialization read path.
-	ResponseCache ResponseCacheStats `json:"response_cache"`
 }
 
 // Operation labels of the request-duration histograms.
@@ -186,11 +188,6 @@ type Server struct {
 	// durs holds one latency histogram per operation. The map is built once
 	// in NewServerWithStore and never written again, so lookups are lock-free.
 	durs map[string]*LatencyHistogram
-
-	// resp caches rendered fetch responses per stored record; every
-	// mutation path drops the record's entries through it (see
-	// respcache.go for the protocol).
-	resp *ResponseCache
 
 	// commitHook, when non-nil, runs between a re-encryption window's compute
 	// and its commit; tests use it to inject commit-time conflicts.
@@ -242,7 +239,6 @@ func NewServerWithStore(sys *core.System, acct *Accounting, store Store) *Server
 		acct:   acct,
 		store:  store,
 		durs:   durs,
-		resp:   NewResponseCache(DefaultResponseCacheBytes),
 		owners: make(map[string]*OwnerStats),
 		window: defaultBatchWindow,
 	}
@@ -318,8 +314,10 @@ func (s *Server) noteDownload(userID string, size int, component bool) {
 // record is ever stored, an empty owner never passes the delete owner check.
 // Every component needs its own non-empty label: a component fetch returns
 // the component a label names, and FetchWire reads an empty label as the
-// whole record. Rejected uploads are not metered: the upload never happened,
-// so it must not inflate the Table IV communication tally.
+// whole record. Every ciphertext must name the record's owner, so both wire
+// replies name one owner and the owner's revocations cover the record.
+// Rejected uploads are not metered: the upload never happened, so it must not
+// inflate the Table IV communication tally.
 func (s *Server) Store(rec *Record) error {
 	defer s.observe(opStore, time.Now())
 	if rec.ID == "" {
@@ -338,12 +336,15 @@ func (s *Server) Store(rec *Record) error {
 				return fmt.Errorf("cloud: record %q labels two components %q", rec.ID, c.Label)
 			}
 		}
+		if c.CT.OwnerID != rec.OwnerID {
+			return fmt.Errorf("%w: record %q of %q, component %q of %q",
+				ErrForeignCiphertext, rec.ID, rec.OwnerID, c.Label, c.CT.OwnerID)
+		}
 		size += c.CT.Size(s.sys.Params) + len(c.Sealed)
 	}
 	if err := s.store.Put(rec); err != nil {
 		return err
 	}
-	s.resp.Bump(rec.ID)
 	s.mu.Lock()
 	s.metrics.StoreRequests++
 	s.ownerStatsLocked(rec.OwnerID).StoreRequests++
@@ -357,12 +358,7 @@ func (s *Server) Store(rec *Record) error {
 // owners' tasks correctly).
 func (s *Server) Delete(recordID, ownerID string) (*Record, error) {
 	defer s.observe(opDelete, time.Now())
-	rec, err := s.store.Delete(recordID, ownerID)
-	if err != nil {
-		return nil, err
-	}
-	s.resp.Bump(recordID)
-	return rec, nil
+	return s.store.Delete(recordID, ownerID)
 }
 
 // CiphertextsOf returns the content-key ciphertexts of an owner's records
@@ -440,7 +436,6 @@ func (s *Server) Metrics() Metrics {
 	if len(m.Durations) == 0 {
 		m.Durations = nil
 	}
-	m.ResponseCache = s.resp.Stats()
 	return m
 }
 
@@ -590,16 +585,6 @@ func (s *Server) reencryptWindow(ownerID string, items []ReEncryptItem, start, e
 	}
 	if err := s.store.ReplaceIfUnchanged(ownerID, swaps); err != nil {
 		return err
-	}
-	// The window committed: invalidate each replaced record's cached
-	// responses before the batch (and so the caller) can observe the commit.
-	// Work is in record order, so consecutive dedup covers every record once.
-	lastBumped := ""
-	for _, w := range work {
-		if w.recID != lastBumped {
-			s.resp.Bump(w.recID)
-			lastBumped = w.recID
-		}
 	}
 
 	winCts, winRows := 0, 0

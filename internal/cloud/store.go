@@ -191,46 +191,47 @@ func (m *MemStore) OwnerScan(ownerID string, fn func(*Record) bool) {
 	}
 }
 
-// validateSwapsLocked checks every swap's slot still holds its Expect
-// ciphertext. Caller holds at least the read lock.
-func (m *MemStore) validateSwapsLocked(swaps []CTSwap) error {
-	for _, sw := range swaps {
-		rec, ok := m.recs[sw.RecordID]
-		if !ok || sw.Index < 0 || sw.Index >= len(rec.Components) || rec.Components[sw.Index].CT != sw.Expect {
-			return fmt.Errorf("%w: record %q", ErrReEncryptConflict, sw.RecordID)
-		}
-	}
-	return nil
-}
-
-// applySwapsLocked installs the swaps copy-on-write: each affected record is
-// cloned once, all of its swaps land on the clone, and the clone replaces the
-// map entry — readers holding the old *Record keep a consistent view. Caller
-// holds the write lock and has validated the swaps.
-func (m *MemStore) applySwapsLocked(swaps []CTSwap) {
-	clones := make(map[string]*Record)
-	for _, sw := range swaps {
-		cl := clones[sw.RecordID]
-		if cl == nil {
-			cl = m.recs[sw.RecordID].snapshot()
-			clones[sw.RecordID] = cl
-		}
-		cl.Components[sw.Index].CT = sw.New
-	}
-	for id, cl := range clones {
-		m.recs[id] = cl
-	}
-}
-
 // ReplaceIfUnchanged applies a re-encryption commit all-or-nothing.
 func (m *MemStore) ReplaceIfUnchanged(_ string, swaps []CTSwap) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.validateSwapsLocked(swaps); err != nil {
+	clones, err := swapClones(swaps, func(id string) (*Record, bool) {
+		rec, ok := m.recs[id]
+		return rec, ok
+	})
+	if err != nil {
 		return err
 	}
-	m.applySwapsLocked(swaps)
+	for id, cl := range clones {
+		m.recs[id] = cl
+	}
 	return nil
+}
+
+// swapClones is the re-encryption commit of both stores. It checks that
+// every swap's slot still holds its Expect ciphertext, then builds the
+// post-swap records copy-on-write: each affected record is cloned once and
+// all of its swaps land on the clone, so readers holding the stored record
+// keep a consistent view. lookup reads a record as the store sees it under
+// the caller's write lock; the caller installs the clones.
+func swapClones(swaps []CTSwap, lookup func(id string) (*Record, bool)) (map[string]*Record, error) {
+	for _, sw := range swaps {
+		rec, ok := lookup(sw.RecordID)
+		if !ok || sw.Index < 0 || sw.Index >= len(rec.Components) || rec.Components[sw.Index].CT != sw.Expect {
+			return nil, fmt.Errorf("%w: record %q", ErrReEncryptConflict, sw.RecordID)
+		}
+	}
+	clones := make(map[string]*Record)
+	for _, sw := range swaps {
+		cl := clones[sw.RecordID]
+		if cl == nil {
+			rec, _ := lookup(sw.RecordID)
+			cl = rec.snapshot()
+			clones[sw.RecordID] = cl
+		}
+		cl.Components[sw.Index].CT = sw.New
+	}
+	return clones, nil
 }
 
 // Records returns every stored record sorted by ID, as one consistent view.

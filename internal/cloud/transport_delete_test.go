@@ -3,7 +3,9 @@ package cloud
 import (
 	"crypto/rand"
 	"encoding/base64"
+	"errors"
 	"net/http"
+	"strings"
 	"testing"
 
 	"maacs/internal/core"
@@ -165,6 +167,67 @@ func TestUploadRejectsUnaddressableLabels(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Fatalf("%s label: status %d, want 400", name, resp.StatusCode)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+}
+
+// TestUploadRejectsForeignCiphertext: a record stored as hospital that holds
+// mallory's ciphertext would be among hospital's ciphertexts, and hospital's
+// next revocation would fail on it in Owner.RevocationUpdate
+// (core.ErrWrongOwner), after the authority had rekeyed and the holders' keys
+// had moved on. Its record and component replies would also name different
+// owners. Every upload path refuses such a record, whether the foreign
+// ciphertext is its only one or sits beside hospital's own, before anything
+// is stored or metered.
+func TestUploadRejectsForeignCiphertext(t *testing.T) {
+	records := func(t *testing.T, env *Env) map[string]*Record {
+		t.Helper()
+		if _, err := env.AddAuthority("med", []string{"doctor"}); err != nil {
+			t.Fatal(err)
+		}
+		sealed := make(map[string]*Record)
+		for _, id := range []string{"hospital", "mallory"} {
+			oc, err := env.AddOwner(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed[id] = buildRecord(t, env, oc, "r", []UploadComponent{
+				{Label: id, Data: []byte("v"), Policy: "med:doctor"},
+			})
+		}
+		own, foreign := sealed["hospital"].Components[0], sealed["mallory"].Components[0]
+		return map[string]*Record{
+			"foreign": {ID: "r-foreign", OwnerID: "hospital", Components: []StoredComponent{foreign}},
+			"mixed":   {ID: "r-mixed", OwnerID: "hospital", Components: []StoredComponent{own, foreign}},
+		}
+	}
+	t.Run("in-process", func(t *testing.T) {
+		env := NewEnv(core.NewSystem(pairing.Test()), rand.Reader)
+		for name, rec := range records(t, env) {
+			if err := env.Server.Store(rec); !errors.Is(err, ErrForeignCiphertext) {
+				t.Fatalf("%s record: got %v, want ErrForeignCiphertext", name, err)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+	t.Run("rpc", func(t *testing.T) {
+		env, remote := rpcFixture(t)
+		for name, rec := range records(t, env) {
+			if err := remote.Store(rec); err == nil || !strings.Contains(err.Error(), ErrForeignCiphertext.Error()) {
+				t.Fatalf("%s record over RPC: got %v, want %q", name, err, ErrForeignCiphertext)
+			}
+		}
+		assertNothingStored(t, env)
+	})
+	t.Run("http", func(t *testing.T) {
+		env, ts := httpFixture(t)
+		for name, rec := range records(t, env) {
+			resp := postJSON(t, ts.URL+"/records", toHTTPRecord(rec))
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s record: status %d, want 400", name, resp.StatusCode)
 			}
 		}
 		assertNothingStored(t, env)

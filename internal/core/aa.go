@@ -188,8 +188,8 @@ func (aa *AA) KeyGen(user *UserPublicKey, ownerSK *OwnerSecretKey, attrNames []s
 
 	p := aa.sys.Params
 	// K = PK_UID^(r/β) · g^(α/β); g^(α/β) = (g^(1/β))^α. Each half runs
-	// through a cached exponentiation table (engine.DualExp).
-	k := engine.DualExp(user.PK, ownerSK.ROverBeta, ownerSK.GInvBeta, alpha)
+	// through its base's own exponentiation comb.
+	k := user.PK.ExpTable().Exp(ownerSK.ROverBeta).Mul(ownerSK.GInvBeta.ExpTable().Exp(alpha))
 	sk := &SecretKey{
 		UID:     user.UID,
 		AID:     aa.aid,

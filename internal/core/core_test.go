@@ -116,6 +116,18 @@ func forEachDecryptPath(t *testing.T, body func(t *testing.T, decrypt decryptFun
 	}
 }
 
+// forEachScale runs body as one subtest per parameter set: the test curve,
+// and outside -short the paper's a.param curve.
+func forEachScale(t *testing.T, body func(t *testing.T, params *pairing.Params)) {
+	t.Run("test-curve", func(t *testing.T) { body(t, pairing.Test()) })
+	t.Run("paper-scale", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("paper-scale decryptions in -short mode")
+		}
+		body(t, pairing.Default())
+	})
+}
+
 // decryptBoth runs Decrypt and DecryptEq1 on the same input and fails
 // unless both return the same G_T bytes or both the same error. It
 // returns Decrypt's result.

@@ -152,12 +152,13 @@ func (o *Owner) EncryptMatrix(m *pairing.GT, policy string, matrix *lsss.Matrix,
 		Rows:     make([]*pairing.G, len(matrix.Rho)),
 	}
 	// All randomness is drawn by now; the per-row jobs are pure group
-	// arithmetic, so they fan out across the engine pool. Each row is one
-	// simultaneous two-base exponentiation g^(r·λ_i) · PK_{ρ(i)}^(−βs).
+	// arithmetic, so they fan out across the engine pool. Each row is
+	// g^(r·λ_i) · PK_{ρ(i)}^(−βs), each factor from its base's own comb (the
+	// generator's is FixedBaseExp's).
 	g := p.Generator()
 	_ = engine.Default().Run(len(matrix.Rho), func(i int) error {
 		rl := new(big.Int).Mul(o.r, shares[i])
-		ct.Rows[i] = engine.DualExp(g, rl, rowPKs[i].PK, negBetaS)
+		ct.Rows[i] = g.ExpTable().Exp(rl).Mul(rowPKs[i].PK.ExpTable().Exp(negBetaS))
 		return nil
 	})
 

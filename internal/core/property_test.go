@@ -18,15 +18,7 @@ import (
 // Decrypt and DecryptEq1 must return the same G_T bytes or the same error.
 // Outside -short the same workload runs again at paper scale.
 func TestPropertyDecryptIffSatisfied(t *testing.T) {
-	t.Run("test-curve", func(t *testing.T) {
-		propertyDecryptIffSatisfied(t, pairing.Test())
-	})
-	t.Run("paper-scale", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("paper-scale decryptions in -short mode")
-		}
-		propertyDecryptIffSatisfied(t, pairing.Default())
-	})
+	forEachScale(t, propertyDecryptIffSatisfied)
 }
 
 // propertyDecryptIffSatisfied runs 12 seeded random policies on params,

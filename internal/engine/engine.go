@@ -4,8 +4,6 @@
 //
 //   - a bounded worker pool (sized by GOMAXPROCS, overridable) that evaluates
 //     independent jobs in parallel with first-error cancellation,
-//   - two-base exponentiation helpers (DualExp on each base's own comb,
-//     DualExpGT),
 //   - validated decoding of ciphertext elements (DecodeG, DecodeGT) behind
 //     a bounded LRU keyed by the exact encoding,
 //   - process-wide activity counters (jobs, preparation and comb builds and

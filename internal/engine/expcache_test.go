@@ -47,8 +47,8 @@ func TestExpCacheHitMiss(t *testing.T) {
 	if got := mid.ExpMisses - before.ExpMisses; got != 3 {
 		t.Fatalf("fresh bases produced %d misses, want 3", got)
 	}
-	for i := 0; i < 4; i++ {
-		DualExp(bases[0], k, bases[0], k)
+	for i := 0; i < 8; i++ {
+		bases[0].ExpTable().Exp(k)
 	}
 	after := SnapshotStats()
 	if got := after.ExpHits - mid.ExpHits; got != 8 {

@@ -194,7 +194,7 @@ func (a *Authority) KeyGen(gid string, attrNames []string) (*SecretKey, error) {
 
 	keys := make([]*pairing.G, len(attrNames))
 	_ = engine.Default().Run(len(attrNames), func(i int) error {
-		keys[i] = engine.DualExp(g, secs[i].alpha, h, secs[i].y)
+		keys[i] = g.ExpTable().Exp(secs[i].alpha).Mul(h.ExpTable().Exp(secs[i].y))
 		return nil
 	})
 	for i, n := range attrNames {
@@ -309,9 +309,9 @@ func EncryptMatrix(sys *System, m *pairing.GT, policy string, matrix *lsss.Matri
 	}
 	_ = engine.Default().Run(l, func(i int) error {
 		pk, ri := rowPKs[i], rs[i]
-		ct.C1[i] = engine.DualExpGT(egg, lambda[i], pk.Egg, ri)
+		ct.C1[i] = egg.Exp(lambda[i]).Mul(pk.Egg.Exp(ri))
 		ct.C2[i] = p.FixedBaseExp(ri)
-		ct.C3[i] = engine.DualExp(pk.GY, ri, g, omega[i])
+		ct.C3[i] = pk.GY.ExpTable().Exp(ri).Mul(g.ExpTable().Exp(omega[i]))
 		return nil
 	})
 	return ct, nil

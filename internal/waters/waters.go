@@ -195,7 +195,7 @@ func EncryptMatrix(pk *PublicKey, m *pairing.GT, policy string, matrix *lsss.Mat
 		if err != nil {
 			return err
 		}
-		ct.Ci[i] = engine.DualExp(pk.GA, lambda[i], h, new(big.Int).Neg(rs[i]))
+		ct.Ci[i] = pk.GA.ExpTable().Exp(lambda[i]).Mul(h.ExpTable().Exp(new(big.Int).Neg(rs[i])))
 		ct.Di[i] = p.FixedBaseExp(rs[i])
 		return nil
 	})

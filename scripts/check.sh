@@ -46,10 +46,8 @@ echo "== group-commit race gate: concurrent writers + kill-at-any-point"
 gate ./internal/cloud/ 'TestFileStoreGroupCommit|TestFileStoreKillAnywhere' -race -count=2
 echo "== cloud suite on the file backend (MAACS_STORE=file)"
 MAACS_STORE=file go test -count=1 ./internal/cloud/
-echo "== response-cache gate: byte differential + stale-generation hammer (race)"
-gate ./internal/cloud/ 'TestResponseCacheDifferentialBytes|TestResponseCacheStaleGenerationHammer|TestResponseCacheSingleFlight' -race -count=2
-echo "== response-cache alloc pin: zero-alloc steady-state hit path (race off: AllocsPerRun)"
-gate ./internal/cloud/ 'TestResponseCacheZeroAllocHit' -count=1
+echo "== fetch race gate: served bytes = fresh render + fetches raced against re-store, re-encrypt and delete"
+gate ./internal/cloud/ 'TestFetchMatchesFreshRender|TestFetchRacingMutationsMatchesStore' -race -count=2
 echo "== benchmark module (separate go.mod): vet + smoke test"
 (cd benchmark && go vet ./... && go test -count=1 ./...)
 echo "== go test -race ./internal/pairing"
